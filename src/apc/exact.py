@@ -14,11 +14,10 @@ import itertools
 import time
 from dataclasses import dataclass, replace
 
-from .errors import NotAPermutationError
 from .heuristic import LSConfig, run_heuristic
 from .hungarian import MaskedCosts, solve_ap
 from .instance import ConflictPair, Edge, Instance
-from .model import check_feasible, evaluate
+from .model import _require_permutation, check_feasible, evaluate
 from .solution import Solution, SolveStatus
 
 
@@ -43,76 +42,42 @@ def find_violated_conflict(assignment, inst: Instance) -> ConflictPair | None:
     Among pairs with both edges selected by the assignment, picks the one
     with the largest combined edge cost, breaking ties by canonical order.
     Returns None exactly when the feasibility checker reports no violated
-    conflicts.
+    conflicts. Only the conflict partners of the n selected edges are read.
     """
-    n = inst.n
-    if len(assignment) != n or sorted(assignment) != list(range(n)):
-        raise NotAPermutationError(
-            f"assignment {list(assignment)!r} is not a permutation of 0..{n - 1}"
-        )
-    costs = inst.costs
-    best_pair = None
-    best_cost = -1
-    for pair in inst.conflicts:
-        e1, e2 = pair.e1, pair.e2
-        if assignment[e1.a] == e1.b and assignment[e2.a] == e2.b:
-            combined = costs[e1.a][e1.b] + costs[e2.a][e2.b]
-            if combined > best_cost or (
-                combined == best_cost and pair < best_pair
-            ):
-                best_pair = pair
-                best_cost = combined
-    return best_pair
+    _require_permutation(inst.n, assignment)
+    n, costs, partners = inst.n, inst.costs, inst.partners
+    best = None  # (-combined cost, e1, e2): the minimum is the pair to return
+    for a, b in enumerate(assignment):
+        e = Edge(a, b)
+        for p in partners[a * n + b]:
+            if assignment[p.a] == p.b and e < p:
+                key = (-(costs[a][b] + costs[p.a][p.b]), e, p)
+                if best is None or key < best:
+                    best = key
+    return None if best is None else ConflictPair(best[1], best[2])
 
 
-def branch(node: SearchNode, pair: ConflictPair) -> tuple[SearchNode, SearchNode]:
-    """Split a node on a violated conflict: forbid e1 in one child, e2 in the
-    other.
+def branch(
+    node: SearchNode, edge: Edge, partners: tuple[Edge, ...]
+) -> tuple[SearchNode, SearchNode | None]:
+    """Split a node on `edge` into two disjoint children: (avoid, commit).
 
-    Only solutions using both edges are dropped, and those are infeasible
-    anyway, so no feasible solution is lost. Caller contract: both edges are
-    used by the node's relaxation solution.
+    The avoid child forbids `edge`. The commit child forces it and forbids
+    its conflict `partners`; it is None when that contradicts the node's
+    masks. Every conflict-feasible solution within the node's masks lies in
+    exactly one child. Both children inherit the node's bound.
     """
-    assert pair.e1 not in node.forbidden and pair.e2 not in node.forbidden
-    child1 = SearchNode(
-        forbidden=node.forbidden | {pair.e1},
-        forced=node.forced,
-        bound=node.bound,
-        depth=node.depth + 1,
-    )
-    child2 = SearchNode(
-        forbidden=node.forbidden | {pair.e2},
-        forced=node.forced,
-        bound=node.bound,
-        depth=node.depth + 1,
-    )
-    return child1, child2
-
-
-def _conflict_adjacency(inst: Instance) -> dict[Edge, tuple[Edge, ...]]:
-    adj: dict[Edge, list[Edge]] = {}
-    for pair in inst.conflicts:
-        adj.setdefault(pair.e1, []).append(pair.e2)
-        adj.setdefault(pair.e2, []).append(pair.e1)
-    return {e: tuple(partners) for e, partners in adj.items()}
-
-
-def _commit_edge(node: SearchNode, edge: Edge, adjacency) -> SearchNode | None:
-    """Child that commits to `edge`: force it and forbid all its conflict
-    partners. None when the commitment contradicts the node's masks."""
-    partners = adjacency.get(edge, ())
-    forced = node.forced
-    if edge in node.forbidden or any(p in forced for p in partners):
-        return None
-    for f in forced:
-        if f.a == edge.a or f.b == edge.b:
-            return None
-    return SearchNode(
-        forbidden=node.forbidden | set(partners),
-        forced=forced | {edge},
-        bound=node.bound,
-        depth=node.depth + 1,
-    )
+    depth = node.depth + 1
+    forbidden, forced = node.forbidden, node.forced
+    avoid = SearchNode(forbidden | {edge}, forced, node.bound, depth)
+    if (
+        edge in forbidden
+        or any(p in forced for p in partners)
+        or any(f.a == edge.a or f.b == edge.b for f in forced)
+    ):
+        return avoid, None
+    commit = SearchNode(forbidden.union(partners), forced | {edge}, node.bound, depth)
+    return avoid, commit
 
 
 def solve_exact(
@@ -169,7 +134,7 @@ def solve_exact(
         if seeded is not None:
             consider(seeded.assignment, seeded.value)
 
-    adjacency = _conflict_adjacency(inst)
+    n, partners = inst.n, inst.partners
     nodes = 0
     tiebreak = itertools.count()
     heap: list[tuple] = []
@@ -208,14 +173,8 @@ def solve_exact(
         # commit to e1 (which excludes every edge it conflicts with, e2
         # included). Committing prunes far harder than a second forbid on
         # dense conflict sets.
-        avoid = SearchNode(
-            forbidden=node.forbidden | {pair.e1},
-            forced=node.forced,
-            bound=bound,
-            depth=node.depth + 1,
-        )
-        commit = _commit_edge(replace(node, bound=bound), pair.e1, adjacency)
-        for child in (avoid, commit):
+        e1 = pair.e1
+        for child in branch(node, e1, partners[e1.a * n + e1.b]):
             if child is None:
                 continue
             res = solve_ap(MaskedCosts(inst.costs, child.forbidden, child.forced))

@@ -30,17 +30,10 @@ class LSConfig:
             raise ValueError(f"all limits must be positive, got {self}")
 
 
-def _conflict_adjacency(inst: Instance) -> dict[Edge, tuple[Edge, ...]]:
-    adj: dict[Edge, list[Edge]] = {}
-    for pair in inst.conflicts:
-        adj.setdefault(pair.e1, []).append(pair.e2)
-        adj.setdefault(pair.e2, []).append(pair.e1)
-    return {e: tuple(partners) for e, partners in adj.items()}
-
-
-def _edge_clear(edge: Edge, assigned: dict[int, int], adj) -> bool:
-    # True when selecting `edge` activates no conflict against current picks.
-    for partner in adj.get(edge, ()):
+def _edge_clear(partners: tuple[Edge, ...], assigned: dict[int, int]) -> bool:
+    # True when selecting the edge with these conflict partners activates no
+    # conflict against current picks.
+    for partner in partners:
         if assigned.get(partner.a) == partner.b:
             return False
     return True
@@ -63,7 +56,7 @@ def construct_greedy(inst: Instance, rng_seed: int) -> Solution | None:
     rng = random.Random(rng_seed)
     order = list(range(n))
     rng.shuffle(order)
-    adj = _conflict_adjacency(inst)
+    partners = inst.partners
     start = time.perf_counter()
 
     assigned: dict[int, int] = {}
@@ -76,7 +69,7 @@ def construct_greedy(inst: Instance, rng_seed: int) -> Solution | None:
         choices = sorted((inst.costs[i][j], j) for j in range(n) if col_free[j])
         picked = False
         for _, j in choices:
-            if _edge_clear(Edge(i, j), assigned, adj):
+            if _edge_clear(partners[i * n + j], assigned):
                 assigned[i] = j
                 occupant[j] = i
                 col_free[j] = False
@@ -87,7 +80,7 @@ def construct_greedy(inst: Instance, rng_seed: int) -> Solution | None:
         candidates = []
         for j in range(n):
             conflicted = {
-                p.a for p in adj.get(Edge(i, j), ()) if assigned.get(p.a) == p.b
+                p.a for p in partners[i * n + j] if assigned.get(p.a) == p.b
             }
             blockers = set(conflicted)
             if not col_free[j]:
@@ -121,13 +114,14 @@ def construct_greedy(inst: Instance, rng_seed: int) -> Solution | None:
     )
 
 
-def _swap_clear(i: int, k: int, perm: list[int], adj) -> bool:
+def _swap_clear(i: int, k: int, perm: list[int], partners) -> bool:
     # Swapping the columns of rows i and k introduces edges (i, perm[k]) and
     # (k, perm[i]); the move is admissible iff neither activates a conflict
     # against the post-swap assignment.
+    n = len(perm)
     new_i, new_k = perm[k], perm[i]
-    for edge in (Edge(i, new_i), Edge(k, new_k)):
-        for partner in adj.get(edge, ()):
+    for edge_partners in (partners[i * n + new_i], partners[k * n + new_k]):
+        for partner in edge_partners:
             if partner.a == i:
                 selected = partner.b == new_i
             elif partner.a == k:
@@ -153,7 +147,7 @@ def local_search(inst: Instance, start: Solution, cfg: LSConfig) -> Solution:
         )
     n = inst.n
     costs = inst.costs
-    adj = _conflict_adjacency(inst)
+    partners = inst.partners
     perm = list(start.assignment)
     value = evaluate(inst, perm)
     t0 = time.perf_counter()
@@ -171,7 +165,7 @@ def local_search(inst: Instance, start: Solution, cfg: LSConfig) -> Solution:
                 delta = (
                     ci[perm[k]] + costs[k][perm[i]] - ci[perm[i]] - costs[k][perm[k]]
                 )
-                if delta < best_delta and _swap_clear(i, k, perm, adj):
+                if delta < best_delta and _swap_clear(i, k, perm, partners):
                     best_delta = delta
                     best_move = (i, k)
         if best_move is None:

@@ -23,6 +23,7 @@ class MaskedCosts:
 
     ``forced`` edges must appear in the solution and are therefore pairwise
     row- and column-disjoint; no edge may be both forced and forbidden.
+    ``base`` is kept as given, not copied, so it must not change afterwards.
     """
 
     base: tuple[tuple[int, ...], ...]
@@ -30,7 +31,6 @@ class MaskedCosts:
     forced: frozenset[Edge] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "base", tuple(tuple(row) for row in self.base))
         object.__setattr__(self, "forbidden", frozenset(Edge(*e) for e in self.forbidden))
         object.__setattr__(self, "forced", frozenset(Edge(*e) for e in self.forced))
         n = len(self.base)
@@ -86,7 +86,7 @@ def _hungarian_masked(
                 if used[j]:
                     continue
                 col = cols[j - 1]
-                if Edge(row, col) not in forbidden:
+                if (row, col) not in forbidden:
                     cur = base[row][col] - u[i0] - v[j]
                     if cur < minv[j]:
                         minv[j] = cur

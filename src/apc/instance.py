@@ -23,6 +23,7 @@ write/parse round trip; parsers that discard comments read the same data.
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, NamedTuple
 
 from .errors import (
@@ -90,6 +91,26 @@ class Instance:
             p if isinstance(p, ConflictPair) else ConflictPair(*p) for p in conflicts
         )
         return cls(name=name, n=len(rows), costs=rows, conflicts=pairs)
+
+    @cached_property
+    def partners(self) -> tuple[tuple[Edge, ...], ...]:
+        """Compiled conflict index: ``partners[a*n + b]`` holds every edge
+        that conflicts with edge (a, b).
+
+        Built once, on first use, and cached on the instance. It is not a
+        field, so equality and hashing ignore it.
+        """
+        n = self.n
+        adj: list[list[Edge]] = [[] for _ in range(n * n)]
+        for pair in self.conflicts:
+            e1, e2 = pair.e1, pair.e2
+            if not 0 <= min(e1 + e2) <= max(e1 + e2) < n:
+                raise IndexOutOfRangeError(
+                    f"conflict {tuple(e1)}-{tuple(e2)} outside the {n}x{n} grid"
+                )
+            adj[e1.a * n + e1.b].append(e2)
+            adj[e2.a * n + e2.b].append(e1)
+        return tuple(map(tuple, adj))
 
 
 @dataclass(frozen=True)

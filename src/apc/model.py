@@ -154,14 +154,19 @@ def check_feasible(inst: Instance, assignment: Sequence[int]) -> FeasibilityRepo
         if 0 <= j < n:
             coverage[j] += 1
     bad_cols = tuple(j for j, c in enumerate(coverage) if c != 1)
-    violated = tuple(
-        p
-        for p in sorted(inst.conflicts)
-        if assignment[p.e1.a] == p.e1.b and assignment[p.e2.a] == p.e2.b
-    )
+    partners = inst.partners
+    violated = []
+    for i, j in enumerate(assignment):
+        if 0 <= j < n:
+            e = Edge(i, j)
+            violated.extend(
+                ConflictPair(e, p)
+                for p in partners[i * n + j]
+                if assignment[p.a] == p.b and e < p
+            )
     return FeasibilityReport(
         is_perfect_matching=not bad_rows and not bad_cols,
         violated_rows=bad_rows,
         violated_cols=bad_cols,
-        violated_conflicts=violated,
+        violated_conflicts=tuple(sorted(violated)),
     )

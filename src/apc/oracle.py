@@ -2,11 +2,15 @@
 
 Deliberately dumb: direct enumeration of all permutations with a literal
 both-edges-selected conflict test. Everything else in the package is judged
-against this module, so it shares no solver code with anything.
+against this module, so it shares no solver code with anything: it reads
+``inst.conflicts`` directly, never the compiled conflict index the solvers
+use.
 """
 
 import itertools
+import math
 import time
+from typing import Iterator
 
 from .errors import InstanceTooLargeError
 from .instance import Instance
@@ -16,10 +20,18 @@ BRUTE_FORCE_MAX_N = 10
 ENUMERATE_MAX_N = 8
 
 
-def _conflict_rows(inst: Instance) -> tuple[tuple[int, int, int, int], ...]:
-    return tuple(
+def _feasible_permutations(inst: Instance) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every conflict-feasible permutation with its value, lexicographic."""
+    conflicts = tuple(
         (p.e1.a, p.e1.b, p.e2.a, p.e2.b) for p in sorted(inst.conflicts)
     )
+    costs = inst.costs
+    for perm in itertools.permutations(range(inst.n)):
+        for a1, b1, a2, b2 in conflicts:
+            if perm[a1] == b1 and perm[a2] == b2:
+                break
+        else:
+            yield perm, sum(costs[i][j] for i, j in enumerate(perm))
 
 
 def brute_force(inst: Instance) -> Solution:
@@ -34,28 +46,10 @@ def brute_force(inst: Instance) -> Solution:
             f"brute force is guarded to n <= {BRUTE_FORCE_MAX_N}, got n = {inst.n}"
         )
     start = time.perf_counter()
-    conflicts = _conflict_rows(inst)
-    costs = inst.costs
-    best_perm = None
-    best_value = None
-    count = 0
-    for perm in itertools.permutations(range(inst.n)):
-        count += 1
-        feasible = True
-        for a1, b1, a2, b2 in conflicts:
-            if perm[a1] == b1 and perm[a2] == b2:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        value = 0
-        for i, j in enumerate(perm):
-            value += costs[i][j]
-        if best_value is None or value < best_value:
-            best_perm = perm
-            best_value = value
+    best = min(_feasible_permutations(inst), key=lambda pv: pv[1], default=None)
     elapsed = time.perf_counter() - start
-    if best_perm is None:
+    count = math.factorial(inst.n)
+    if best is None:
         return Solution(
             assignment=None,
             value=None,
@@ -64,6 +58,7 @@ def brute_force(inst: Instance) -> Solution:
             sec_total=elapsed,
             nodes=count,
         )
+    best_perm, best_value = best
     return Solution(
         assignment=best_perm,
         value=best_value,
@@ -85,15 +80,4 @@ def enumerate_feasible(inst: Instance) -> list[tuple[tuple[int, ...], int]]:
         raise InstanceTooLargeError(
             f"enumeration is guarded to n <= {ENUMERATE_MAX_N}, got n = {inst.n}"
         )
-    conflicts = _conflict_rows(inst)
-    costs = inst.costs
-    out: list[tuple[tuple[int, ...], int]] = []
-    for perm in itertools.permutations(range(inst.n)):
-        feasible = True
-        for a1, b1, a2, b2 in conflicts:
-            if perm[a1] == b1 and perm[a2] == b2:
-                feasible = False
-                break
-        if feasible:
-            out.append((perm, sum(costs[i][j] for i, j in enumerate(perm))))
-    return out
+    return list(_feasible_permutations(inst))

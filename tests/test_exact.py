@@ -1,6 +1,8 @@
 """Branch-and-bound solver: examples, branching rules, oracle equivalence."""
 
 import itertools
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +17,7 @@ from apc.instance import (
     max_conflict_pairs,
 )
 from apc.model import check_feasible, evaluate
-from apc.oracle import brute_force
+from apc.oracle import brute_force, enumerate_feasible
 from apc.solution import SolveStatus
 
 DIAG = Instance.from_costs([[1, 10], [10, 1]], [((0, 0), (1, 1))])
@@ -79,43 +81,88 @@ def test_find_violated_conflict_rejects_non_permutation():
 
 
 def test_find_violated_agrees_with_feasibility_checker():
-    import random
-
+    # The most expensive violated pair, ties broken by canonical order; costs
+    # in {1, 2} on odd seeds make equal combined costs common.
     rng = random.Random(12)
-    for seed in range(30):
-        n = rng.randint(3, 6)
+    ties = 0
+    for seed in range(60):
+        n = rng.randint(3, 7)
         m = rng.randint(0, max_conflict_pairs(n) // 2)
-        inst = generate_instance(n, m, 1, 50, seed=seed)
+        inst = generate_instance(n, m, 1, 2 if seed % 2 else 50, seed=seed)
         perm = list(range(n))
         rng.shuffle(perm)
-        found = find_violated_conflict(perm, inst)
         violated = check_feasible(inst, perm).violated_conflicts
-        assert (found is None) == (not violated)
-        if found is not None:
-            assert found in violated
+        combined = {
+            p: inst.costs[p.e1.a][p.e1.b] + inst.costs[p.e2.a][p.e2.b] for p in violated
+        }
+        expected = min(violated, key=lambda p: (-combined[p], p), default=None)
+        assert find_violated_conflict(perm, inst) == expected
+        if expected is not None:
+            ties += list(combined.values()).count(combined[expected]) > 1
+    assert ties >= 10
 
 
 def test_branch_children():
-    root = SearchNode(frozenset(), frozenset(), 0, 0)
-    pair = ConflictPair(Edge(0, 0), Edge(1, 1))
-    c1, c2 = branch(root, pair)
-    assert c1.forbidden == frozenset({Edge(0, 0)})
-    assert c2.forbidden == frozenset({Edge(1, 1)})
-    assert c1.depth == c2.depth == 1
-    assert c1.bound >= root.bound and c2.bound >= root.bound
-    assert not c1.forced and not c2.forced
+    root = SearchNode(frozenset(), frozenset(), 7, 0)
+    avoid, commit = branch(root, Edge(0, 0), DIAG.partners[0])
+    assert avoid.forbidden == frozenset({Edge(0, 0)}) and not avoid.forced
+    assert commit.forced == frozenset({Edge(0, 0)})
+    assert commit.forbidden == frozenset({Edge(1, 1)})
+    assert avoid.depth == commit.depth == 1
+    assert avoid.bound == commit.bound == 7
 
 
-def test_branch_children_bounds_never_decrease():
-    inst = generate_instance(5, 60, 1, 50, seed=44)
-    relaxed, bound = solve_ap(MaskedCosts(inst.costs))
-    pair = find_violated_conflict(relaxed, inst)
-    if pair is None:
-        pytest.skip("relaxation happens to be conflict-free")
-    node = SearchNode(frozenset(), frozenset(), bound, 0)
-    for child in branch(node, pair):
-        res = solve_ap(MaskedCosts(inst.costs, child.forbidden, child.forced))
-        assert res is None or res[1] >= bound
+def test_branch_commit_child_none_on_contradiction():
+    for forbidden, forced in [
+        ({Edge(0, 0)}, set()),  # the edge itself is forbidden
+        (set(), {Edge(1, 1)}),  # a conflict partner is forced
+        (set(), {Edge(1, 0)}),  # a forced edge holds its column
+    ]:
+        node = SearchNode(frozenset(forbidden), frozenset(forced), 0, 0)
+        avoid, commit = branch(node, Edge(0, 0), DIAG.partners[0])
+        assert commit is None
+        assert avoid.forbidden == node.forbidden | {Edge(0, 0)}
+
+
+def _obeys(perm, node):
+    return all(perm[e.a] != e.b for e in node.forbidden) and all(
+        perm[e.a] == e.b for e in node.forced
+    )
+
+
+def test_branch_is_a_dichotomy():
+    # Follow solve_exact's split a few levels deep: every feasible solution
+    # inside a node lies in exactly one child, and child bounds never drop.
+    splits = 0
+    for seed in range(16):
+        n = 4 + seed % 4
+        inst = generate_instance(n, max_conflict_pairs(n) // 8, 1, 50, seed=700 + seed)
+        feasible = [perm for perm, _ in enumerate_feasible(inst)]
+        relaxed, bound = solve_ap(MaskedCosts(inst.costs))
+        frontier = [(SearchNode(frozenset(), frozenset(), bound, 0), relaxed)]
+        for _ in range(4):
+            deeper = []
+            for node, relaxed in frontier:
+                pair = find_violated_conflict(relaxed, inst)
+                if pair is None:
+                    continue
+                e1 = pair.e1
+                children = branch(node, e1, inst.partners[e1.a * n + e1.b])
+                splits += 1
+                live = [c for c in children if c is not None]
+                for perm in feasible:
+                    if _obeys(perm, node):
+                        hits = [c for c in live if _obeys(perm, c)]
+                        assert len(hits) == 1, (seed, perm, node)
+                for child in live:
+                    mc = MaskedCosts(inst.costs, child.forbidden, child.forced)
+                    res = solve_ap(mc)
+                    if res is None:
+                        continue
+                    assert res[1] >= node.bound
+                    deeper.append((replace(child, bound=res[1]), res[0]))
+            frontier = deeper
+    assert splits >= 50
 
 
 def test_branch_completeness_on_dense_instance():

@@ -131,7 +131,28 @@ def test_conflict_pair_rejects_equal_edges():
 def test_round_trip_random_instances(n, frac, seed):
     m = int(frac * max_conflict_pairs(n))
     inst = generate_instance(n, m, 0, 30, seed)
-    assert parse_instance(write_instance(inst)) == inst
+    inst.partners  # a conflict index compiled on one side only must not matter
+    parsed = parse_instance(write_instance(inst))
+    assert parsed == inst and hash(parsed) == hash(inst)
+
+
+@pytest.mark.parametrize("n,m,seed", [(1, 0, 1), (3, 20, 2), (5, 150, 3), (7, 0, 4)])
+def test_partners_index_holds_each_pair_at_both_endpoints(n, m, seed):
+    inst = generate_instance(n, m, 1, 30, seed)
+    expected = [[] for _ in range(n * n)]
+    for pair in inst.conflicts:
+        expected[pair.e1.a * n + pair.e1.b].append(pair.e2)
+        expected[pair.e2.a * n + pair.e2.b].append(pair.e1)
+    assert len(inst.partners) == n * n
+    for got, want in zip(inst.partners, expected):
+        assert sorted(got) == sorted(want)
+    assert sum(len(p) for p in inst.partners) == 2 * m
+
+
+def test_partners_index_rejects_out_of_range_conflicts():
+    inst = Instance.from_costs([[1, 2], [3, 4]], [((0, 0), (1, 2))])
+    with pytest.raises(IndexOutOfRangeError):
+        inst.partners
 
 
 def test_generate_is_deterministic():

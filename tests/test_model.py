@@ -1,11 +1,19 @@
 """Model IR, LP export, objective evaluation and feasibility checking."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apc.errors import NotAPermutationError
-from apc.instance import ConflictPair, Edge, Instance, generate_instance
+from apc.instance import (
+    ConflictPair,
+    Edge,
+    Instance,
+    generate_instance,
+    max_conflict_pairs,
+)
 from apc.model import build_model, check_feasible, evaluate, export_lp
 
 
@@ -145,6 +153,30 @@ def test_check_feasible_out_of_range_entry():
     report = check_feasible(inst, [5, 0])
     assert report.violated_rows == (0,)
     assert 1 in report.violated_cols
+
+
+def _literal_violations(inst, assignment):
+    return tuple(
+        p
+        for p in sorted(inst.conflicts)
+        if assignment[p.e1.a] == p.e1.b and assignment[p.e2.a] == p.e2.b
+    )
+
+
+def test_check_feasible_conflicts_match_literal_scan():
+    rng = random.Random(5)
+    for seed in range(60):
+        n = rng.randint(1, 6)
+        m = rng.randint(0, max_conflict_pairs(n))
+        inst = generate_instance(n, m, 1, 40, seed=seed)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        # permutations, repeated columns and out-of-range entries alike
+        candidates = [perm, [rng.randrange(n) for _ in range(n)]]
+        candidates.append([rng.choice((-1, n, n + 3, j)) for j in perm])
+        for assignment in candidates:
+            report = check_feasible(inst, assignment)
+            assert report.violated_conflicts == _literal_violations(inst, assignment)
 
 
 def test_check_feasible_requires_full_length():
