@@ -17,7 +17,7 @@ from .bench import (
     preset_groups,
     run_benchmark,
 )
-from .exact import SearchNode, branch, find_violated_conflict, solve_exact
+from .exact import branch, find_violated_conflict, solve_exact
 from .heuristic import (
     LSConfig,
     construct_greedy,
@@ -25,7 +25,7 @@ from .heuristic import (
     local_search,
     run_heuristic,
 )
-from .hungarian import MaskedCosts, ap_lower_bound, solve_ap
+from .hungarian import MaskedCosts, solve_ap
 from .instance import (
     ConflictPair,
     Edge,
@@ -61,11 +61,9 @@ __all__ = [
     "LSConfig",
     "MaskedCosts",
     "ModelIR",
-    "SearchNode",
     "Solution",
     "SolveStatus",
     "Violation",
-    "ap_lower_bound",
     "branch",
     "brute_force",
     "build_model",

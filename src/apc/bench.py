@@ -12,6 +12,7 @@ contract; values and statuses are reproducible from the seeds alone.
 """
 
 import concurrent.futures
+import contextlib
 import csv
 import io
 import os
@@ -221,7 +222,7 @@ def _run_unit(args: tuple) -> tuple[list[InstanceResult], int | None]:
                 results.append(
                     InstanceResult(
                         group.label, group.n, group.conflict_count, method, seed,
-                        None, SolveStatus.INFEASIBLE, None, 0.0, None,
+                        None, SolveStatus.NO_SOLUTION, None, 0.0, None,
                     )
                 )
                 continue
@@ -324,46 +325,27 @@ def run_benchmark(
                 (group, seed, methods, time_limit, cache_dir, ref, heuristic_restarts)
             )
 
-    csv_file = None
-    writer = None
-    if csv_path is not None:
-        csv_file = open(csv_path, "w", newline="", encoding="utf-8")
-        writer = csv.writer(csv_file, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        csv_file.flush()
-
-    unit_outputs: list[tuple[list[InstanceResult], int | None] | None]
-    unit_outputs = [None] * len(units)
-    try:
+    unit_outputs: list[tuple[list[InstanceResult], int | None]] = []
+    with contextlib.ExitStack() as stack:
+        writer = None
+        if csv_path is not None:
+            csv_file = stack.enter_context(
+                open(csv_path, "w", newline="", encoding="utf-8")
+            )
+            writer = csv.writer(csv_file, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            csv_file.flush()
+        solve_all = map
         if jobs > 1:
-            flushed = 0
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = {
-                    pool.submit(_run_unit, unit): idx for idx, unit in enumerate(units)
-                }
-                for fut in concurrent.futures.as_completed(futures):
-                    unit_outputs[futures[fut]] = fut.result()
-                    if writer is not None:
-                        # Flush in submission order so file content and order
-                        # are independent of worker scheduling.
-                        while (
-                            flushed < len(units)
-                            and unit_outputs[flushed] is not None
-                        ):
-                            for r in unit_outputs[flushed][0]:
-                                writer.writerow(_format_csv_row(r))
-                            csv_file.flush()
-                            flushed += 1
-        else:
-            for idx, unit in enumerate(units):
-                unit_outputs[idx] = _run_unit(unit)
-                if writer is not None:
-                    for r in unit_outputs[idx][0]:
-                        writer.writerow(_format_csv_row(r))
-                    csv_file.flush()
-    finally:
-        if csv_file is not None:
-            csv_file.close()
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+            solve_all = stack.enter_context(pool).map
+        # Both maps yield in submission order, so the file content and order
+        # are independent of worker scheduling.
+        for output in solve_all(_run_unit, units):
+            unit_outputs.append(output)
+            if writer is not None:
+                writer.writerows(_format_csv_row(r) for r in output[0])
+                csv_file.flush()
 
     results: dict[tuple[str, int, str], InstanceResult] = {}
     opt_by_instance: dict[tuple[str, int], int | None] = {}

@@ -1,7 +1,8 @@
 """Command line entry point: generate, solve, export, check, bench.
 
-Exit codes: 0 success, 1 infeasibility reported by solve/check, 2 usage or
-parse errors. Diagnostics go to stderr, data to stdout or the chosen files.
+Exit codes: 0 success, 1 when solve returns no solution (status Infeasible
+or NoSolution) or check finds a violation, 2 usage or parse errors.
+Diagnostics go to stderr, data to stdout or the chosen files.
 """
 
 import argparse
@@ -53,7 +54,7 @@ def _cmd_solve(args) -> int:
         )
         found = run_heuristic(inst, cfg)
         sol = found if found is not None else Solution(
-            assignment=None, value=None, status=SolveStatus.INFEASIBLE
+            assignment=None, value=None, status=SolveStatus.NO_SOLUTION
         )
 
     print(f"status {sol.status}")

@@ -1,39 +1,23 @@
 """Proven-optimal solving by branch-and-bound on the conflict-free relaxation.
 
-Every node solves the assignment problem under its edge masks as the lower
-bound. Best-first node selection means the first conflict-feasible relaxation
-popped is globally optimal. The search splits on a violated conflict pair
-into two disjoint children: one child forbids the first edge, the other
-commits to it, which forbids the partner edge of every conflict the committed
-edge appears in. Only solutions violating the branched pair are dropped, and
-those are infeasible anyway.
+A node is its edge masks, one `MaskedCosts`; the assignment problem under
+them is the node's lower bound. Best-first node selection means the first
+conflict-feasible relaxation popped is globally optimal. The search splits on
+a violated conflict pair into two disjoint children: one child forbids the
+first edge, the other commits to it, which forbids the partner edge of every
+conflict the committed edge appears in. Only solutions violating the branched
+pair are dropped, and those are infeasible anyway.
 """
 
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, replace
 
 from .heuristic import LSConfig, run_heuristic
 from .hungarian import MaskedCosts, solve_ap
 from .instance import ConflictPair, Edge, Instance
 from .model import _require_permutation, check_feasible, evaluate
 from .solution import Solution, SolveStatus
-
-
-@dataclass(frozen=True)
-class SearchNode:
-    """Branch-and-bound node: edge masks plus the bound proven so far.
-
-    The bound is inherited from the parent on creation and refined by the
-    solver once the node's own relaxation is solved, so it never decreases
-    from parent to child.
-    """
-
-    forbidden: frozenset
-    forced: frozenset
-    bound: int
-    depth: int
 
 
 def find_violated_conflict(assignment, inst: Instance) -> ConflictPair | None:
@@ -58,25 +42,20 @@ def find_violated_conflict(assignment, inst: Instance) -> ConflictPair | None:
 
 
 def branch(
-    node: SearchNode, edge: Edge, partners: tuple[Edge, ...]
-) -> tuple[SearchNode, SearchNode | None]:
-    """Split a node on `edge` into two disjoint children: (avoid, commit).
+    masks: MaskedCosts, edge: Edge, partners: tuple[Edge, ...]
+) -> tuple[MaskedCosts, MaskedCosts]:
+    """Split a node's masks on `edge` into two disjoint children: (avoid, commit).
 
     The avoid child forbids `edge`. The commit child forces it and forbids
-    its conflict `partners`; it is None when that contradicts the node's
-    masks. Every conflict-feasible solution within the node's masks lies in
-    exactly one child. Both children inherit the node's bound.
+    its conflict `partners`. Every conflict-feasible solution within the
+    node's masks lies in exactly one child. A split that contradicts the
+    node's masks raises ValueError from MaskedCosts; the solver never asks
+    for one, because it branches on a violated edge of the node's own
+    relaxation, which no mask excludes.
     """
-    depth = node.depth + 1
-    forbidden, forced = node.forbidden, node.forced
-    avoid = SearchNode(forbidden | {edge}, forced, node.bound, depth)
-    if (
-        edge in forbidden
-        or any(p in forced for p in partners)
-        or any(f.a == edge.a or f.b == edge.b for f in forced)
-    ):
-        return avoid, None
-    commit = SearchNode(forbidden.union(partners), forced | {edge}, node.bound, depth)
+    forbidden, forced = masks.forbidden, masks.forced
+    avoid = MaskedCosts(masks.base, forbidden | {edge}, forced)
+    commit = MaskedCosts(masks.base, forbidden.union(partners), forced | {edge})
     return avoid, commit
 
 
@@ -96,7 +75,8 @@ def solve_exact(
     limit triggers. With `seed_incumbent` the root incumbent comes from a
     short greedy+descent run. Statuses: Optimal / Infeasible when the search
     completes, TimeLimit / Feasible (node limit) with the best incumbent and
-    the best open bound otherwise.
+    the best open bound otherwise, NoSolution (with the best open bound) when
+    a limit stops the search before any incumbent is found.
     """
     if time_limit <= 0:
         raise ValueError(f"time_limit must be positive, got {time_limit}")
@@ -137,11 +117,11 @@ def solve_exact(
     n, partners = inst.n, inst.partners
     nodes = 0
     tiebreak = itertools.count()
-    heap: list[tuple] = []
-    root_res = solve_ap(MaskedCosts(inst.costs))
+    heap: list[tuple] = []  # (bound, -depth, tiebreak, masks, relaxed assignment)
+    root = MaskedCosts(inst.costs)
+    root_res = solve_ap(root)
     if root_res is not None:
         root_assignment, root_value = root_res
-        root = SearchNode(frozenset(), frozenset(), root_value, 0)
         heapq.heappush(heap, (root_value, 0, next(tiebreak), root, root_assignment))
 
     status = None
@@ -155,7 +135,7 @@ def solve_exact(
             status = SolveStatus.TIME_LIMIT
             open_bound = heap[0][0]
             break
-        bound, _, _, node, relaxed = heapq.heappop(heap)
+        bound, neg_depth, _, masks, relaxed = heapq.heappop(heap)
         nodes += 1
         if inc_value is not None and bound >= inc_value:
             # Best-first: every open node is at least this bound, so the
@@ -174,10 +154,8 @@ def solve_exact(
         # included). Committing prunes far harder than a second forbid on
         # dense conflict sets.
         e1 = pair.e1
-        for child in branch(node, e1, partners[e1.a * n + e1.b]):
-            if child is None:
-                continue
-            res = solve_ap(MaskedCosts(inst.costs, child.forbidden, child.forced))
+        for child in branch(masks, e1, partners[e1.a * n + e1.b]):
+            res = solve_ap(child)
             if res is None:
                 continue
             child_assignment, child_value = res
@@ -186,13 +164,7 @@ def solve_exact(
                 continue
             heapq.heappush(
                 heap,
-                (
-                    child_value,
-                    -child.depth,
-                    next(tiebreak),
-                    replace(child, bound=child_value),
-                    child_assignment,
-                ),
+                (child_value, neg_depth - 1, next(tiebreak), child, child_assignment),
             )
     else:
         if inc_value is None:
@@ -202,8 +174,11 @@ def solve_exact(
             open_bound = inc_value
 
     sec_total = time.perf_counter() - start
-    if status in (SolveStatus.TIME_LIMIT, SolveStatus.FEASIBLE) and inc_value is not None:
-        open_bound = min(open_bound, inc_value)
+    if status in (SolveStatus.TIME_LIMIT, SolveStatus.FEASIBLE):
+        if inc_value is None:
+            status = SolveStatus.NO_SOLUTION
+        else:
+            open_bound = min(open_bound, inc_value)
     return Solution(
         assignment=inc_assignment,
         value=inc_value,

@@ -8,6 +8,7 @@ augmenting search (never via inflated costs, so integer arithmetic stays
 exact), forced edges are contracted away before solving.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,11 +20,13 @@ _INF = math.inf
 
 @dataclass(frozen=True)
 class MaskedCosts:
-    """A cost matrix plus per-edge masks.
+    """A cost matrix plus per-edge masks: one branch-and-bound node.
 
     ``forced`` edges must appear in the solution and are therefore pairwise
     row- and column-disjoint; no edge may be both forced and forbidden.
-    ``base`` is kept as given, not copied, so it must not change afterwards.
+    Masks hold ``Edge``s or plain ``(a, b)`` pairs; a contradictory mask
+    raises ValueError here, the only place masks are validated. ``base`` is
+    kept as given, not copied, so it must not change afterwards.
     """
 
     base: tuple[tuple[int, ...], ...]
@@ -31,18 +34,19 @@ class MaskedCosts:
     forced: frozenset[Edge] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "forbidden", frozenset(Edge(*e) for e in self.forbidden))
-        object.__setattr__(self, "forced", frozenset(Edge(*e) for e in self.forced))
+        forbidden, forced = frozenset(self.forbidden), frozenset(self.forced)
+        object.__setattr__(self, "forbidden", forbidden)
+        object.__setattr__(self, "forced", forced)
         n = len(self.base)
-        for e in self.forbidden | self.forced:
-            if not (0 <= e.a < n and 0 <= e.b < n):
-                raise ValueError(f"masked edge {tuple(e)} outside the {n}x{n} matrix")
-        overlap = self.forced & self.forbidden
+        for a, b in itertools.chain(forbidden, forced):
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"masked edge {(a, b)} outside the {n}x{n} matrix")
+        overlap = forced & forbidden
         if overlap:
             raise ValueError(f"edges both forced and forbidden: {sorted(overlap)}")
-        rows = [e.a for e in self.forced]
-        cols = [e.b for e in self.forced]
-        if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
+        rows = {a for a, _ in forced}
+        cols = {b for _, b in forced}
+        if len(rows) != len(forced) or len(cols) != len(forced):
             raise ValueError("forced edges must be row- and column-disjoint")
 
     @property
@@ -125,14 +129,14 @@ def solve_ap(mc: MaskedCosts) -> tuple[tuple[int, ...], int] | None:
     deterministic, but no particular optimum is promised.
     """
     n = mc.n
-    forced_by_row = {e.a: e.b for e in mc.forced}
-    forced_cols = {e.b for e in mc.forced}
+    forced_by_row = dict(mc.forced)
+    forced_cols = set(forced_by_row.values())
     rows = [i for i in range(n) if i not in forced_by_row]
     cols = [j for j in range(n) if j not in forced_cols]
 
     assignment = [-1] * n
-    for e in mc.forced:
-        assignment[e.a] = e.b
+    for a, b in mc.forced:
+        assignment[a] = b
     if rows:
         sub = _hungarian_masked(mc.base, rows, cols, mc.forbidden)
         if sub is None:
@@ -141,10 +145,3 @@ def solve_ap(mc: MaskedCosts) -> tuple[tuple[int, ...], int] | None:
             assignment[rows[idx]] = cols[j_idx]
     value = sum(mc.base[i][assignment[i]] for i in range(n))
     return tuple(assignment), value
-
-
-def ap_lower_bound(mc: MaskedCosts) -> int | None:
-    """Optimal conflict-free value: a lower bound on every conflict-feasible
-    completion of this node, exact when no conflicts bind. None = prunable."""
-    res = solve_ap(mc)
-    return None if res is None else res[1]

@@ -9,6 +9,7 @@ class SolveStatus(enum.Enum):
     FEASIBLE = "Feasible"
     INFEASIBLE = "Infeasible"
     TIME_LIMIT = "TimeLimit"
+    NO_SOLUTION = "NoSolution"  # a limit or the heuristic stopped without one
 
     def __str__(self) -> str:
         return self.value

@@ -20,6 +20,7 @@ from apc.errors import (
     MissingReferenceOptimumError,
     UnknownMethodError,
 )
+from apc.instance import max_conflict_pairs
 from apc.solution import SolveStatus
 
 
@@ -80,12 +81,27 @@ def test_results_are_reproducible():
         assert [x.value for x in ra.results] == [x.value for x in rb.results]
 
 
-def test_parallel_matches_serial():
-    serial = run_benchmark(small_groups(), ("exact",), 30.0, jobs=1)
-    parallel = run_benchmark(small_groups(), ("exact",), 30.0, jobs=2)
+def test_parallel_matches_serial(tmp_path):
+    serial_csv, parallel_csv = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    serial = run_benchmark(small_groups(), ("exact",), 30.0, jobs=1, csv_path=serial_csv)
+    parallel = run_benchmark(
+        small_groups(), ("exact",), 30.0, jobs=2, csv_path=parallel_csv
+    )
     assert [(r.group, r.method, r.avg_value, r.statuses) for r in serial] == [
         (r.group, r.method, r.avg_value, r.statuses) for r in parallel
     ]
+    assert serial_csv.read_bytes() == parallel_csv.read_bytes()
+    assert len(serial_csv.read_text().splitlines()) == 1 + 6
+
+
+def test_empty_heuristic_is_no_solution_not_infeasible():
+    # every edge pair conflicts: exact proves infeasibility, the heuristic
+    # only fails to find a solution
+    groups = [make_group(3, max_conflict_pairs(3), replicate_count=2)]
+    records = run_benchmark(groups, ("exact", "heuristic"), 10.0)
+    by = {r.method: r.statuses for r in records}
+    assert by["exact"] == (SolveStatus.INFEASIBLE,) * 2
+    assert by["heuristic"] == (SolveStatus.NO_SOLUTION,) * 2
 
 
 def test_unknown_method():

@@ -108,6 +108,19 @@ def test_solve_infeasible_exits_1(tmp_path, capsys):
     assert "status Infeasible" in capsys.readouterr().out
 
 
+def test_solve_heuristic_finding_nothing_is_no_solution(tmp_path, capsys):
+    # the heuristic proves nothing, so coming back empty is not Infeasible
+    path = tmp_path / "blocked.apc"
+    path.write_text(BLOCKED_DOC)
+    code = main([
+        "solve", str(path), "--method", "heuristic",
+        "--restarts", "2", "--time-limit", "10",
+    ])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "status NoSolution" in out and "value -" in out
+
+
 def test_solve_writes_solution_file(diag_file, tmp_path, capsys):
     sol_path = tmp_path / "sol.txt"
     assert main([

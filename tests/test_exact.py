@@ -2,12 +2,11 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
 from apc.errors import NotAPermutationError
-from apc.exact import SearchNode, branch, find_violated_conflict, solve_exact
+from apc.exact import branch, find_violated_conflict, solve_exact
 from apc.hungarian import MaskedCosts, solve_ap
 from apc.instance import (
     ConflictPair,
@@ -103,30 +102,30 @@ def test_find_violated_agrees_with_feasibility_checker():
 
 
 def test_branch_children():
-    root = SearchNode(frozenset(), frozenset(), 7, 0)
+    root = MaskedCosts(DIAG.costs)
     avoid, commit = branch(root, Edge(0, 0), DIAG.partners[0])
+    assert avoid.base is commit.base is DIAG.costs
     assert avoid.forbidden == frozenset({Edge(0, 0)}) and not avoid.forced
     assert commit.forced == frozenset({Edge(0, 0)})
     assert commit.forbidden == frozenset({Edge(1, 1)})
-    assert avoid.depth == commit.depth == 1
-    assert avoid.bound == commit.bound == 7
 
 
-def test_branch_commit_child_none_on_contradiction():
+def test_branch_rejects_contradictory_split():
+    # MaskedCosts is the one mask validator: a split whose commit child
+    # contradicts the parent's masks fails loudly instead of dropping a child.
     for forbidden, forced in [
         ({Edge(0, 0)}, set()),  # the edge itself is forbidden
         (set(), {Edge(1, 1)}),  # a conflict partner is forced
         (set(), {Edge(1, 0)}),  # a forced edge holds its column
     ]:
-        node = SearchNode(frozenset(forbidden), frozenset(forced), 0, 0)
-        avoid, commit = branch(node, Edge(0, 0), DIAG.partners[0])
-        assert commit is None
-        assert avoid.forbidden == node.forbidden | {Edge(0, 0)}
+        node = MaskedCosts(DIAG.costs, frozenset(forbidden), frozenset(forced))
+        with pytest.raises(ValueError):
+            branch(node, Edge(0, 0), DIAG.partners[0])
 
 
-def _obeys(perm, node):
-    return all(perm[e.a] != e.b for e in node.forbidden) and all(
-        perm[e.a] == e.b for e in node.forced
+def _obeys(perm, masks):
+    return all(perm[a] != b for a, b in masks.forbidden) and all(
+        perm[a] == b for a, b in masks.forced
     )
 
 
@@ -138,29 +137,29 @@ def test_branch_is_a_dichotomy():
         n = 4 + seed % 4
         inst = generate_instance(n, max_conflict_pairs(n) // 8, 1, 50, seed=700 + seed)
         feasible = [perm for perm, _ in enumerate_feasible(inst)]
-        relaxed, bound = solve_ap(MaskedCosts(inst.costs))
-        frontier = [(SearchNode(frozenset(), frozenset(), bound, 0), relaxed)]
+        root = MaskedCosts(inst.costs)
+        relaxed, bound = solve_ap(root)
+        frontier = [(root, bound, relaxed)]
         for _ in range(4):
             deeper = []
-            for node, relaxed in frontier:
+            for masks, bound, relaxed in frontier:
                 pair = find_violated_conflict(relaxed, inst)
                 if pair is None:
                     continue
                 e1 = pair.e1
-                children = branch(node, e1, inst.partners[e1.a * n + e1.b])
+                children = branch(masks, e1, inst.partners[e1.a * n + e1.b])
+                assert len(children) == 2
                 splits += 1
-                live = [c for c in children if c is not None]
                 for perm in feasible:
-                    if _obeys(perm, node):
-                        hits = [c for c in live if _obeys(perm, c)]
-                        assert len(hits) == 1, (seed, perm, node)
-                for child in live:
-                    mc = MaskedCosts(inst.costs, child.forbidden, child.forced)
-                    res = solve_ap(mc)
+                    if _obeys(perm, masks):
+                        hits = [c for c in children if _obeys(perm, c)]
+                        assert len(hits) == 1, (seed, perm, masks)
+                for child in children:
+                    res = solve_ap(child)
                     if res is None:
                         continue
-                    assert res[1] >= node.bound
-                    deeper.append((replace(child, bound=res[1]), res[0]))
+                    assert res[1] >= bound
+                    deeper.append((child, res[1], res[0]))
             frontier = deeper
     assert splits >= 50
 
@@ -211,19 +210,33 @@ def test_initial_incumbent_must_be_feasible():
         solve_exact(DIAG, time_limit=10, initial_incumbent=bad)
 
 
+def _solution_iff_solved(sol):
+    # a run returns an assignment exactly when it neither proved infeasibility
+    # nor stopped empty-handed
+    no_solution = (SolveStatus.INFEASIBLE, SolveStatus.NO_SOLUTION)
+    return (sol.assignment is None) == (sol.value is None) == (sol.status in no_solution)
+
+
 def test_node_limit_interrupts():
     inst = generate_instance(7, 400, 1, 100, seed=2024)
+    full = solve_exact(inst, time_limit=30)
+    assert full.status is SolveStatus.OPTIMAL
+    # the seeding heuristic finds nothing here, so the limit leaves no incumbent
     sol = solve_exact(inst, time_limit=30, node_limit=1)
-    assert sol.status in (SolveStatus.FEASIBLE, SolveStatus.OPTIMAL)
-    if sol.status is SolveStatus.FEASIBLE:
-        assert sol.nodes <= 1
-        assert sol.lower_bound is not None
+    assert sol.status is SolveStatus.NO_SOLUTION and _solution_iff_solved(sol)
+    assert sol.nodes == 1
+    assert sol.lower_bound is not None and sol.lower_bound <= full.value
+    seeded = solve_exact(inst, time_limit=30, node_limit=1, initial_incumbent=full)
+    assert seeded.status is SolveStatus.FEASIBLE and _solution_iff_solved(seeded)
+    assert seeded.nodes == 1
+    assert seeded.value == full.value and seeded.lower_bound <= full.value
 
 
 def test_time_limit_status():
     inst = generate_instance(7, 500, 1, 100, seed=9)
     sol = solve_exact(inst, time_limit=1e-6, seed_incumbent=False)
-    assert sol.status in (SolveStatus.TIME_LIMIT, SolveStatus.INFEASIBLE)
+    assert sol.status is SolveStatus.NO_SOLUTION and _solution_iff_solved(sol)
+    assert sol.lower_bound is not None
 
 
 def test_rejects_nonpositive_time_limit():
