@@ -14,7 +14,6 @@ contract; values and statuses are reproducible from the seeds alone.
 import concurrent.futures
 import contextlib
 import csv
-import io
 import os
 import statistics
 from dataclasses import dataclass
@@ -81,25 +80,24 @@ TABLE1_PARAMS = (
 SMALL_PARAMS = tuple((n, m) for n in (8, 10, 12) for m in (50, 200))
 
 
+# Every benchmark instance draws its costs from [COST_LO, COST_HI], and every
+# heuristic run gets HEURISTIC_RESTARTS restarts.
+COST_LO, COST_HI = 1, 100
+HEURISTIC_RESTARTS = 5
+
+
 @dataclass(frozen=True)
 class BenchGroup:
-    """One benchmark row: replicate_count seeded instances of one shape."""
+    """One benchmark row: one seeded instance of one shape per seed."""
 
     label: str
     n: int
     conflict_count: int
     seeds: tuple[int, ...]
-    replicate_count: int = 5
-    cost_lo: int = 1
-    cost_hi: int = 100
 
-    def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        if self.replicate_count != len(self.seeds):
-            raise ValueError(
-                f"group {self.label!r}: replicate_count {self.replicate_count} "
-                f"!= number of seeds {len(self.seeds)}"
-            )
+    @property
+    def replicate_count(self) -> int:
+        return len(self.seeds)
 
 
 @dataclass(frozen=True)
@@ -135,23 +133,13 @@ class BenchRecord:
     statuses: tuple[SolveStatus, ...]
 
 
-def make_group(
-    n: int,
-    conflict_count: int,
-    replicate_count: int = 5,
-    seed_base: int = 1,
-    cost_lo: int = 1,
-    cost_hi: int = 100,
-    label: str | None = None,
-) -> BenchGroup:
+def make_group(n: int, conflict_count: int, replicate_count: int = 5) -> BenchGroup:
+    """The group labelled ``n/conflict_count`` with seeds 1..replicate_count."""
     return BenchGroup(
-        label=label if label is not None else f"{n}/{conflict_count}",
+        label=f"{n}/{conflict_count}",
         n=n,
         conflict_count=conflict_count,
-        seeds=tuple(range(seed_base, seed_base + replicate_count)),
-        replicate_count=replicate_count,
-        cost_lo=cost_lo,
-        cost_hi=cost_hi,
+        seeds=tuple(range(1, replicate_count + 1)),
     )
 
 
@@ -170,15 +158,11 @@ def _materialize(group: BenchGroup, seed: int, cache_dir: str | None) -> Instanc
         )
         if path.exists():
             return parse_instance(path.read_text(encoding="utf-8"))
-        inst = generate_instance(
-            group.n, group.conflict_count, group.cost_lo, group.cost_hi, seed
-        )
+    inst = generate_instance(group.n, group.conflict_count, COST_LO, COST_HI, seed)
+    if cache_dir:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(write_instance(inst), encoding="utf-8")
-        return inst
-    return generate_instance(
-        group.n, group.conflict_count, group.cost_lo, group.cost_hi, seed
-    )
+    return inst
 
 
 def _run_unit(args: tuple) -> tuple[list[InstanceResult], int | None]:
@@ -187,7 +171,7 @@ def _run_unit(args: tuple) -> tuple[list[InstanceResult], int | None]:
     Top-level so process pools can pickle it. Returns the per-method results
     plus the proven optimum of this instance when one is available.
     """
-    group, seed, methods, time_limit, cache_dir, reference_opt, restarts = args
+    group, seed, methods, time_limit, cache_dir, reference_opt = args
     inst = _materialize(group, seed, cache_dir)
     results: list[InstanceResult] = []
     opt_value: int | None = None
@@ -200,7 +184,9 @@ def _run_unit(args: tuple) -> tuple[list[InstanceResult], int | None]:
         else:
             sol = run_heuristic(
                 inst,
-                LSConfig(time_limit=time_limit, restarts=restarts, rng_seed=seed),
+                LSConfig(
+                    time_limit=time_limit, restarts=HEURISTIC_RESTARTS, rng_seed=seed
+                ),
             )
         by_method[method] = sol
         if (
@@ -273,7 +259,6 @@ def run_benchmark(
     csv_path: str | os.PathLike | None = None,
     reference_optima: Mapping[tuple[str, int], int] | None = None,
     cache_dir: str | None = None,
-    heuristic_restarts: int = 5,
 ) -> list[BenchRecord]:
     """Generate (or load cached) instances, run each method, aggregate.
 
@@ -321,9 +306,7 @@ def run_benchmark(
             ref = None if reference_optima is None else reference_optima.get(
                 (group.label, seed)
             )
-            units.append(
-                (group, seed, methods, time_limit, cache_dir, ref, heuristic_restarts)
-            )
+            units.append((group, seed, methods, time_limit, cache_dir, ref))
 
     unit_outputs: list[tuple[list[InstanceResult], int | None]] = []
     with contextlib.ExitStack() as stack:
@@ -390,12 +373,12 @@ def _fmt(value: float | None, decimals: int) -> str:
     return "-" if value is None else f"{value:.{decimals}f}"
 
 
-def emit_table(records: Sequence[BenchRecord]) -> tuple[str, str]:
-    """Render records as an aligned text table and a machine-stable CSV.
+def emit_table(records: Sequence[BenchRecord]) -> str:
+    """Render records as an aligned text table.
 
-    One text row per group with method column clusters (Gap % and Sec Best
-    for heuristics, Sec Opt for exact methods) and a trailing Averages row.
-    The CSV carries the per-instance rows in (group, seed, method) order.
+    One row per group with method column clusters (Gap % and Sec Best for
+    heuristics, Sec Opt for exact methods) and a trailing Averages row. The
+    per-instance CSV is the file `run_benchmark` writes to `csv_path`.
     """
     if not records:
         raise EmptyReportError("no benchmark records to report")
@@ -450,20 +433,4 @@ def emit_table(records: Sequence[BenchRecord]) -> tuple[str, str]:
         ]
         avg_cells.append(f"{_fmt(_mean(vals), decimals):>{width}}")
     lines.append("".join(avg_cells))
-    text = "\n".join(lines) + "\n"
-
-    all_rows = [r for rec in records for r in rec.results]
-    group_rank = {g: i for i, g in enumerate(group_order)}
-    method_rank = {m: i for i, m in enumerate(method_order)}
-    all_rows.sort(key=lambda r: (group_rank[r.group], r.seed, method_rank[r.method]))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    seen = set()
-    for r in all_rows:
-        key = (r.group, r.seed, r.method)
-        if key in seen:
-            continue
-        seen.add(key)
-        writer.writerow(_format_csv_row(r))
-    return text, buf.getvalue()
+    return "\n".join(lines) + "\n"

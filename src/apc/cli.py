@@ -118,8 +118,7 @@ def _cmd_bench(args) -> int:
         jobs=args.jobs,
         csv_path=args.out_csv,
     )
-    text, _ = emit_table(records)
-    sys.stdout.write(text)
+    sys.stdout.write(emit_table(records))
     return 0
 
 

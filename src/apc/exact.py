@@ -104,7 +104,7 @@ def solve_exact(
             evaluate(inst, initial_incumbent.assignment),
         )
     elif seed_incumbent and inst.conflicts:
-        budget = max(0.05, min(1.0, 0.05 * time_limit))
+        budget = min(1.0, 0.05 * time_limit)
         seeded = run_heuristic(
             inst,
             LSConfig(

@@ -21,6 +21,7 @@ The ``# name:`` comment is optional and carries the instance name through a
 write/parse round trip; parsers that discard comments read the same data.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -128,37 +129,6 @@ def max_conflict_pairs(n: int) -> int:
     return num_edges * (num_edges - 1) // 2
 
 
-class _Cursor:
-    """Sequential reader over the document's logical (non-comment) lines."""
-
-    def __init__(self, lines: list[tuple[int, str]]):
-        self._lines = lines
-        self._pos = 0
-
-    def take(self, what: str) -> tuple[int, str]:
-        if self._pos >= len(self._lines):
-            raise MalformedHeaderError(f"unexpected end of document, expected {what}")
-        item = self._lines[self._pos]
-        self._pos += 1
-        return item
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._lines)
-
-    def peek(self) -> tuple[int, str] | None:
-        return None if self.exhausted else self._lines[self._pos]
-
-
-def _all_ints(tokens: list[str]) -> bool:
-    try:
-        for tok in tokens:
-            int(tok)
-    except ValueError:
-        return False
-    return True
-
-
 def parse_instance(source: str | IO[str]) -> Instance:
     """Parse an instance document.
 
@@ -170,128 +140,138 @@ def parse_instance(source: str | IO[str]) -> Instance:
     """
     text = source.read() if hasattr(source, "read") else source
     name = ""
-    logical: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("name:") and not name:
-                name = body[len("name:"):].strip()
-            continue
-        logical.append((lineno, line))
 
-    cur = _Cursor(logical)
+    def logical_lines():
+        # (line number, stripped line) of every non-blank, non-comment line;
+        # the first non-empty '# name:' comment sets the name on the way
+        nonlocal name
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("name:") and not name:
+                    name = body[len("name:"):].strip()
+                continue
+            yield lineno, line
 
-    lineno, line = cur.take("magic line 'APC 1'")
+    lines = logical_lines()
+
+    def take(what: str) -> tuple[int, str]:
+        item = next(lines, None)
+        if item is None:
+            raise MalformedHeaderError(f"unexpected end of document, expected {what}")
+        return item
+
+    def ints(tokens: list[str]) -> tuple[int, ...] | None:
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:
+            return None
+
+    lineno, line = take("magic line 'APC 1'")
     if line.split() != ["APC", "1"]:
         raise MalformedHeaderError(f"line {lineno}: expected 'APC 1', got {line!r}")
 
-    lineno, line = cur.take("size line 'n <N>'")
+    lineno, line = take("size line 'n <N>'")
     tokens = line.split()
-    if len(tokens) != 2 or tokens[0] != "n" or not _all_ints(tokens[1:]):
+    size = ints(tokens[1:]) if tokens[0] == "n" else None
+    if size is None or len(size) != 1:
         raise MalformedHeaderError(f"line {lineno}: expected 'n <N>', got {line!r}")
-    n = int(tokens[1])
+    (n,) = size
     if n < 1:
         raise MalformedHeaderError(f"line {lineno}: n must be positive, got {n}")
 
-    lineno, line = cur.take("'costs' keyword")
+    lineno, line = take("'costs' keyword")
     if line.split() != ["costs"]:
         raise MalformedHeaderError(f"line {lineno}: expected 'costs', got {line!r}")
 
     costs: list[tuple[int, ...]] = []
     for i in range(n):
-        if cur.exhausted:
-            raise DimensionMismatchError(
-                f"cost block has {i} rows, expected {n}"
-            )
-        lineno, line = cur.take("cost row")
-        tokens = line.split()
-        if not _all_ints(tokens) or len(tokens) != n:
+        item = next(lines, None)
+        if item is None:
+            raise DimensionMismatchError(f"cost block has {i} rows, expected {n}")
+        lineno, line = item
+        row = ints(line.split())
+        if row is None or len(row) != n:
             raise DimensionMismatchError(
                 f"line {lineno}: cost row {i} must hold exactly {n} integers, got {line!r}"
             )
-        row = tuple(int(tok) for tok in tokens)
-        for j, value in enumerate(row):
-            if value < 0:
-                raise NegativeCostError(f"line {lineno}: cost[{i}][{j}] = {value} < 0")
+        if min(row) < 0:
+            j = next(j for j, value in enumerate(row) if value < 0)
+            raise NegativeCostError(f"line {lineno}: cost[{i}][{j}] = {row[j]} < 0")
         costs.append(row)
 
-    lineno, line = cur.take("conflict count line 'conflicts <M>'")
+    lineno, line = take("conflict count line 'conflicts <M>'")
     tokens = line.split()
-    if tokens[0:1] != ["conflicts"]:
-        if _all_ints(tokens):
-            raise DimensionMismatchError(
-                f"line {lineno}: more than {n}x{n} cost entries (extra row {line!r})"
-            )
+    count = ints(tokens[1:]) if tokens[0] == "conflicts" else None
+    if count is None and ints(tokens) is not None:
+        raise DimensionMismatchError(
+            f"line {lineno}: more than {n}x{n} cost entries (extra row {line!r})"
+        )
+    if count is None or len(count) != 1 or count[0] < 0:
         raise MalformedHeaderError(
             f"line {lineno}: expected 'conflicts <M>', got {line!r}"
         )
-    if len(tokens) != 2 or not _all_ints(tokens[1:]) or int(tokens[1]) < 0:
-        raise MalformedHeaderError(
-            f"line {lineno}: expected 'conflicts <M>', got {line!r}"
-        )
-    m = int(tokens[1])
+    (m,) = count
 
     conflicts: set[ConflictPair] = set()
     for k in range(m):
-        lineno, line = cur.take(f"conflict line {k + 1} of {m}")
-        tokens = line.split()
-        if len(tokens) != 4 or not _all_ints(tokens):
+        lineno, line = take(f"conflict line {k + 1} of {m}")
+        idx = ints(line.split())
+        if idx is None or len(idx) != 4:
             raise MalformedHeaderError(
                 f"line {lineno}: conflict line must hold 4 integers, got {line!r}"
             )
-        a1, b1, a2, b2 = (int(tok) for tok in tokens)
-        for idx in (a1, b1, a2, b2):
-            if not 0 <= idx < n:
-                raise IndexOutOfRangeError(
-                    f"line {lineno}: index {idx} outside [0, {n})"
-                )
-        pair = ConflictPair(Edge(a1, b1), Edge(a2, b2))
-        if pair in conflicts:
+        if min(idx) < 0 or max(idx) >= n:
+            bad = next(i for i in idx if not 0 <= i < n)
+            raise IndexOutOfRangeError(f"line {lineno}: index {bad} outside [0, {n})")
+        before = len(conflicts)
+        conflicts.add(ConflictPair(idx[:2], idx[2:]))
+        if len(conflicts) == before:
             raise DuplicateConflictError(f"line {lineno}: duplicate conflict {line!r}")
-        conflicts.add(pair)
 
-    if not cur.exhausted:
-        lineno, line = cur.peek()
+    extra = next(lines, None)
+    if extra is not None:
+        lineno, line = extra
         raise MalformedHeaderError(f"line {lineno}: unexpected trailing content {line!r}")
 
     return Instance(name=name, n=n, costs=tuple(costs), conflicts=frozenset(conflicts))
 
 
 def write_instance(inst: Instance) -> str:
-    """Serialize to the canonical document; inverse of :func:`parse_instance`."""
+    """Serialize to the canonical document; inverse of :func:`parse_instance`.
+
+    Raises ValueError for a name the document cannot carry back: one that
+    spans lines or begins or ends with whitespace.
+    """
     out = ["APC 1"]
     if inst.name:
+        if inst.name.splitlines() != [inst.name] or inst.name != inst.name.strip():
+            raise ValueError(
+                f"instance name {inst.name!r} must be one line without "
+                "leading or trailing whitespace"
+            )
         out.append(f"# name: {inst.name}")
     out.append(f"n {inst.n}")
     out.append("costs")
-    for row in inst.costs:
-        out.append(" ".join(str(c) for c in row))
-    pairs = sorted(inst.conflicts)
-    out.append(f"conflicts {len(pairs)}")
-    for p in pairs:
-        out.append(f"{p.e1.a} {p.e1.b} {p.e2.a} {p.e2.b}")
+    out.extend(" ".join(map(str, row)) for row in inst.costs)
+    # e1 + e2 orders like ConflictPair itself: (e1, e2) lexicographically
+    quads = sorted(p.e1 + p.e2 for p in inst.conflicts)
+    out.append(f"conflicts {len(quads)}")
+    out.extend(f"{a1} {b1} {a2} {b2}" for a1, b1, a2, b2 in quads)
     return "\n".join(out) + "\n"
 
 
 def _unrank_edge_pair(rank: int, num_edges: int) -> tuple[int, int]:
-    # Pairs (i, j) with i < j are numbered lexicographically; f(i) counts the
-    # pairs whose first element is below i. Exact integer arithmetic so the
-    # decoding stays correct for very large edge counts.
-    def f(i: int) -> int:
-        return i * (num_edges - 1) - i * (i - 1) // 2
-
-    lo, hi = 0, num_edges - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if f(mid) <= rank:
-            lo = mid
-        else:
-            hi = mid
-    i = lo
-    j = i + 1 + (rank - f(i))
+    # Pairs (i, j) with i < j are numbered lexicographically, so row i starts
+    # at rank i*(N-1) - i*(i-1)/2. i is the last row starting at or before
+    # `rank`; solving that quadratic with an exact integer square root keeps
+    # the decoding correct for very large edge counts.
+    last = num_edges - 1
+    i = last - 1 - (math.isqrt(4 * num_edges * last - 8 * rank - 7) - 1) // 2
+    j = rank + i + 1 - i * last + i * (i - 1) // 2
     return i, j
 
 
@@ -331,9 +311,7 @@ def generate_instance(
     conflicts = set()
     for rank in rng.sample(range(limit), m) if m else ():
         eu, ev = _unrank_edge_pair(rank, num_edges)
-        conflicts.add(
-            ConflictPair(Edge(eu // n, eu % n), Edge(ev // n, ev % n))
-        )
+        conflicts.add(ConflictPair(divmod(eu, n), divmod(ev, n)))
     if name is None:
         name = f"apc-n{n}-m{m}-s{seed}"
     return Instance(name=name, n=n, costs=costs, conflicts=frozenset(conflicts))

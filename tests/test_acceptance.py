@@ -182,7 +182,7 @@ def test_criterion_6_scaled_benchmark_methodology():
     t0 = time.perf_counter()
     groups = preset_groups("small")
     records = run_benchmark(groups, ("exact", "heuristic"), 60.0)
-    text, csv_text = emit_table(records)
+    text = emit_table(records)
     elapsed = time.perf_counter() - t0
 
     exact_statuses = [
@@ -312,7 +312,7 @@ def test_criterion_7_model_lp_fidelity():
     assert not failures, failures[:5]
 
 
-def test_criterion_8_format_round_trips():
+def test_criterion_8_format_round_trips(tmp_path):
     failures = []
     rng = random.Random(88)
     for trial in range(100):
@@ -323,8 +323,9 @@ def test_criterion_8_format_round_trips():
             failures.append(inst.name)
 
     groups = [make_group(4, 0, replicate_count=3), make_group(5, 12, replicate_count=3)]
-    records = run_benchmark(groups, ("exact", "heuristic"), 30.0)
-    _, csv_text = emit_table(records)
+    out_csv = tmp_path / "runs.csv"
+    run_benchmark(groups, ("exact", "heuristic"), 30.0, csv_path=out_csv)
+    csv_text = out_csv.read_text(encoding="utf-8")
     parsed = list(csv.reader(io.StringIO(csv_text)))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

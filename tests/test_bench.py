@@ -6,7 +6,6 @@ import io
 import pytest
 
 from apc.bench import (
-    BenchGroup,
     BenchRecord,
     InstanceResult,
     emit_table,
@@ -26,11 +25,6 @@ from apc.solution import SolveStatus
 
 def small_groups():
     return [make_group(4, 0, replicate_count=3), make_group(6, 20, replicate_count=3)]
-
-
-def test_group_invariant():
-    with pytest.raises(ValueError):
-        BenchGroup(label="x", n=4, conflict_count=0, seeds=(1, 2), replicate_count=5)
 
 
 def test_presets():
@@ -168,7 +162,7 @@ def make_record(group, n, m, method, gap, sec_total, opt=100.0):
 
 
 def test_emit_table_single_record():
-    text, csv_text = emit_table([make_record("4/0", 4, 0, "exact", None, 1.0)])
+    text = emit_table([make_record("4/0", 4, 0, "exact", None, 1.0)])
     lines = text.splitlines()
     assert "Sec Opt" in lines[1]
     assert lines[-1].startswith("Averages")
@@ -181,7 +175,7 @@ def test_emit_table_average_of_gaps():
         make_record("a", 4, 0, "heuristic", 1.0, None),
         make_record("b", 5, 0, "heuristic", 3.0, None),
     ]
-    text, _ = emit_table(records)
+    text = emit_table(records)
     assert text.splitlines()[-1].split()[1] == "2.00"
 
 
@@ -190,9 +184,10 @@ def test_emit_table_empty():
         emit_table([])
 
 
-def test_csv_round_trip_at_printed_precision():
-    records = run_benchmark(small_groups(), ("exact", "heuristic"), 30.0)
-    _, csv_text = emit_table(records)
+def test_csv_round_trip_at_printed_precision(tmp_path):
+    out_csv = tmp_path / "runs.csv"
+    run_benchmark(small_groups(), ("exact", "heuristic"), 30.0, csv_path=out_csv)
+    csv_text = out_csv.read_text(encoding="utf-8")
     parsed = list(csv.reader(io.StringIO(csv_text)))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

@@ -59,6 +59,14 @@ def test_generate_too_many_conflicts_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_generate_with_unreadable_name_is_usage_error(capsys):
+    code = main([
+        "generate", "--n", "2", "--conflicts", "1", "--seed", "1", "--name", "a\nb",
+    ])
+    assert code == 2
+    assert "name" in capsys.readouterr().err
+
+
 def test_generate_then_export_lp(tmp_path, capsys):
     inst_path = tmp_path / "g.apc"
     lp_path = tmp_path / "g.lp"

@@ -242,3 +242,15 @@ def test_time_limit_status():
 def test_rejects_nonpositive_time_limit():
     with pytest.raises(ValueError):
         solve_exact(DIAG, time_limit=0)
+
+
+def test_seeding_heuristic_stays_inside_a_short_time_limit(monkeypatch):
+    budgets = []
+
+    def spy(inst, cfg):
+        budgets.append(cfg.time_limit)
+        return None
+
+    monkeypatch.setattr("apc.exact.run_heuristic", spy)
+    solve_exact(generate_instance(4, 10, 1, 100, seed=1), time_limit=0.01)
+    assert budgets and all(b <= 0.01 for b in budgets)

@@ -1,5 +1,6 @@
 """Instance types, text format, generator and validator."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -19,6 +20,7 @@ from apc.instance import (
     ConflictPair,
     Edge,
     Instance,
+    _unrank_edge_pair,
     generate_instance,
     max_conflict_pairs,
     parse_instance,
@@ -86,6 +88,18 @@ def test_parse_reads_stream():
         ),
         ("APC 1\nn 1\ncosts\n7\nconflicts 1\n", MalformedHeaderError),
         ("APC 1\nn 1\ncosts\n7\nconflicts 0\ntrailing junk\n", MalformedHeaderError),
+        ("APC 1\nn 2\ncosts\n1 x\n3 4\nconflicts 0\n", DimensionMismatchError),
+        ("APC 1\nn 2\ncosts\n1 2\n", DimensionMismatchError),  # ends in block
+        ("APC 1\nn x\ncosts\n7\nconflicts 0\n", MalformedHeaderError),
+        ("APC 1\nn 1\ncosts\n7\nconflicts x\n", MalformedHeaderError),
+        ("APC 1\nn 1\ncosts\n7\nconflicts -1\n", MalformedHeaderError),
+        ("APC 1\nn 2\ncosts\n1 2\n3 4\nconflicts 1\n0 0 1\n", MalformedHeaderError),
+        (
+            "APC 1\nn 2\ncosts\n1 2\n3 4\nconflicts 1\n0 0 1 1 0\n",
+            MalformedHeaderError,
+        ),
+        ("APC 1\nn 2\ncosts\n1 2\n3 4\nconflicts 1\n0 0 1 y\n", MalformedHeaderError),
+        ("APC 1\nn 2\ncosts\n1 2\n3 4\nconflicts 1\n0 -1 1 1\n", IndexOutOfRangeError),
     ],
 )
 def test_parse_errors(doc, error):
@@ -98,6 +112,51 @@ def test_write_smallest_round_trip_is_byte_identical():
     assert write_instance(inst) == SMALLEST_DOC
     again = parse_instance(write_instance(inst))
     assert again == inst
+
+
+def test_name_comment_after_conflict_block_round_trips():
+    doc = "APC 1\nn 2\ncosts\n1 2\n3 4\nconflicts 1\n0 0 1 1\n# name: late\n"
+    inst = parse_instance(doc)
+    assert inst.name == "late"
+    assert parse_instance(write_instance(inst)) == inst
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        ((5, 40, 1, 100, 3), "98a65511323a9fceb4dc9c57a7274cddb6b95916450657f4a2353655e528303f"),
+        ((9, 300, 0, 500, 11), "7899c30955661816281bdd9baf5be716e96a2248e7d306e9e9163ef8e730ee31"),
+    ],
+)
+def test_generated_documents_are_byte_stable(args, digest):
+    text = write_instance(generate_instance(*args))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_unrank_matches_lexicographic_combinations():
+    for num_edges in range(2, 41):
+        for rank, pair in enumerate(itertools.combinations(range(num_edges), 2)):
+            assert _unrank_edge_pair(rank, num_edges) == pair
+
+
+@pytest.mark.parametrize("num_edges", [250 * 250, 10**9])
+def test_unrank_endpoints_at_scale(num_edges):
+    last = num_edges * (num_edges - 1) // 2 - 1
+    assert _unrank_edge_pair(0, num_edges) == (0, 1)
+    assert _unrank_edge_pair(last, num_edges) == (num_edges - 2, num_edges - 1)
+
+
+@pytest.mark.parametrize(
+    "name", ["a\nb", "a\rb", "x\r", "a\x1cb", " pad ", "pad ", "\tpad"]
+)
+def test_write_rejects_names_it_cannot_read_back(name):
+    with pytest.raises(ValueError):
+        write_instance(Instance.from_costs([[1]], name=name))
+
+
+def test_name_with_inner_space_round_trips():
+    inst = Instance.from_costs([[1, 2], [3, 4]], [((0, 0), (1, 1))], name="a b")
+    assert parse_instance(write_instance(inst)) == inst
 
 
 def test_write_canonicalizes_conflict_order():
