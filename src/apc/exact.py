@@ -6,7 +6,9 @@ conflict-feasible relaxation popped is globally optimal. The search splits on
 a violated conflict pair into two disjoint children: one child forbids the
 first edge, the other commits to it, which forbids the partner edge of every
 conflict the committed edge appears in. Only solutions violating the branched
-pair are dropped, and those are infeasible anyway.
+pair are dropped, and those are infeasible anyway. A child only tightens
+its parent's masks, so its assignment problem is re-optimized from the
+parent's potentials instead of solved from scratch.
 """
 
 import heapq
@@ -74,12 +76,15 @@ def solve_exact(
     (deeper first) then insertion order, so runs are deterministic whenever no
     limit triggers. With `seed_incumbent` the root incumbent comes from a
     short greedy+descent run. Statuses: Optimal / Infeasible when the search
-    completes, TimeLimit / Feasible (node limit) with the best incumbent and
-    the best open bound otherwise, NoSolution (with the best open bound) when
-    a limit stops the search before any incumbent is found.
+    completes or a limit stops it with no open bound below the incumbent,
+    TimeLimit / Feasible (node limit) with the best incumbent and the best
+    open bound otherwise, NoSolution (with the best open bound) when a limit
+    stops the search before any incumbent is found.
     """
-    if time_limit <= 0:
+    if not time_limit > 0:  # also rejects NaN
         raise ValueError(f"time_limit must be positive, got {time_limit}")
+    if node_limit is not None and node_limit < 0:
+        raise ValueError(f"node_limit must be >= 0, got {node_limit}")
     start = time.perf_counter()
     deadline = start + time_limit
 
@@ -117,12 +122,13 @@ def solve_exact(
     n, partners = inst.n, inst.partners
     nodes = 0
     tiebreak = itertools.count()
-    heap: list[tuple] = []  # (bound, -depth, tiebreak, masks, relaxed assignment)
+    # (bound, -depth, tiebreak, masks, AP result): a child re-optimizes
+    # from its parent's result instead of solving from scratch.
+    heap: list[tuple] = []
     root = MaskedCosts(inst.costs)
     root_res = solve_ap(root)
     if root_res is not None:
-        root_assignment, root_value = root_res
-        heapq.heappush(heap, (root_value, 0, next(tiebreak), root, root_assignment))
+        heapq.heappush(heap, (root_res[1], 0, next(tiebreak), root, root_res))
 
     status = None
     open_bound: int | None = None
@@ -135,7 +141,7 @@ def solve_exact(
             status = SolveStatus.TIME_LIMIT
             open_bound = heap[0][0]
             break
-        bound, neg_depth, _, masks, relaxed = heapq.heappop(heap)
+        bound, neg_depth, _, masks, res = heapq.heappop(heap)
         nodes += 1
         if inc_value is not None and bound >= inc_value:
             # Best-first: every open node is at least this bound, so the
@@ -143,9 +149,9 @@ def solve_exact(
             status = SolveStatus.OPTIMAL
             open_bound = inc_value
             break
-        pair = find_violated_conflict(relaxed, inst)
+        pair = find_violated_conflict(res[0], inst)
         if pair is None:
-            consider(relaxed, bound)
+            consider(res[0], bound)
             status = SolveStatus.OPTIMAL
             open_bound = inc_value
             break
@@ -155,30 +161,26 @@ def solve_exact(
         # dense conflict sets.
         e1 = pair.e1
         for child in branch(masks, e1, partners[e1.a * n + e1.b]):
-            res = solve_ap(child)
-            if res is None:
+            child_res = solve_ap(child, res)
+            if child_res is None:
                 continue
-            child_assignment, child_value = res
+            child_value = child_res[1]
             assert child_value >= bound
             if inc_value is not None and child_value >= inc_value:
                 continue
             heapq.heappush(
-                heap,
-                (child_value, neg_depth - 1, next(tiebreak), child, child_assignment),
+                heap, (child_value, neg_depth - 1, next(tiebreak), child, child_res)
             )
     else:
-        if inc_value is None:
-            status = SolveStatus.INFEASIBLE
-        else:
-            status = SolveStatus.OPTIMAL
-            open_bound = inc_value
+        status = SolveStatus.INFEASIBLE if inc_value is None else SolveStatus.OPTIMAL
+        open_bound = inc_value
 
     sec_total = time.perf_counter() - start
     if status in (SolveStatus.TIME_LIMIT, SolveStatus.FEASIBLE):
         if inc_value is None:
             status = SolveStatus.NO_SOLUTION
-        else:
-            open_bound = min(open_bound, inc_value)
+        elif open_bound >= inc_value:  # the limit struck after the proof
+            status, open_bound = SolveStatus.OPTIMAL, inc_value
     return Solution(
         assignment=inc_assignment,
         value=inc_value,

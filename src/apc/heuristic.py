@@ -26,7 +26,7 @@ class LSConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_passes < 1 or self.restarts < 1 or self.time_limit <= 0:
+        if self.max_passes < 1 or self.restarts < 1 or not self.time_limit > 0:
             raise ValueError(f"all limits must be positive, got {self}")
 
 

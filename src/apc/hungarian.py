@@ -5,13 +5,14 @@ therefore computes a valid lower bound for the conflicted problem, whose
 feasible set is a subset. Masks make it usable as the relaxation solver at
 branch-and-bound nodes: forbidden edges are excluded structurally from the
 augmenting search (never via inflated costs, so integer arithmetic stays
-exact), forced edges are contracted away before solving.
+exact), and forced rows and columns are skipped. A solve can start from an
+ancestor node's potentials, so a child re-matches only the rows its
+tighter masks freed.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .instance import Edge
 
@@ -54,94 +55,89 @@ class MaskedCosts:
         return len(self.base)
 
 
-def _hungarian_masked(
-    base: Sequence[Sequence[int]],
-    rows: Sequence[int],
-    cols: Sequence[int],
-    forbidden: frozenset[Edge],
-) -> list[int] | None:
-    """Solve the sub-assignment over the given rows/columns.
+def _augment(base, forbidden, cols, r, u, v, row_of) -> bool:
+    """Match free row `r` by one shortest augmenting path, O(n^2).
 
-    Shortest-augmenting-path form of the Hungarian algorithm with dual
-    potentials, O(k^3). Arrays are 1-based with slot 0 as the virtual column
-    that hosts the row currently being inserted. Potentials stay integral;
-    infinity appears only as a slack sentinel for forbidden edges. Returns
-    sub-column index per sub-row, or None when no perfect matching avoids
-    the forbidden edges.
+    Dijkstra over the reduced costs ``base[i][j] - u[i] - v[j]`` of allowed
+    edges into the free columns `cols`, scanned in ascending order. `u`, `v`
+    and `row_of` (row matched to each column, -1 if none) are full-index and
+    updated in place; the last slot of `v` and `row_of` is the virtual column
+    that hosts `r` until it is matched. False when no augmenting path exists.
     """
-    k = len(rows)
-    u = [0] * (k + 1)
-    v = [0] * (k + 1)
-    col_match = [0] * (k + 1)  # col_match[j] = 1-based row matched to column j
-    way = [0] * (k + 1)
-
-    for r in range(1, k + 1):
-        col_match[0] = r
-        j0 = 0
-        minv = [_INF] * (k + 1)
-        used = [False] * (k + 1)
-        while True:
-            used[j0] = True
-            i0 = col_match[j0]
-            row = rows[i0 - 1]
-            delta = _INF
-            j1 = 0
-            for j in range(1, k + 1):
-                if used[j]:
-                    continue
-                col = cols[j - 1]
-                if (row, col) not in forbidden:
-                    cur = base[row][col] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            if delta == _INF:
-                return None  # no augmenting path: some row has run out of columns
-            for j in range(k + 1):
-                if used[j]:
-                    u[col_match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if col_match[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            col_match[j0] = col_match[j1]
-            j0 = j1
-
-    result = [-1] * k
-    for j in range(1, k + 1):
-        result[col_match[j] - 1] = j - 1
-    return result
+    virtual = len(row_of) - 1
+    row_of[virtual] = r
+    minv = [_INF] * (virtual + 1)  # infinity only as a slack sentinel
+    way = [virtual] * (virtual + 1)
+    used, unused = [virtual], list(cols)
+    j0 = virtual
+    while row_of[j0] >= 0:
+        i0 = row_of[j0]
+        costs, ui = base[i0], u[i0]
+        delta, j1 = _INF, -1
+        for j in unused:
+            if (i0, j) not in forbidden:
+                cur = costs[j] - ui - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+            if minv[j] < delta:
+                delta = minv[j]
+                j1 = j
+        if delta == _INF:
+            return False  # some row has run out of columns
+        for j in used:
+            u[row_of[j]] += delta
+            v[j] -= delta
+        for j in unused:
+            minv[j] -= delta
+        unused.remove(j1)
+        used.append(j1)
+        j0 = j1
+    while j0 != virtual:
+        j1 = way[j0]
+        row_of[j0] = row_of[j1]
+        j0 = j1
+    return True
 
 
-def solve_ap(mc: MaskedCosts) -> tuple[tuple[int, ...], int] | None:
+def solve_ap(mc: MaskedCosts, start: tuple | None = None) -> tuple | None:
     """Minimum-cost perfect matching respecting the masks.
 
-    Returns (assignment, value) or None when no perfect matching avoids all
-    forbidden edges while extending all forced edges. Rows are inserted in
-    ascending index order, which fixes the tie-break among equal-cost optima:
-    deterministic, but no particular optimum is promised.
+    Returns ``(assignment, value, (u, v))`` with integer row and column
+    potentials, or None when no perfect matching avoids every forbidden edge
+    and extends every forced one. A cold solve (`start` None) inserts the
+    unforced rows in ascending order from zero potentials. A warm solve
+    starts from `start`, an earlier result for masks that `mc` only tightens
+    (forbidden and forced are supersets of the earlier sets): no cost
+    changes and edges are only removed, so the earlier potentials stay
+    feasible. It keeps every earlier edge that is still allowed on an
+    unforced row and column and re-inserts only the other unforced rows. The
+    value is exact either way, since feasible potentials plus a perfect
+    matching on tight edges is optimal; a warm solve may return a different
+    optimum among equal-cost ones.
     """
-    n = mc.n
-    forced_by_row = dict(mc.forced)
-    forced_cols = set(forced_by_row.values())
-    rows = [i for i in range(n) if i not in forced_by_row]
-    cols = [j for j in range(n) if j not in forced_cols]
-
-    assignment = [-1] * n
-    for a, b in mc.forced:
-        assignment[a] = b
-    if rows:
-        sub = _hungarian_masked(mc.base, rows, cols, mc.forbidden)
-        if sub is None:
+    n, forced = mc.n, dict(mc.forced)
+    row_of = [-1] * (n + 1)  # row matched to each column; slot n is virtual
+    for a, b in forced.items():
+        row_of[b] = a
+    cols = [j for j in range(n) if row_of[j] < 0]
+    free = [i for i in range(n) if i not in forced]
+    if start is None:
+        u, v = [0] * n, [0] * (n + 1)
+    else:
+        kept, _, (u, v) = start
+        if not len(kept) == len(u) == len(v) == n:
+            raise ValueError(f"start does not fit the {n}x{n} matrix")
+        u, v = list(u), [*v, 0]
+        for i in free:
+            if row_of[kept[i]] < 0 and (i, kept[i]) not in mc.forbidden:
+                row_of[kept[i]] = i
+        free = [i for i in free if row_of[kept[i]] != i]
+    for r in free:
+        if not _augment(mc.base, mc.forbidden, cols, r, u, v, row_of):
             return None
-        for idx, j_idx in enumerate(sub):
-            assignment[rows[idx]] = cols[j_idx]
+    assignment = [0] * n
+    for j in range(n):
+        assignment[row_of[j]] = j
     value = sum(mc.base[i][assignment[i]] for i in range(n))
-    return tuple(assignment), value
+    return tuple(assignment), value, (tuple(u), tuple(v[:n]))

@@ -356,7 +356,8 @@ def validate(inst: Instance) -> list[Violation]:
                 out.append(
                     Violation("NegativeCost", (i, j), f"cost[{i}][{j}] = {value} < 0")
                 )
-    for pair in sorted(inst.conflicts):
+    # e1 + e2 sorts as ConflictPair does, without its Python-level __lt__
+    for pair in sorted(inst.conflicts, key=lambda p: p.e1 + p.e2):
         for e in pair.edges():
             if not (0 <= e.a < inst.n and 0 <= e.b < inst.n):
                 out.append(

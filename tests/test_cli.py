@@ -176,6 +176,13 @@ def test_bad_parameter_values_exit_2(diag_file, capsys):
     assert main([
         "solve", str(diag_file), "--method", "exact", "--time-limit", "0",
     ]) == 2
+    # NaN time limits and negative node limits would otherwise mean no limit
+    for limit in (
+        ["--method", "heuristic", "--time-limit", "nan"],
+        ["--method", "exact", "--time-limit", "nan"],
+        ["--method", "exact", "--node-limit", "-5"],
+    ):
+        assert main(["solve", str(diag_file), *limit]) == 2
     capsys.readouterr()
 
 

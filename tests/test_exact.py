@@ -42,7 +42,7 @@ def test_both_matchings_blocked_is_infeasible():
 def test_no_conflicts_single_node():
     inst = generate_instance(6, 0, 1, 80, seed=12)
     sol = solve_exact(inst, time_limit=10)
-    _, ap_value = solve_ap(MaskedCosts(inst.costs))
+    _, ap_value = solve_ap(MaskedCosts(inst.costs))[:2]
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.value == ap_value
     assert sol.nodes == 1
@@ -138,7 +138,7 @@ def test_branch_is_a_dichotomy():
         inst = generate_instance(n, max_conflict_pairs(n) // 8, 1, 50, seed=700 + seed)
         feasible = [perm for perm, _ in enumerate_feasible(inst)]
         root = MaskedCosts(inst.costs)
-        relaxed, bound = solve_ap(root)
+        relaxed, bound = solve_ap(root)[:2]
         frontier = [(root, bound, relaxed)]
         for _ in range(4):
             deeper = []
@@ -162,6 +162,41 @@ def test_branch_is_a_dichotomy():
                     deeper.append((child, res[1], res[0]))
             frontier = deeper
     assert splits >= 50
+
+
+def test_warm_child_solves_match_cold_solves():
+    # Follow solve_exact's split 6 levels deep on tie-heavy costs, each child
+    # re-optimized from its parent's result as the solver does.
+    warm_solves = 0
+    for seed in range(12):
+        n = 4 + seed % 9
+        inst = generate_instance(n, max_conflict_pairs(n) // 10, 0, 2, seed=900 + seed)
+        root = MaskedCosts(inst.costs)
+        frontier = [(root, solve_ap(root))]
+        for _ in range(6):
+            deeper = []
+            for masks, res in frontier[:24]:
+                pair = find_violated_conflict(res[0], inst)
+                if pair is None:
+                    continue
+                e1 = pair.e1
+                for child in branch(masks, e1, inst.partners[e1.a * n + e1.b]):
+                    warm, cold = solve_ap(child, res), solve_ap(child)
+                    assert (warm is None) == (cold is None), (seed, child)
+                    warm_solves += 1
+                    if warm is None:
+                        continue
+                    assert warm[1] == cold[1] >= res[1]
+                    assert sorted(warm[0]) == list(range(n)) and _obeys(warm[0], child)
+                    if n <= 7:
+                        assert warm[1] == min(
+                            sum(inst.costs[i][p[i]] for i in range(n))
+                            for p in itertools.permutations(range(n))
+                            if _obeys(p, child)
+                        )
+                    deeper.append((child, warm))
+            frontier = deeper
+    assert warm_solves >= 400
 
 
 def test_branch_completeness_on_dense_instance():
@@ -240,8 +275,19 @@ def test_time_limit_status():
 
 
 def test_rejects_nonpositive_time_limit():
-    with pytest.raises(ValueError):
-        solve_exact(DIAG, time_limit=0)
+    # a NaN time limit or a negative node limit would otherwise mean no limit
+    for limits in ({"time_limit": 0}, {"time_limit": float("nan")}, {"node_limit": -5}):
+        with pytest.raises(ValueError):
+            solve_exact(DIAG, **limits)
+
+
+def test_limited_run_that_proved_its_incumbent_is_optimal():
+    # the seeding heuristic finds the optimum and the root bound meets it, so
+    # a node limit of 0 stops a search that has nothing left to prove
+    inst = generate_instance(3, 4, 1, 100, 1)
+    sol = solve_exact(inst, node_limit=0)
+    assert sol.status is SolveStatus.OPTIMAL and sol.nodes == 0
+    assert sol.value == sol.lower_bound == brute_force(inst).value == 109
 
 
 def test_seeding_heuristic_stays_inside_a_short_time_limit(monkeypatch):

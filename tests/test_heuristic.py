@@ -149,6 +149,8 @@ def test_lsconfig_rejects_bad_limits():
         LSConfig(time_limit=0)
     with pytest.raises(ValueError):
         LSConfig(restarts=0)
+    with pytest.raises(ValueError):
+        LSConfig(time_limit=float("nan"))
 
 
 def test_greedy_repair_can_recover():

@@ -1,5 +1,6 @@
 """Model IR, LP export, objective evaluation and feasibility checking."""
 
+import hashlib
 import random
 
 import pytest
@@ -103,6 +104,12 @@ def test_export_lp_is_deterministic():
     ir = build_model(inst)
     assert export_lp(ir) == export_lp(ir)
     assert export_lp(build_model(inst)) == export_lp(ir)
+
+
+def test_export_lp_is_byte_stable():
+    text = export_lp(build_model(generate_instance(12, 300, 1, 100, 5)))
+    digest = "9975afe889dacccee971082b354f7da0eeff3c66543887bd6e7d1a1cd33e9260"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
