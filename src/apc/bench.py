@@ -17,8 +17,7 @@ import csv
 import os
 import statistics
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     EmptyReportError,
@@ -28,9 +27,9 @@ from .errors import (
 )
 from .exact import solve_exact
 from .heuristic import LSConfig, gap_percent, run_heuristic
-from .instance import Instance, generate_instance, parse_instance, write_instance
+from .instance import generate_instance
 from .oracle import BRUTE_FORCE_MAX_N, brute_force
-from .solution import SolveStatus
+from .solution import Solution, SolveStatus
 
 KNOWN_METHODS = ("oracle", "exact", "heuristic")
 CSV_COLUMNS = (
@@ -95,10 +94,6 @@ class BenchGroup:
     conflict_count: int
     seeds: tuple[int, ...]
 
-    @property
-    def replicate_count(self) -> int:
-        return len(self.seeds)
-
 
 @dataclass(frozen=True)
 class InstanceResult:
@@ -151,32 +146,16 @@ def preset_groups(name: str) -> list[BenchGroup]:
     raise ValueError(f"unknown preset {name!r}, expected 'small' or 'table1'")
 
 
-def _materialize(group: BenchGroup, seed: int, cache_dir: str | None) -> Instance:
-    if cache_dir:
-        path = Path(cache_dir) / (
-            f"apc-n{group.n}-m{group.conflict_count}-s{seed}.apc"
-        )
-        if path.exists():
-            return parse_instance(path.read_text(encoding="utf-8"))
-    inst = generate_instance(group.n, group.conflict_count, COST_LO, COST_HI, seed)
-    if cache_dir:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(write_instance(inst), encoding="utf-8")
-    return inst
-
-
 def _run_unit(args: tuple) -> tuple[list[InstanceResult], int | None]:
     """Solve all requested methods on one seeded instance.
 
-    Top-level so process pools can pickle it. Returns the per-method results
-    plus the proven optimum of this instance when one is available.
+    Top-level so process pools can pickle it. Returns one result per method,
+    in the order of `methods`, plus the instance's proven or supplied optimum.
     """
-    group, seed, methods, time_limit, cache_dir, reference_opt = args
-    inst = _materialize(group, seed, cache_dir)
-    results: list[InstanceResult] = []
-    opt_value: int | None = None
-    by_method = {}
-    for method in (m for m in ("oracle", "exact", "heuristic") if m in methods):
+    group, seed, methods, time_limit, reference_opt = args
+    inst = generate_instance(group.n, group.conflict_count, COST_LO, COST_HI, seed)
+    solutions: dict[str, Solution] = {}
+    for method in (m for m in KNOWN_METHODS if m in methods):
         if method == "oracle":
             sol = brute_force(inst)
         elif method == "exact":
@@ -188,46 +167,32 @@ def _run_unit(args: tuple) -> tuple[list[InstanceResult], int | None]:
                     time_limit=time_limit, restarts=HEURISTIC_RESTARTS, rng_seed=seed
                 ),
             )
-        by_method[method] = sol
-        if (
-            method in ("oracle", "exact")
-            and sol is not None
-            and sol.status is SolveStatus.OPTIMAL
-            and opt_value is None
-        ):
-            opt_value = sol.value
-    if opt_value is None:
-        opt_value = reference_opt
-
-    for method in methods:
-        sol = by_method[method]
-        if method == "heuristic":
             if sol is None:
                 # no feasible solution found within the restart budget; this
                 # is not a proof of infeasibility
-                results.append(
-                    InstanceResult(
-                        group.label, group.n, group.conflict_count, method, seed,
-                        None, SolveStatus.NO_SOLUTION, None, 0.0, None,
-                    )
-                )
-                continue
-            gap = None
-            if opt_value is not None and opt_value > 0:
-                gap = gap_percent(sol.value, opt_value)
-            results.append(
-                InstanceResult(
-                    group.label, group.n, group.conflict_count, method, seed,
-                    sol.value, sol.status, gap, sol.sec_best, None,
-                )
+                sol = Solution(None, None, SolveStatus.NO_SOLUTION)
+        solutions[method] = sol
+    proven = [
+        sol.value
+        for method, sol in solutions.items()
+        if method != "heuristic" and sol.status is SolveStatus.OPTIMAL
+    ]
+    opt_value = proven[0] if proven else reference_opt
+
+    results = []
+    for method in methods:
+        sol = solutions[method]
+        gap = sec_total = None
+        if method != "heuristic":
+            sec_total = sol.sec_total
+        elif sol.value is not None and opt_value is not None and opt_value > 0:
+            gap = gap_percent(sol.value, opt_value)
+        results.append(
+            InstanceResult(
+                group.label, group.n, group.conflict_count, method, seed,
+                sol.value, sol.status, gap, sol.sec_best, sec_total,
             )
-        else:
-            results.append(
-                InstanceResult(
-                    group.label, group.n, group.conflict_count, method, seed,
-                    sol.value, sol.status, None, sol.sec_best, sol.sec_total,
-                )
-            )
+        )
     return results, opt_value
 
 
@@ -246,8 +211,10 @@ def _format_csv_row(r: InstanceResult) -> list[str]:
     ]
 
 
-def _mean(values: Sequence[float]) -> float | None:
-    return statistics.fmean(values) if values else None
+def _mean(values: Iterable[float | None]) -> float | None:
+    """Mean of the values that are not None; None when there are none."""
+    present = [v for v in values if v is not None]
+    return statistics.fmean(present) if present else None
 
 
 def run_benchmark(
@@ -258,17 +225,16 @@ def run_benchmark(
     jobs: int = 1,
     csv_path: str | os.PathLike | None = None,
     reference_optima: Mapping[tuple[str, int], int] | None = None,
-    cache_dir: str | None = None,
 ) -> list[BenchRecord]:
-    """Generate (or load cached) instances, run each method, aggregate.
+    """Generate each seeded instance, run each method on it, aggregate.
 
-    Per-instance CSV rows are flushed to `csv_path` as soon as each seeded
-    instance finishes, so an interrupted run keeps everything already solved.
-    `reference_optima` maps (group label, seed) to a known optimum for
-    heuristic gaps when no exact method runs alongside. Instances are cached
-    under `cache_dir` (default: the APC_BENCH_DIR environment variable).
-    With jobs > 1 the seeded instances are solved by a process pool; results
-    are merged by (group, seed) so parallelism never changes the output.
+    Instance `seed` of group ``n/m`` is ``generate_instance(n, m, COST_LO,
+    COST_HI, seed)``. Methods must not repeat; results and records follow
+    their order. Per-instance CSV rows are flushed to `csv_path` as soon as
+    each instance finishes, so an interrupted run keeps everything already
+    solved. `reference_optima` maps (group label, seed) to a known optimum
+    for heuristic gaps when no exact method proves one. With jobs > 1 a
+    process pool solves the instances; parallelism never changes the output.
     """
     methods = tuple(methods)
     if not methods:
@@ -278,6 +244,10 @@ def run_benchmark(
             raise UnknownMethodError(
                 f"unknown method {m!r}, expected one of {KNOWN_METHODS}"
             )
+    if len(set(methods)) != len(methods):
+        raise UnknownMethodError(f"methods must not repeat, got {methods}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     labels = [g.label for g in groups]
     if len(set(labels)) != len(labels):
         raise ValueError(f"group labels must be unique, got {labels}")
@@ -297,16 +267,13 @@ def run_benchmark(
             "heuristic gaps need an optimum source: run 'exact' or 'oracle' "
             "alongside, or supply reference_optima"
         )
-    if cache_dir is None:
-        cache_dir = os.environ.get("APC_BENCH_DIR") or None
 
-    units = []
-    for group in groups:
-        for seed in group.seeds:
-            ref = None if reference_optima is None else reference_optima.get(
-                (group.label, seed)
-            )
-            units.append((group, seed, methods, time_limit, cache_dir, ref))
+    refs = reference_optima or {}
+    units = [
+        (group, seed, methods, time_limit, refs.get((group.label, seed)))
+        for group in groups
+        for seed in group.seeds
+    ]
 
     unit_outputs: list[tuple[list[InstanceResult], int | None]] = []
     with contextlib.ExitStack() as stack:
@@ -323,34 +290,21 @@ def run_benchmark(
             pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
             solve_all = stack.enter_context(pool).map
         # Both maps yield in submission order, so the file content and order
-        # are independent of worker scheduling.
+        # are independent of worker scheduling, and the outputs of each group
+        # follow one another in seed order.
         for output in solve_all(_run_unit, units):
             unit_outputs.append(output)
             if writer is not None:
                 writer.writerows(_format_csv_row(r) for r in output[0])
                 csv_file.flush()
 
-    results: dict[tuple[str, int, str], InstanceResult] = {}
-    opt_by_instance: dict[tuple[str, int], int | None] = {}
-    for (group, seed, *_), output in zip(units, unit_outputs):
-        rows, opt_value = output
-        opt_by_instance[(group.label, seed)] = opt_value
-        for r in rows:
-            results[(group.label, seed, r.method)] = r
-
+    outputs = iter(unit_outputs)
     records: list[BenchRecord] = []
     for group in groups:
-        opts = [
-            opt_by_instance[(group.label, seed)]
-            for seed in group.seeds
-            if opt_by_instance[(group.label, seed)] is not None
-        ]
-        avg_opt = _mean(opts)
-        for method in methods:
-            rs = tuple(results[(group.label, seed, method)] for seed in group.seeds)
-            values = [r.value for r in rs if r.value is not None]
-            gaps = [r.gap_percent for r in rs if r.gap_percent is not None]
-            sec_totals = [r.sec_total for r in rs if r.sec_total is not None]
+        group_outputs = [next(outputs) for _ in group.seeds]
+        avg_opt = _mean(opt for _, opt in group_outputs)
+        for k, method in enumerate(methods):
+            rs = tuple(results[k] for results, _ in group_outputs)
             records.append(
                 BenchRecord(
                     group=group.label,
@@ -359,10 +313,10 @@ def run_benchmark(
                     method=method,
                     results=rs,
                     avg_opt=avg_opt,
-                    avg_value=_mean(values),
-                    avg_gap_percent=_mean(gaps) if method == "heuristic" else None,
-                    avg_sec_best=_mean([r.sec_best for r in rs]) or 0.0,
-                    avg_sec_total=_mean(sec_totals) if method != "heuristic" else None,
+                    avg_value=_mean(r.value for r in rs),
+                    avg_gap_percent=_mean(r.gap_percent for r in rs),
+                    avg_sec_best=_mean(r.sec_best for r in rs) or 0.0,
+                    avg_sec_total=_mean(r.sec_total for r in rs),
                     statuses=tuple(r.status for r in rs),
                 )
             )
@@ -426,11 +380,7 @@ def emit_table(records: Sequence[BenchRecord]) -> str:
         lines.append("".join(cells))
     avg_cells = [f"{'Averages':<25}"]
     for method, attr, decimals, width in getters:
-        vals = [
-            getattr(by_cell[(g, method)], attr)
-            for g in group_order
-            if getattr(by_cell[(g, method)], attr) is not None
-        ]
-        avg_cells.append(f"{_fmt(_mean(vals), decimals):>{width}}")
+        avg = _mean(getattr(by_cell[(g, method)], attr) for g in group_order)
+        avg_cells.append(f"{_fmt(avg, decimals):>{width}}")
     lines.append("".join(avg_cells))
     return "\n".join(lines) + "\n"

@@ -45,30 +45,30 @@ class Edge(NamedTuple):
     b: int
 
 
-@dataclass(frozen=True, order=True)
-class ConflictPair:
-    """Unordered pair of distinct edges that cannot both be selected.
-
-    The pair is stored in canonical (lexicographic) order, so a pair built
-    from (e2, e1) compares and hashes equal to one built from (e1, e2).
-    """
-
+class _EdgePair(NamedTuple):
     e1: Edge
     e2: Edge
 
-    def __post_init__(self):
-        e1, e2 = Edge(*self.e1), Edge(*self.e2)
+
+class ConflictPair(_EdgePair):
+    """Unordered pair of distinct edges that cannot both be selected.
+
+    A canonical tuple: both edges are coerced to :class:`Edge` and stored in
+    lexicographic order, so a pair built from (e2, e1) is the same tuple as
+    one built from (e1, e2), and pairs compare and hash as tuples do.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, e1, e2):
+        e1, e2 = Edge(*e1), Edge(*e2)
         if e1 == e2:
             raise DegenerateConflictError(
                 f"conflict pair needs two distinct edges, got {e1} twice"
             )
         if e2 < e1:
             e1, e2 = e2, e1
-        object.__setattr__(self, "e1", e1)
-        object.__setattr__(self, "e2", e2)
-
-    def edges(self) -> tuple[Edge, Edge]:
-        return (self.e1, self.e2)
+        return super().__new__(cls, e1, e2)
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,7 @@ def write_instance(inst: Instance) -> str:
     out.append(f"n {inst.n}")
     out.append("costs")
     out.extend(" ".join(map(str, row)) for row in inst.costs)
-    # e1 + e2 orders like ConflictPair itself: (e1, e2) lexicographically
+    # flat 4-tuples sort faster than the nested pairs, in the same order
     quads = sorted(p.e1 + p.e2 for p in inst.conflicts)
     out.append(f"conflicts {len(quads)}")
     out.extend(f"{a1} {b1} {a2} {b2}" for a1, b1, a2, b2 in quads)
@@ -356,9 +356,8 @@ def validate(inst: Instance) -> list[Violation]:
                 out.append(
                     Violation("NegativeCost", (i, j), f"cost[{i}][{j}] = {value} < 0")
                 )
-    # e1 + e2 sorts as ConflictPair does, without its Python-level __lt__
-    for pair in sorted(inst.conflicts, key=lambda p: p.e1 + p.e2):
-        for e in pair.edges():
+    for pair in sorted(inst.conflicts):
+        for e in pair:
             if not (0 <= e.a < inst.n and 0 <= e.b < inst.n):
                 out.append(
                     Violation(

@@ -72,10 +72,10 @@ def build_model(inst: Instance) -> ModelIR:
     )
     rows = tuple(tuple(i * n + j for j in range(n)) for i in range(n))
     cols = tuple(tuple(i * n + j for i in range(n)) for j in range(n))
-    # e1 + e2 sorts as ConflictPair does, without its Python-level __lt__
+    # flat 4-tuples sort faster than the nested pairs, in the same order
     conflicts = tuple(
-        (var_map[p.e1], var_map[p.e2])
-        for p in sorted(inst.conflicts, key=lambda p: p.e1 + p.e2)
+        (var_map[a1, b1], var_map[a2, b2])
+        for a1, b1, a2, b2 in sorted(p.e1 + p.e2 for p in inst.conflicts)
     )
     return ModelIR(
         n=n,

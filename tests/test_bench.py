@@ -1,6 +1,7 @@
 """Benchmark harness: records, column discipline, tables, CSV stability."""
 
 import csv
+import hashlib
 import io
 
 import pytest
@@ -105,6 +106,13 @@ def test_unknown_method():
         run_benchmark(small_groups(), (), 10.0)
 
 
+def test_repeated_method_is_rejected(tmp_path):
+    out = tmp_path / "runs.csv"
+    with pytest.raises(UnknownMethodError):
+        run_benchmark(small_groups(), ("exact", "exact"), 10.0, csv_path=out)
+    assert not out.exists()
+
+
 def test_oracle_size_guard():
     with pytest.raises(InstanceTooLargeError):
         run_benchmark([make_group(12, 0)], ("oracle",), 10.0)
@@ -126,16 +134,6 @@ def test_heuristic_with_reference_optima():
     assert rec.avg_gap_percent is not None and rec.avg_gap_percent >= 0
 
 
-def test_instance_caching(tmp_path, monkeypatch):
-    monkeypatch.setenv("APC_BENCH_DIR", str(tmp_path))
-    groups = [make_group(4, 5, replicate_count=2)]
-    first = run_benchmark(groups, ("exact",), 10.0)
-    files = sorted(p.name for p in tmp_path.iterdir())
-    assert files == ["apc-n4-m5-s1.apc", "apc-n4-m5-s2.apc"]
-    again = run_benchmark(groups, ("exact",), 10.0)
-    assert [r.avg_value for r in first] == [r.avg_value for r in again]
-
-
 def test_incremental_csv(tmp_path):
     out = tmp_path / "runs.csv"
     run_benchmark(small_groups(), ("exact",), 30.0, csv_path=out)
@@ -145,6 +143,46 @@ def test_incremental_csv(tmp_path):
         "status", "gap_percent", "sec_best", "sec_total",
     ]
     assert len(rows) == 1 + 6  # 2 groups x 3 seeds
+
+
+# sha256 of all that the seeds determine in a bench run: the CSV columns
+# group .. gap_percent, and each record's averages and statuses.
+GOLDEN = {
+    "all": "e334c8f0f1824097110e24e0f9068516a8c2e2f9747ae8c6553ee96f84409b94",
+    "reversed-parallel": "b9dee5977975deb348b6b8f841067cdcc74d9fe312be0fec88b86586eea2e6bd",
+    "reference": "38c95f07a4c4a42f45ad05efc39a326de7e2ece7fa16dbcd9185dccf4c1e9ca8",
+}
+
+
+@pytest.mark.parametrize(
+    "case, methods, jobs, reference_optima",
+    [
+        ("all", ("oracle", "exact", "heuristic"), 1, None),
+        ("reversed-parallel", ("heuristic", "exact", "oracle"), 2, None),
+        ("reference", ("heuristic",), 1, {("8/200", s): 190 for s in (1, 2, 3)}),
+    ],
+)
+def test_bench_output_is_pinned(tmp_path, case, methods, jobs, reference_optima):
+    # the infeasible 3/36 group has every edge pair in conflict
+    groups = [
+        make_group(6, 20, replicate_count=3),
+        make_group(8, 200, replicate_count=3),
+        make_group(3, max_conflict_pairs(3), replicate_count=2),
+    ]
+    out = tmp_path / "golden.csv"
+    records = run_benchmark(
+        groups, methods, 30.0, jobs=jobs, csv_path=out,
+        reference_optima=reference_optima,
+    )
+    # columns group .. gap_percent; the timing columns are left out
+    rows = [row[:8] for row in csv.reader(out.read_text(encoding="utf-8").splitlines())]
+    cells = [
+        (r.group, r.method, r.avg_opt, r.avg_value, r.avg_gap_percent,
+         tuple(s.value for s in r.statuses))
+        for r in records
+    ]
+    digest = hashlib.sha256(repr((rows, cells)).encode()).hexdigest()
+    assert digest == GOLDEN[case]
 
 
 def make_record(group, n, m, method, gap, sec_total, opt=100.0):

@@ -1,9 +1,14 @@
 """End-to-end command line behaviour and exit codes."""
 
+import ast
+import sys
+from pathlib import Path
+
 import pytest
 
+from apc.bench import COST_HI, COST_LO
 from apc.cli import main
-from apc.instance import parse_instance
+from apc.instance import generate_instance, parse_instance, write_instance
 
 DIAG_DOC = """\
 APC 1
@@ -51,6 +56,12 @@ def test_generate_to_stdout(capsys):
     text = capsys.readouterr().out
     assert text.startswith("APC 1\n")
     assert parse_instance(text).n == 2
+
+
+def test_generate_writes_the_instance_a_bench_row_solves(capsys):
+    assert main(["generate", "--n", "6", "--conflicts", "30", "--seed", "4"]) == 0
+    expected = write_instance(generate_instance(6, 30, COST_LO, COST_HI, 4))
+    assert capsys.readouterr().out == expected
 
 
 def test_generate_too_many_conflicts_is_usage_error(capsys):
@@ -169,7 +180,7 @@ def test_usage_error_exits_2():
     assert main(["frobnicate"]) == 2
 
 
-def test_bad_parameter_values_exit_2(diag_file, capsys):
+def test_bad_parameter_values_exit_2(diag_file, tmp_path, capsys):
     assert main([
         "solve", str(diag_file), "--method", "heuristic", "--restarts", "0",
     ]) == 2
@@ -183,6 +194,12 @@ def test_bad_parameter_values_exit_2(diag_file, capsys):
         ["--method", "exact", "--node-limit", "-5"],
     ):
         assert main(["solve", str(diag_file), *limit]) == 2
+    # a bench run that would run serially or solve a method twice is refused
+    # before the CSV is opened
+    out_csv = tmp_path / "bench.csv"
+    for bad in (["--jobs", "0"], ["--jobs", "-3"], ["--methods", "exact,exact"]):
+        assert main(["bench", "--out-csv", str(out_csv), *bad]) == 2
+        assert not out_csv.exists()
     capsys.readouterr()
 
 
@@ -190,8 +207,7 @@ def test_help_exits_0():
     assert main(["--help"]) == 0
 
 
-def test_bench_small_exact_only(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("APC_BENCH_DIR", raising=False)
+def test_bench_small_exact_only(tmp_path, capsys):
     out_csv = tmp_path / "bench.csv"
     code = main([
         "bench", "--preset", "small", "--methods", "exact",
@@ -203,3 +219,18 @@ def test_bench_small_exact_only(tmp_path, capsys, monkeypatch):
     assert "Averages" in table
     lines = out_csv.read_text().splitlines()
     assert len(lines) == 1 + 30  # 6 groups x 5 seeds
+
+
+def test_runtime_imports_only_the_standard_library():
+    package = Path(__file__).resolve().parents[1] / "src" / "apc"
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.name} imports {name}"

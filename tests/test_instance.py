@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -174,6 +175,17 @@ def test_conflict_pair_is_unordered():
     assert p1 == p2
     assert hash(p1) == hash(p2)
     assert p1.e1 == Edge(0, 0)
+
+
+def test_instance_and_pair_survive_pickling():
+    pair = ConflictPair((1, 1), (0, 0))
+    assert type(pair.e1) is Edge and type(pair.e2) is Edge
+    assert pair == (Edge(0, 0), Edge(1, 1))
+    inst = generate_instance(5, 40, 1, 100, 3)
+    assert pickle.loads(pickle.dumps(pair)) == pair
+    again = pickle.loads(pickle.dumps(inst))
+    assert again == inst
+    assert all(type(p) is ConflictPair for p in again.conflicts)
 
 
 def test_conflict_pair_rejects_equal_edges():
