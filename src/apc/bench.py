@@ -248,6 +248,8 @@ def run_benchmark(
         raise UnknownMethodError(f"methods must not repeat, got {methods}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if not time_limit > 0:  # also rejects NaN
+        raise ValueError(f"time_limit must be positive, got {time_limit}")
     labels = [g.label for g in groups]
     if len(set(labels)) != len(labels):
         raise ValueError(f"group labels must be unique, got {labels}")

@@ -2,13 +2,14 @@
 
 A node is its edge masks, one `MaskedCosts`; the assignment problem under
 them is the node's lower bound. Best-first node selection means the first
-conflict-feasible relaxation popped is globally optimal. The search splits on
-a violated conflict pair into two disjoint children: one child forbids the
-first edge, the other commits to it, which forbids the partner edge of every
-conflict the committed edge appears in. Only solutions violating the branched
-pair are dropped, and those are infeasible anyway. A child only tightens
+conflict-feasible relaxation popped is globally optimal. The search branches
+fail-first on the selected edge that sits in the most violated conflict
+pairs: one child forbids that edge, the other commits to it, which forbids
+every edge it conflicts with. The children are disjoint, and together they
+keep every conflict-feasible solution of the node. A child only tightens
 its parent's masks, so its assignment problem is re-optimized from the
-parent's potentials instead of solved from scratch.
+parent's potentials instead of solved from scratch. Inside the search an
+edge (a, b) is the int id ``a*n + b``.
 """
 
 import heapq
@@ -17,34 +18,35 @@ import time
 
 from .heuristic import LSConfig, run_heuristic
 from .hungarian import MaskedCosts, solve_ap
-from .instance import ConflictPair, Edge, Instance
+from .instance import Instance
 from .model import _require_permutation, check_feasible, evaluate
 from .solution import Solution, SolveStatus
 
 
-def find_violated_conflict(assignment, inst: Instance) -> ConflictPair | None:
-    """The conflict pair worth branching on, or None if none is violated.
+def find_violated_conflict(assignment, inst: Instance) -> int | None:
+    """The id of the edge worth branching on, or None if no pair is violated.
 
-    Among pairs with both edges selected by the assignment, picks the one
-    with the largest combined edge cost, breaking ties by canonical order.
-    Returns None exactly when the feasibility checker reports no violated
+    Among the edges the assignment selects, picks the one in the most
+    violated conflict pairs, breaking ties by higher cost, then by smaller
+    id. Returns None exactly when the feasibility checker reports no violated
     conflicts. Only the conflict partners of the n selected edges are read.
     """
     _require_permutation(inst.n, assignment)
     n, costs, partners = inst.n, inst.costs, inst.partners
-    best = None  # (-combined cost, e1, e2): the minimum is the pair to return
+    selected = {a * n + b for a, b in enumerate(assignment)}
+    best = None  # (-violated pairs, -cost, id): the minimum is the edge
     for a, b in enumerate(assignment):
-        e = Edge(a, b)
-        for p in partners[a * n + b]:
-            if assignment[p.a] == p.b and e < p:
-                key = (-(costs[a][b] + costs[p.a][p.b]), e, p)
-                if best is None or key < best:
-                    best = key
-    return None if best is None else ConflictPair(best[1], best[2])
+        e = a * n + b
+        count = len(selected.intersection(partners[e]))
+        if count:
+            key = (-count, -costs[a][b], e)
+            if best is None or key < best:
+                best = key
+    return None if best is None else best[2]
 
 
 def branch(
-    masks: MaskedCosts, edge: Edge, partners: tuple[Edge, ...]
+    masks: MaskedCosts, edge: int, partners: tuple[int, ...]
 ) -> tuple[MaskedCosts, MaskedCosts]:
     """Split a node's masks on `edge` into two disjoint children: (avoid, commit).
 
@@ -119,7 +121,7 @@ def solve_exact(
         if seeded is not None:
             consider(seeded.assignment, seeded.value)
 
-    n, partners = inst.n, inst.partners
+    partners = inst.partners
     nodes = 0
     tiebreak = itertools.count()
     # (bound, -depth, tiebreak, masks, AP result): a child re-optimizes
@@ -149,18 +151,17 @@ def solve_exact(
             status = SolveStatus.OPTIMAL
             open_bound = inc_value
             break
-        pair = find_violated_conflict(res[0], inst)
-        if pair is None:
+        edge = find_violated_conflict(res[0], inst)
+        if edge is None:
             consider(res[0], bound)
             status = SolveStatus.OPTIMAL
             open_bound = inc_value
             break
-        # Disjoint dichotomy on the violated pair: drop e1 entirely, or
-        # commit to e1 (which excludes every edge it conflicts with, e2
-        # included). Committing prunes far harder than a second forbid on
-        # dense conflict sets.
-        e1 = pair.e1
-        for child in branch(masks, e1, partners[e1.a * n + e1.b]):
+        # Disjoint dichotomy on the edge in the most violated pairs: drop it
+        # entirely, or commit to it (which excludes every edge it conflicts
+        # with). Committing prunes far harder than a second forbid on dense
+        # conflict sets.
+        for child in branch(masks, edge, partners[edge]):
             child_res = solve_ap(child, res)
             if child_res is None:
                 continue

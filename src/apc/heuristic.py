@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 from .errors import InfeasibleStartError, NonpositiveOptError
-from .instance import Edge, Instance
+from .instance import Instance
 from .model import check_feasible, evaluate
 from .solution import Solution, SolveStatus
 
@@ -28,15 +28,6 @@ class LSConfig:
     def __post_init__(self):
         if self.max_passes < 1 or self.restarts < 1 or not self.time_limit > 0:
             raise ValueError(f"all limits must be positive, got {self}")
-
-
-def _edge_clear(partners: tuple[Edge, ...], assigned: dict[int, int]) -> bool:
-    # True when selecting the edge with these conflict partners activates no
-    # conflict against current picks.
-    for partner in partners:
-        if assigned.get(partner.a) == partner.b:
-            return False
-    return True
 
 
 def construct_greedy(inst: Instance, rng_seed: int) -> Solution | None:
@@ -60,6 +51,7 @@ def construct_greedy(inst: Instance, rng_seed: int) -> Solution | None:
     start = time.perf_counter()
 
     assigned: dict[int, int] = {}
+    selected: set[int] = set()  # ids i*n + j of the assigned edges
     occupant: dict[int, int] = {}
     col_free = [True] * n
     evictions_left = [1] * n
@@ -69,8 +61,9 @@ def construct_greedy(inst: Instance, rng_seed: int) -> Solution | None:
         choices = sorted((inst.costs[i][j], j) for j in range(n) if col_free[j])
         picked = False
         for _, j in choices:
-            if _edge_clear(partners[i * n + j], assigned):
+            if selected.isdisjoint(partners[i * n + j]):
                 assigned[i] = j
+                selected.add(i * n + j)
                 occupant[j] = i
                 col_free[j] = False
                 picked = True
@@ -79,9 +72,7 @@ def construct_greedy(inst: Instance, rng_seed: int) -> Solution | None:
             continue
         candidates = []
         for j in range(n):
-            conflicted = {
-                p.a for p in partners[i * n + j] if assigned.get(p.a) == p.b
-            }
+            conflicted = {p // n for p in partners[i * n + j] if p in selected}
             blockers = set(conflicted)
             if not col_free[j]:
                 blockers.add(occupant[j])
@@ -92,10 +83,12 @@ def construct_greedy(inst: Instance, rng_seed: int) -> Solution | None:
                 for b in blockers:
                     evictions_left[b] -= 1
                     freed = assigned.pop(b)
+                    selected.remove(b * n + freed)
                     del occupant[freed]
                     col_free[freed] = True
                     queue.append(b)
                 assigned[i] = j
+                selected.add(i * n + j)
                 occupant[j] = i
                 col_free[j] = False
                 picked = True
@@ -114,23 +107,19 @@ def construct_greedy(inst: Instance, rng_seed: int) -> Solution | None:
     )
 
 
-def _swap_clear(i: int, k: int, perm: list[int], partners) -> bool:
-    # Swapping the columns of rows i and k introduces edges (i, perm[k]) and
-    # (k, perm[i]); the move is admissible iff neither activates a conflict
-    # against the post-swap assignment.
+def _swap_clear(i: int, k: int, perm: list[int], selected: set[int], partners) -> bool:
+    # Swapping the columns of rows i and k replaces edges (i, perm[i]) and
+    # (k, perm[k]) of `selected` by (i, perm[k]) and (k, perm[i]); the move
+    # is admissible iff neither new edge conflicts with the other or with an
+    # edge that stays selected.
     n = len(perm)
-    new_i, new_k = perm[k], perm[i]
-    for edge_partners in (partners[i * n + new_i], partners[k * n + new_k]):
-        for partner in edge_partners:
-            if partner.a == i:
-                selected = partner.b == new_i
-            elif partner.a == k:
-                selected = partner.b == new_k
-            else:
-                selected = perm[partner.a] == partner.b
-            if selected:
-                return False
-    return True
+    new_i, new_k = i * n + perm[k], k * n + perm[i]
+    leaving = {i * n + perm[i], k * n + perm[k]}
+    return (
+        new_k not in partners[new_i]
+        and selected.intersection(partners[new_i]) <= leaving
+        and selected.intersection(partners[new_k]) <= leaving
+    )
 
 
 def local_search(inst: Instance, start: Solution, cfg: LSConfig) -> Solution:
@@ -149,6 +138,7 @@ def local_search(inst: Instance, start: Solution, cfg: LSConfig) -> Solution:
     costs = inst.costs
     partners = inst.partners
     perm = list(start.assignment)
+    selected = {i * n + j for i, j in enumerate(perm)}
     value = evaluate(inst, perm)
     t0 = time.perf_counter()
     deadline = t0 + cfg.time_limit
@@ -165,13 +155,15 @@ def local_search(inst: Instance, start: Solution, cfg: LSConfig) -> Solution:
                 delta = (
                     ci[perm[k]] + costs[k][perm[i]] - ci[perm[i]] - costs[k][perm[k]]
                 )
-                if delta < best_delta and _swap_clear(i, k, perm, partners):
+                if delta < best_delta and _swap_clear(i, k, perm, selected, partners):
                     best_delta = delta
                     best_move = (i, k)
         if best_move is None:
             break
         i, k = best_move
+        selected -= {i * n + perm[i], k * n + perm[k]}
         perm[i], perm[k] = perm[k], perm[i]
+        selected |= {i * n + perm[i], k * n + perm[k]}
         value += best_delta
         improved_at = time.perf_counter() - t0
 

@@ -5,16 +5,14 @@ therefore computes a valid lower bound for the conflicted problem, whose
 feasible set is a subset. Masks make it usable as the relaxation solver at
 branch-and-bound nodes: forbidden edges are excluded structurally from the
 augmenting search (never via inflated costs, so integer arithmetic stays
-exact), and forced rows and columns are skipped. A solve can start from an
-ancestor node's potentials, so a child re-matches only the rows its
-tighter masks freed.
+exact), and forced rows and columns are skipped. Masks name edges by their
+int id ``a*n + b``, so the inner loop tests an int, not a tuple. A solve can
+start from an ancestor node's potentials, so a child re-matches only the
+rows its tighter masks freed.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
-
-from .instance import Edge
 
 _INF = math.inf
 
@@ -23,30 +21,30 @@ _INF = math.inf
 class MaskedCosts:
     """A cost matrix plus per-edge masks: one branch-and-bound node.
 
-    ``forced`` edges must appear in the solution and are therefore pairwise
-    row- and column-disjoint; no edge may be both forced and forbidden.
-    Masks hold ``Edge``s or plain ``(a, b)`` pairs; a contradictory mask
-    raises ValueError here, the only place masks are validated. ``base`` is
-    kept as given, not copied, so it must not change afterwards.
+    Masks hold edge ids ``a*n + b``. ``forced`` edges must appear in the
+    solution and are therefore pairwise row- and column-disjoint; no edge may
+    be both forced and forbidden. A contradictory mask raises ValueError
+    here, the only place masks are validated. ``base`` is kept as given, not
+    copied, so it must not change afterwards.
     """
 
     base: tuple[tuple[int, ...], ...]
-    forbidden: frozenset[Edge] = frozenset()
-    forced: frozenset[Edge] = frozenset()
+    forbidden: frozenset[int] = frozenset()
+    forced: frozenset[int] = frozenset()
 
     def __post_init__(self):
         forbidden, forced = frozenset(self.forbidden), frozenset(self.forced)
         object.__setattr__(self, "forbidden", forbidden)
         object.__setattr__(self, "forced", forced)
         n = len(self.base)
-        for a, b in itertools.chain(forbidden, forced):
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"masked edge {(a, b)} outside the {n}x{n} matrix")
+        for mask in (forbidden, forced):
+            if mask and not 0 <= min(mask) <= max(mask) < n * n:
+                raise ValueError(f"masked edge ids must lie in 0..{n * n - 1}")
         overlap = forced & forbidden
         if overlap:
             raise ValueError(f"edges both forced and forbidden: {sorted(overlap)}")
-        rows = {a for a, _ in forced}
-        cols = {b for _, b in forced}
+        rows = {e // n for e in forced}
+        cols = {e % n for e in forced}
         if len(rows) != len(forced) or len(cols) != len(forced):
             raise ValueError("forced edges must be row- and column-disjoint")
 
@@ -59,10 +57,11 @@ def _augment(base, forbidden, cols, r, u, v, row_of) -> bool:
     """Match free row `r` by one shortest augmenting path, O(n^2).
 
     Dijkstra over the reduced costs ``base[i][j] - u[i] - v[j]`` of allowed
-    edges into the free columns `cols`, scanned in ascending order. `u`, `v`
-    and `row_of` (row matched to each column, -1 if none) are full-index and
-    updated in place; the last slot of `v` and `row_of` is the virtual column
-    that hosts `r` until it is matched. False when no augmenting path exists.
+    edges (id ``i*n + j`` not in `forbidden`) into the free columns `cols`,
+    scanned in ascending order. `u`, `v` and `row_of` (row matched to each
+    column, -1 if none) are full-index and updated in place; the last slot of
+    `v` and `row_of` is the virtual column that hosts `r` until it is
+    matched. False when no augmenting path exists.
     """
     virtual = len(row_of) - 1
     row_of[virtual] = r
@@ -72,10 +71,10 @@ def _augment(base, forbidden, cols, r, u, v, row_of) -> bool:
     j0 = virtual
     while row_of[j0] >= 0:
         i0 = row_of[j0]
-        costs, ui = base[i0], u[i0]
+        costs, ui, row_id = base[i0], u[i0], i0 * virtual
         delta, j1 = _INF, -1
         for j in unused:
-            if (i0, j) not in forbidden:
+            if row_id + j not in forbidden:
                 cur = costs[j] - ui - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
@@ -116,7 +115,8 @@ def solve_ap(mc: MaskedCosts, start: tuple | None = None) -> tuple | None:
     matching on tight edges is optimal; a warm solve may return a different
     optimum among equal-cost ones.
     """
-    n, forced = mc.n, dict(mc.forced)
+    n = mc.n
+    forced = dict(divmod(e, n) for e in mc.forced)
     row_of = [-1] * (n + 1)  # row matched to each column; slot n is virtual
     for a, b in forced.items():
         row_of[b] = a
@@ -130,7 +130,7 @@ def solve_ap(mc: MaskedCosts, start: tuple | None = None) -> tuple | None:
             raise ValueError(f"start does not fit the {n}x{n} matrix")
         u, v = list(u), [*v, 0]
         for i in free:
-            if row_of[kept[i]] < 0 and (i, kept[i]) not in mc.forbidden:
+            if row_of[kept[i]] < 0 and i * n + kept[i] not in mc.forbidden:
                 row_of[kept[i]] = i
         free = [i for i in free if row_of[kept[i]] != i]
     for r in free:

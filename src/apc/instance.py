@@ -94,24 +94,28 @@ class Instance:
         return cls(name=name, n=len(rows), costs=rows, conflicts=pairs)
 
     @cached_property
-    def partners(self) -> tuple[tuple[Edge, ...], ...]:
-        """Compiled conflict index: ``partners[a*n + b]`` holds every edge
-        that conflicts with edge (a, b).
+    def partners(self) -> tuple[tuple[int, ...], ...]:
+        """Compiled conflict index on edge ids: ``partners[a*n + b]`` holds
+        the id ``c*n + d`` of every edge (c, d) that conflicts with (a, b).
 
         Built once, on first use, and cached on the instance. It is not a
-        field, so equality and hashing ignore it.
+        field, so equality and hashing ignore it. Each id is one shared int
+        object, looked up in a single ``range`` list.
         """
         n = self.n
-        adj: list[list[Edge]] = [[] for _ in range(n * n)]
-        for pair in self.conflicts:
-            e1, e2 = pair.e1, pair.e2
-            if not 0 <= min(e1 + e2) <= max(e1 + e2) < n:
+        ids = list(range(n * n))
+        adj: list[list[int]] = [[] for _ in ids]
+        for (a1, b1), (a2, b2) in self.conflicts:
+            if not 0 <= min(a1, b1, a2, b2) <= max(a1, b1, a2, b2) < n:
                 raise IndexOutOfRangeError(
-                    f"conflict {tuple(e1)}-{tuple(e2)} outside the {n}x{n} grid"
+                    f"conflict {(a1, b1)}-{(a2, b2)} outside the {n}x{n} grid"
                 )
-            adj[e1.a * n + e1.b].append(e2)
-            adj[e2.a * n + e2.b].append(e1)
-        return tuple(map(tuple, adj))
+            u, v = ids[a1 * n + b1], ids[a2 * n + b2]
+            adj[u].append(v)
+            adj[v].append(u)
+        for e, lst in enumerate(adj):  # free each list as its tuple lands
+            adj[e] = tuple(lst)
+        return tuple(adj)
 
 
 @dataclass(frozen=True)

@@ -157,15 +157,13 @@ def check_feasible(inst: Instance, assignment: Sequence[int]) -> FeasibilityRepo
             coverage[j] += 1
     bad_cols = tuple(j for j, c in enumerate(coverage) if c != 1)
     partners = inst.partners
-    violated = []
-    for i, j in enumerate(assignment):
-        if 0 <= j < n:
-            e = Edge(i, j)
-            violated.extend(
-                ConflictPair(e, p)
-                for p in partners[i * n + j]
-                if assignment[p.a] == p.b and e < p
-            )
+    selected = {i * n + j for i, j in enumerate(assignment) if 0 <= j < n}
+    violated = [
+        ConflictPair(divmod(e, n), divmod(p, n))
+        for e in selected
+        for p in selected.intersection(partners[e])
+        if e < p
+    ]
     return FeasibilityReport(
         is_perfect_matching=not bad_rows and not bad_cols,
         violated_rows=bad_rows,

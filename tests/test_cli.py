@@ -200,6 +200,12 @@ def test_bad_parameter_values_exit_2(diag_file, tmp_path, capsys):
     for bad in (["--jobs", "0"], ["--jobs", "-3"], ["--methods", "exact,exact"]):
         assert main(["bench", "--out-csv", str(out_csv), *bad]) == 2
         assert not out_csv.exists()
+    # a bad time limit is refused before an earlier CSV at that path is opened
+    out_csv.write_text("group,seed\nkept\n")
+    for limit in ("0", "-1", "nan"):
+        args = ["--methods", "exact", "--time-limit", limit]
+        assert main(["bench", "--out-csv", str(out_csv), *args]) == 2
+        assert out_csv.read_text() == "group,seed\nkept\n"
     capsys.readouterr()
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import apc.exact
 from apc.errors import NotAPermutationError
 from apc.exact import branch, find_violated_conflict, solve_exact
 from apc.hungarian import MaskedCosts, solve_ap
@@ -58,20 +59,23 @@ def test_optimal_solutions_verify():
 
 
 def test_find_violated_conflict_basics():
-    assert find_violated_conflict([0, 1], DIAG) == ConflictPair(Edge(0, 0), Edge(1, 1))
+    # both edges of the one violated pair tie on count and cost: smaller id
+    assert find_violated_conflict([0, 1], DIAG) == 0
     assert find_violated_conflict([1, 0], DIAG) is None
 
 
-def test_find_violated_conflict_picks_most_expensive():
-    inst = Instance.from_costs(
-        [[5, 1, 1], [1, 25, 1], [1, 1, 5]],
-        [
-            ((0, 0), (1, 1)),  # combined cost 30
-            ((0, 0), (2, 2)),  # combined cost 10
-        ],
-    )
-    pair = find_violated_conflict([0, 1, 2], inst)
-    assert pair == ConflictPair(Edge(0, 0), Edge(1, 1))
+def test_find_violated_conflict_prefers_count_then_cost():
+    costs = [[5, 1, 1], [1, 50, 1], [1, 1, 1]]
+    # the cheap edge (2, 2) sits in two violated pairs, the costly (1, 1) in one
+    inst = Instance.from_costs(costs, [((0, 0), (2, 2)), ((1, 1), (2, 2))])
+    assert find_violated_conflict([0, 1, 2], inst) == 2 * 3 + 2
+    # all three edges sit in two violated pairs: the costliest wins
+    triangle = [((0, 0), (1, 1)), ((0, 0), (2, 2)), ((1, 1), (2, 2))]
+    inst = Instance.from_costs(costs, triangle)
+    assert find_violated_conflict([0, 1, 2], inst) == 1 * 3 + 1
+    # count and cost tie between (0, 0) and (1, 1): the smaller id wins
+    inst = Instance.from_costs([[7, 1, 1], [1, 7, 1], [1, 1, 1]], triangle)
+    assert find_violated_conflict([0, 1, 2], inst) == 0
 
 
 def test_find_violated_conflict_rejects_non_permutation():
@@ -80,52 +84,58 @@ def test_find_violated_conflict_rejects_non_permutation():
 
 
 def test_find_violated_agrees_with_feasibility_checker():
-    # The most expensive violated pair, ties broken by canonical order; costs
-    # in {1, 2} on odd seeds make equal combined costs common.
+    # The selected edge in the most violated pairs, ties broken by higher
+    # cost, then smaller id; costs in {1, 2} on odd seeds make equal counts
+    # and equal costs among the leaders common.
     rng = random.Random(12)
-    ties = 0
-    for seed in range(60):
+    count_ties = cost_ties = 0
+    for seed in range(100):
         n = rng.randint(3, 7)
         m = rng.randint(0, max_conflict_pairs(n) // 2)
         inst = generate_instance(n, m, 1, 2 if seed % 2 else 50, seed=seed)
         perm = list(range(n))
         rng.shuffle(perm)
         violated = check_feasible(inst, perm).violated_conflicts
-        combined = {
-            p: inst.costs[p.e1.a][p.e1.b] + inst.costs[p.e2.a][p.e2.b] for p in violated
-        }
-        expected = min(violated, key=lambda p: (-combined[p], p), default=None)
-        assert find_violated_conflict(perm, inst) == expected
-        if expected is not None:
-            ties += list(combined.values()).count(combined[expected]) > 1
-    assert ties >= 10
+        keys = []
+        for a, b in enumerate(perm):
+            count = sum((a, b) in pair for pair in violated)
+            if count:
+                keys.append((-count, -inst.costs[a][b], a * n + b))
+        expected = min(keys, default=(None, None, None))
+        assert find_violated_conflict(perm, inst) == expected[2]
+        if keys:
+            count_ties += [k[0] for k in keys].count(expected[0]) > 1
+            cost_ties += [k[:2] for k in keys].count(expected[:2]) > 1
+    assert count_ties >= 10 and cost_ties >= 10
 
 
 def test_branch_children():
     root = MaskedCosts(DIAG.costs)
-    avoid, commit = branch(root, Edge(0, 0), DIAG.partners[0])
+    avoid, commit = branch(root, 0, DIAG.partners[0])
+    assert DIAG.partners[0] == (3,)  # edge (0, 0) conflicts with (1, 1)
     assert avoid.base is commit.base is DIAG.costs
-    assert avoid.forbidden == frozenset({Edge(0, 0)}) and not avoid.forced
-    assert commit.forced == frozenset({Edge(0, 0)})
-    assert commit.forbidden == frozenset({Edge(1, 1)})
+    assert avoid.forbidden == frozenset({0}) and not avoid.forced
+    assert commit.forced == frozenset({0})
+    assert commit.forbidden == frozenset({3})
 
 
 def test_branch_rejects_contradictory_split():
     # MaskedCosts is the one mask validator: a split whose commit child
     # contradicts the parent's masks fails loudly instead of dropping a child.
     for forbidden, forced in [
-        ({Edge(0, 0)}, set()),  # the edge itself is forbidden
-        (set(), {Edge(1, 1)}),  # a conflict partner is forced
-        (set(), {Edge(1, 0)}),  # a forced edge holds its column
+        ({0}, set()),  # the edge (0, 0) itself is forbidden
+        (set(), {3}),  # a conflict partner, (1, 1), is forced
+        (set(), {2}),  # a forced edge, (1, 0), holds its column
     ]:
         node = MaskedCosts(DIAG.costs, frozenset(forbidden), frozenset(forced))
         with pytest.raises(ValueError):
-            branch(node, Edge(0, 0), DIAG.partners[0])
+            branch(node, 0, DIAG.partners[0])
 
 
 def _obeys(perm, masks):
-    return all(perm[a] != b for a, b in masks.forbidden) and all(
-        perm[a] == b for a, b in masks.forced
+    n = len(perm)
+    return all(perm[e // n] != e % n for e in masks.forbidden) and all(
+        perm[e // n] == e % n for e in masks.forced
     )
 
 
@@ -143,11 +153,10 @@ def test_branch_is_a_dichotomy():
         for _ in range(4):
             deeper = []
             for masks, bound, relaxed in frontier:
-                pair = find_violated_conflict(relaxed, inst)
-                if pair is None:
+                edge = find_violated_conflict(relaxed, inst)
+                if edge is None:
                     continue
-                e1 = pair.e1
-                children = branch(masks, e1, inst.partners[e1.a * n + e1.b])
+                children = branch(masks, edge, inst.partners[edge])
                 assert len(children) == 2
                 splits += 1
                 for perm in feasible:
@@ -176,11 +185,10 @@ def test_warm_child_solves_match_cold_solves():
         for _ in range(6):
             deeper = []
             for masks, res in frontier[:24]:
-                pair = find_violated_conflict(res[0], inst)
-                if pair is None:
+                edge = find_violated_conflict(res[0], inst)
+                if edge is None:
                     continue
-                e1 = pair.e1
-                for child in branch(masks, e1, inst.partners[e1.a * n + e1.b]):
+                for child in branch(masks, edge, inst.partners[edge]):
                     warm, cold = solve_ap(child, res), solve_ap(child)
                     assert (warm is None) == (cold is None), (seed, child)
                     warm_solves += 1
@@ -197,6 +205,41 @@ def test_warm_child_solves_match_cold_solves():
                     deeper.append((child, warm))
             frontier = deeper
     assert warm_solves >= 400
+
+
+def test_solve_exact_branches_on_the_scanned_edge(monkeypatch):
+    # The rule the scan tests pin is the one the search branches on: every
+    # split takes the edge the preceding scan returned, with its partners.
+    events = []
+    scan, split = apc.exact.find_violated_conflict, apc.exact.branch
+
+    def scan_spy(assignment, inst):
+        edge = scan(assignment, inst)
+        events.append(("scan", edge))
+        return edge
+
+    def branch_spy(masks, edge, partners):
+        events.append(("branch", edge, partners))
+        return split(masks, edge, partners)
+
+    monkeypatch.setattr("apc.exact.find_violated_conflict", scan_spy)
+    monkeypatch.setattr("apc.exact.branch", branch_spy)
+    splits = 0
+    for n, seed in ((6, 1), (8, 2), (10, 3), (12, 4)):
+        inst = generate_instance(n, max_conflict_pairs(n) // 10, 1, 50, seed=seed)
+        events.clear()
+        sol = solve_exact(inst, time_limit=60)
+        assert sol.status is SolveStatus.OPTIMAL
+        for before, event in zip(events, events[1:]):
+            if event[0] == "branch":
+                _, edge, partners = event
+                assert before == ("scan", edge) and edge is not None
+                assert partners is inst.partners[edge]
+                splits += 1
+        assert sum(e[0] == "branch" for e in events) == sum(
+            e[0] == "scan" and e[1] is not None for e in events
+        )
+    assert splits >= 20
 
 
 def test_branch_completeness_on_dense_instance():

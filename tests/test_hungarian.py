@@ -7,15 +7,15 @@ import random
 import pytest
 
 from apc.hungarian import MaskedCosts, solve_ap
-from apc.instance import Edge
 
 
 def min_over_permutations(costs, forbidden=frozenset(), forced=frozenset()):
-    """Reference answer by scanning all permutations; None when infeasible."""
+    """Reference answer by scanning all permutations; None when infeasible.
+    Masks hold edge ids i*n + j."""
     n = len(costs)
     best = None
     for perm in itertools.permutations(range(n)):
-        edges = {Edge(i, perm[i]) for i in range(n)}
+        edges = {i * n + perm[i] for i in range(n)}
         if edges & forbidden:
             continue
         if not forced <= edges:
@@ -35,8 +35,8 @@ def random_masked(rng, n):
     costs = random_costs(rng, n, hi=2)
     perm = list(range(n))
     rng.shuffle(perm)
-    forced = {Edge(i, perm[i]) for i in rng.sample(range(n), rng.randint(0, n // 3))}
-    free = [Edge(a, b) for a in range(n) for b in range(n) if Edge(a, b) not in forced]
+    forced = {i * n + perm[i] for i in rng.sample(range(n), rng.randint(0, n // 3))}
+    free = [e for e in range(n * n) if e not in forced]
     forbidden = rng.sample(free, rng.randint(0, len(free) * 3 // 5))
     return MaskedCosts(costs, frozenset(forbidden), frozenset(forced))
 
@@ -49,19 +49,19 @@ def certified_optimal(mc, result):
     """
     assignment, value, (u, v) = result
     n = mc.n
-    forced_rows, forced_cols = {a for a, _ in mc.forced}, {b for _, b in mc.forced}
+    forced_rows, forced_cols = {e // n for e in mc.forced}, {e % n for e in mc.forced}
     if sorted(assignment) != list(range(n)) or value != sum(
         mc.base[i][assignment[i]] for i in range(n)
     ):
         return False
-    if any(assignment[a] != b for a, b in mc.forced):
+    if any(assignment[e // n] != e % n for e in mc.forced):
         return False
-    if any(Edge(i, j) in mc.forbidden for i, j in enumerate(assignment)):
+    if any(i * n + j in mc.forbidden for i, j in enumerate(assignment)):
         return False
     for i in set(range(n)) - forced_rows:
         for j in set(range(n)) - forced_cols:
             slack = mc.base[i][j] - u[i] - v[j]
-            if Edge(i, j) not in mc.forbidden and slack < 0:
+            if i * n + j not in mc.forbidden and slack < 0:
                 return False
             if assignment[i] == j and slack != 0:
                 return False
@@ -75,14 +75,14 @@ def test_diagonal_dominance():
 
 
 def test_forbidden_edge_forces_the_other_matching():
-    mc = MaskedCosts(((1, 10), (10, 1)), forbidden=frozenset({Edge(0, 0)}))
+    mc = MaskedCosts(((1, 10), (10, 1)), forbidden=frozenset({0}))
     assignment, value = solve_ap(mc)[:2]
     assert assignment == (1, 0)
     assert value == 20
 
 
 def test_fully_blocked_row_is_infeasible():
-    mc = MaskedCosts(((1, 10), (10, 1)), forbidden=frozenset({Edge(0, 0), Edge(0, 1)}))
+    mc = MaskedCosts(((1, 10), (10, 1)), forbidden=frozenset({0, 1}))  # row 0
     assert solve_ap(mc) is None
 
 
@@ -109,8 +109,7 @@ def test_mask_soundness_sweep():
     for _ in range(80):
         n = rng.randint(2, 5)
         costs = random_costs(rng, n)
-        edges = [Edge(a, b) for a in range(n) for b in range(n)]
-        forbidden = frozenset(rng.sample(edges, rng.randint(0, n * n // 2)))
+        forbidden = frozenset(rng.sample(range(n * n), rng.randint(0, n * n // 2)))
         mc = MaskedCosts(costs, forbidden=forbidden)
         expect = min_over_permutations(costs, forbidden=forbidden)
         got = solve_ap(mc)
@@ -119,7 +118,7 @@ def test_mask_soundness_sweep():
         else:
             assignment, value = got[:2]
             assert value == expect
-            assert not {Edge(i, j) for i, j in enumerate(assignment)} & forbidden
+            assert not {i * n + j for i, j in enumerate(assignment)} & forbidden
 
 
 def test_forced_edges_are_kept():
@@ -129,7 +128,7 @@ def test_forced_edges_are_kept():
         costs = random_costs(rng, n)
         row = rng.randrange(n)
         col = rng.randrange(n)
-        forced = frozenset({Edge(row, col)})
+        forced = frozenset({row * n + col})
         assignment, value = solve_ap(MaskedCosts(costs, forced=forced))[:2]
         assert assignment[row] == col
         assert value == min_over_permutations(costs, forced=forced)
@@ -139,19 +138,24 @@ def test_forced_and_forbidden_must_not_overlap():
     with pytest.raises(ValueError):
         MaskedCosts(
             ((1, 2), (3, 4)),
-            forbidden=frozenset({Edge(0, 0)}),
-            forced=frozenset({Edge(0, 0)}),
+            forbidden=frozenset({0}),
+            forced=frozenset({0}),
         )
 
 
 def test_forced_edges_must_be_disjoint():
     with pytest.raises(ValueError):
-        MaskedCosts(((1, 2), (3, 4)), forced=frozenset({Edge(0, 0), Edge(0, 1)}))
+        MaskedCosts(((1, 2), (3, 4)), forced=frozenset({0, 1}))  # both in row 0
+    with pytest.raises(ValueError):
+        MaskedCosts(((1, 2), (3, 4)), forced=frozenset({0, 2}))  # both in column 0
 
 
 def test_masked_edge_out_of_range():
-    with pytest.raises(ValueError):
-        MaskedCosts(((1, 2), (3, 4)), forbidden=frozenset({Edge(2, 0)}))
+    for ids in ({4}, {-1}, {0, 4}):  # a 2x2 matrix has edge ids 0..3
+        with pytest.raises(ValueError):
+            MaskedCosts(((1, 2), (3, 4)), forbidden=frozenset(ids))
+        with pytest.raises(ValueError):
+            MaskedCosts(((1, 2), (3, 4)), forced=frozenset(ids))
 
 
 def test_scale_covariance():
@@ -226,12 +230,12 @@ def test_warm_solve_after_random_tightening_matches_cold():
             continue
         forbidden, forced = set(parent.forbidden), set(parent.forced)
         for i in rng.sample(range(n), rng.randint(0, min(2, n))):
-            if Edge(i, start[0][i]) not in forced:
-                forbidden.add(Edge(i, start[0][i]))
-        open_rows = [a for a in range(n) if all(a != f.a for f in forced)]
-        open_cols = [b for b in range(n) if all(b != f.b for f in forced)]
+            if i * n + start[0][i] not in forced:
+                forbidden.add(i * n + start[0][i])
+        open_rows = [a for a in range(n) if all(a != f // n for f in forced)]
+        open_cols = [b for b in range(n) if all(b != f % n for f in forced)]
         if open_rows and rng.random() < 0.5:
-            edge = Edge(rng.choice(open_rows), rng.choice(open_cols))
+            edge = rng.choice(open_rows) * n + rng.choice(open_cols)
             if edge not in forbidden:
                 forced.add(edge)
         child = MaskedCosts(parent.base, frozenset(forbidden), frozenset(forced))

@@ -207,17 +207,22 @@ def test_round_trip_random_instances(n, frac, seed):
     assert parsed == inst and hash(parsed) == hash(inst)
 
 
-@pytest.mark.parametrize("n,m,seed", [(1, 0, 1), (3, 20, 2), (5, 150, 3), (7, 0, 4)])
+@pytest.mark.parametrize(
+    "n,m,seed", [(1, 0, 1), (3, 20, 2), (5, 150, 3), (7, 0, 4), (20, 600, 5)]
+)
 def test_partners_index_holds_each_pair_at_both_endpoints(n, m, seed):
     inst = generate_instance(n, m, 1, 30, seed)
     expected = [[] for _ in range(n * n)]
-    for pair in inst.conflicts:
-        expected[pair.e1.a * n + pair.e1.b].append(pair.e2)
-        expected[pair.e2.a * n + pair.e2.b].append(pair.e1)
+    for (a1, b1), (a2, b2) in inst.conflicts:
+        expected[a1 * n + b1].append(a2 * n + b2)
+        expected[a2 * n + b2].append(a1 * n + b1)
     assert len(inst.partners) == n * n
     for got, want in zip(inst.partners, expected):
         assert sorted(got) == sorted(want)
     assert sum(len(p) for p in inst.partners) == 2 * m
+    # every id is one shared int object (ids above 256 are not cached by Python)
+    ids = {}
+    assert all(ids.setdefault(e, e) is e for p in inst.partners for e in p)
 
 
 def test_partners_index_rejects_out_of_range_conflicts():
