@@ -21,6 +21,7 @@ The ``# name:`` comment is optional and carries the instance name through a
 write/parse round trip; parsers that discard comments read the same data.
 """
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -53,15 +54,17 @@ class _EdgePair(NamedTuple):
 class ConflictPair(_EdgePair):
     """Unordered pair of distinct edges that cannot both be selected.
 
-    A canonical tuple: both edges are coerced to :class:`Edge` and stored in
-    lexicographic order, so a pair built from (e2, e1) is the same tuple as
-    one built from (e1, e2), and pairs compare and hash as tuples do.
+    A canonical tuple of two :class:`Edge` in lexicographic order, so a pair
+    built from (e2, e1) is the same tuple as one built from (e1, e2), and
+    pairs compare and hash as tuples do. An ``Edge`` argument is kept as
+    that very object, so pairs can share edges; anything else is coerced.
     """
 
     __slots__ = ()
 
     def __new__(cls, e1, e2):
-        e1, e2 = Edge(*e1), Edge(*e2)
+        e1 = e1 if type(e1) is Edge else Edge(*e1)
+        e2 = e2 if type(e2) is Edge else Edge(*e2)
         if e1 == e2:
             raise DegenerateConflictError(
                 f"conflict pair needs two distinct edges, got {e1} twice"
@@ -69,6 +72,17 @@ class ConflictPair(_EdgePair):
         if e2 < e1:
             e1, e2 = e2, e1
         return super().__new__(cls, e1, e2)
+
+
+class _EdgeTable(dict):
+    """One shared :class:`Edge` per used grid cell, keyed by its id a*n + b."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __missing__(self, key: int) -> Edge:
+        edge = self[key] = Edge(*divmod(key, self.n))
+        return edge
 
 
 @dataclass(frozen=True)
@@ -106,7 +120,7 @@ class Instance:
         ids = list(range(n * n))
         adj: list[list[int]] = [[] for _ in ids]
         for (a1, b1), (a2, b2) in self.conflicts:
-            if not 0 <= min(a1, b1, a2, b2) <= max(a1, b1, a2, b2) < n:
+            if not (0 <= a1 < n and 0 <= b1 < n and 0 <= a2 < n and 0 <= b2 < n):
                 raise IndexOutOfRangeError(
                     f"conflict {(a1, b1)}-{(a2, b2)} outside the {n}x{n} grid"
                 )
@@ -140,7 +154,8 @@ def parse_instance(source: str | IO[str]) -> Instance:
     :class:`~apc.errors.FormatError` subclass naming the first problem found:
     MalformedHeaderError, DimensionMismatchError, IndexOutOfRangeError,
     DegenerateConflictError, DuplicateConflictError or NegativeCostError.
-    Duplicate conflict lines are an error, never merged silently.
+    Duplicate conflict lines are an error, never merged silently. The pairs
+    share one :class:`Edge` object per used grid cell, not two per line.
     """
     text = source.read() if hasattr(source, "read") else source
     name = ""
@@ -220,21 +235,24 @@ def parse_instance(source: str | IO[str]) -> Instance:
         )
     (m,) = count
 
+    edges = _EdgeTable(n)
     conflicts: set[ConflictPair] = set()
-    for k in range(m):
-        lineno, line = take(f"conflict line {k + 1} of {m}")
-        idx = ints(line.split())
-        if idx is None or len(idx) != 4:
+    for lineno, line in itertools.islice(lines, m):
+        try:
+            a1, b1, a2, b2 = map(int, line.split())
+        except ValueError:  # a token that is not an int, or not 4 tokens
             raise MalformedHeaderError(
                 f"line {lineno}: conflict line must hold 4 integers, got {line!r}"
-            )
-        if min(idx) < 0 or max(idx) >= n:
-            bad = next(i for i in idx if not 0 <= i < n)
+            ) from None
+        if not (0 <= a1 < n and 0 <= b1 < n and 0 <= a2 < n and 0 <= b2 < n):
+            bad = next(i for i in (a1, b1, a2, b2) if not 0 <= i < n)
             raise IndexOutOfRangeError(f"line {lineno}: index {bad} outside [0, {n})")
         before = len(conflicts)
-        conflicts.add(ConflictPair(idx[:2], idx[2:]))
+        conflicts.add(ConflictPair(edges[a1 * n + b1], edges[a2 * n + b2]))
         if len(conflicts) == before:
             raise DuplicateConflictError(f"line {lineno}: duplicate conflict {line!r}")
+    if len(conflicts) < m:  # the lines ran out, so take() raises
+        take(f"conflict line {len(conflicts) + 1} of {m}")
 
     extra = next(lines, None)
     if extra is not None:
@@ -312,10 +330,11 @@ def generate_instance(
         tuple(rng.randint(cost_lo, cost_hi) for _ in range(n)) for _ in range(n)
     )
     num_edges = n * n
+    edges = _EdgeTable(n)
     conflicts = set()
     for rank in rng.sample(range(limit), m) if m else ():
         eu, ev = _unrank_edge_pair(rank, num_edges)
-        conflicts.add(ConflictPair(divmod(eu, n), divmod(ev, n)))
+        conflicts.add(ConflictPair(edges[eu], edges[ev]))
     if name is None:
         name = f"apc-n{n}-m{m}-s{seed}"
     return Instance(name=name, n=n, costs=costs, conflicts=frozenset(conflicts))

@@ -3,6 +3,10 @@
 import hashlib
 import itertools
 import pickle
+import random
+import re
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +69,30 @@ def test_parse_reads_stream():
     assert inst.n == 1
 
 
+_HEAD_2 = "APC 1\nn 2\ncosts\n1 2\n3 4\n"
+
+# the full message of each conflict-block error, as the parser reports it
+CONFLICT_BLOCK_MESSAGES = {
+    _HEAD_2 + "conflicts 1\n0 0 1\n":
+        "line 7: conflict line must hold 4 integers, got '0 0 1'",
+    _HEAD_2 + "conflicts 1\n0 0 1 1 0\n":
+        "line 7: conflict line must hold 4 integers, got '0 0 1 1 0'",
+    _HEAD_2 + "conflicts 1\n0 0 1 y\n":
+        "line 7: conflict line must hold 4 integers, got '0 0 1 y'",
+    _HEAD_2 + "conflicts 1\n0 5 7 1\n": "line 7: index 5 outside [0, 2)",
+    _HEAD_2 + "conflicts 1\n0 0 2 1\n": "line 7: index 2 outside [0, 2)",
+    _HEAD_2 + "conflicts 1\n0 -1 1 1\n": "line 7: index -1 outside [0, 2)",
+    _HEAD_2 + "conflicts 2\n0 0 1 1\n":
+        "unexpected end of document, expected conflict line 2 of 2",
+    "APC 1\nn 1\ncosts\n7\nconflicts 1\n":
+        "unexpected end of document, expected conflict line 1 of 1",
+    _HEAD_2 + "conflicts 1\n0 0 0 0\n":
+        "conflict pair needs two distinct edges, got Edge(a=0, b=0) twice",
+    _HEAD_2 + "conflicts 2\n0 0 1 1\n0 0 1 1\n": "line 8: duplicate conflict '0 0 1 1'",
+    _HEAD_2 + "conflicts 2\n0 0 1 1\n1 1 0 0\n": "line 8: duplicate conflict '1 1 0 0'",
+}
+
+
 @pytest.mark.parametrize(
     "doc,error",
     [
@@ -101,10 +129,13 @@ def test_parse_reads_stream():
         ),
         ("APC 1\nn 2\ncosts\n1 2\n3 4\nconflicts 1\n0 0 1 y\n", MalformedHeaderError),
         ("APC 1\nn 2\ncosts\n1 2\n3 4\nconflicts 1\n0 -1 1 1\n", IndexOutOfRangeError),
+        ("APC 1\nn 2\ncosts\n1 2\n3 4\nconflicts 1\n0 5 7 1\n", IndexOutOfRangeError),
+        ("APC 1\nn 2\ncosts\n1 2\n3 4\nconflicts 2\n0 0 1 1\n", MalformedHeaderError),
     ],
 )
 def test_parse_errors(doc, error):
-    with pytest.raises(error):
+    message = CONFLICT_BLOCK_MESSAGES.get(doc)
+    with pytest.raises(error, match=None if message is None else f"^{re.escape(message)}$"):
         parse_instance(doc)
 
 
@@ -223,6 +254,50 @@ def test_partners_index_holds_each_pair_at_both_endpoints(n, m, seed):
     # every id is one shared int object (ids above 256 are not cached by Python)
     ids = {}
     assert all(ids.setdefault(e, e) is e for p in inst.partners for e in p)
+
+
+def _edges_are_shared(inst):
+    ids = {}
+    return all(ids.setdefault(e, e) is e for pair in inst.conflicts for e in pair)
+
+
+def test_conflict_edges_are_shared():
+    e1, e2 = Edge(0, 1), Edge(2, 3)
+    pair = ConflictPair(e2, e1)
+    assert pair.e1 is e1 and pair.e2 is e2
+    coerced = ConflictPair([2, 3], (0, 1))
+    assert coerced == pair
+    assert type(coerced.e1) is Edge and type(coerced.e2) is Edge
+
+    generated = generate_instance(12, 2000, 1, 30, 7)
+    assert _edges_are_shared(generated)
+    head, _, body = write_instance(generated).partition("conflicts 2000\n")
+    lines = body.splitlines()
+    random.Random(3).shuffle(lines)
+    parsed = parse_instance(head + "conflicts 2000\n" + "\n".join(lines) + "\n")
+    assert parsed == generated
+    assert _edges_are_shared(parsed)
+    again = pickle.loads(pickle.dumps(parsed))
+    assert again == parsed
+    assert _edges_are_shared(again)
+
+
+def test_sparse_instance_memory_does_not_scale_with_the_grid():
+    # an eager n*n table of Edge objects would add about 7 MB at n = 300
+    def peak(m):
+        tracemalloc.start()
+        try:
+            inst = generate_instance(300, m, 1, 100, 1)
+            return tracemalloc.get_traced_memory()[1], inst
+        finally:
+            tracemalloc.stop()
+
+    sparse, inst = peak(5)
+    assert sparse - peak(0)[0] <= 1.5 * 2**20
+    # ... also when the table would be built for m = 0 too: the cost matrix
+    # is the only thing that should scale with n*n
+    matrix = sys.getsizeof(inst.costs) + sum(map(sys.getsizeof, inst.costs))
+    assert sparse - matrix <= 1.5 * 2**20
 
 
 def test_partners_index_rejects_out_of_range_conflicts():
