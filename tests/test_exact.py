@@ -343,3 +343,40 @@ def test_seeding_heuristic_stays_inside_a_short_time_limit(monkeypatch):
     monkeypatch.setattr("apc.exact.run_heuristic", spy)
     solve_exact(generate_instance(4, 10, 1, 100, seed=1), time_limit=0.01)
     assert budgets and all(b <= 0.01 for b in budgets)
+
+
+def test_search_end_states_are_pinned():
+    # (status, value, lower_bound, nodes) of every way a search can end: a
+    # proof by the first conflict-free relaxation, a proof of infeasibility,
+    # a node limit with and without an incumbent, and a limit that strikes
+    # after the incumbent is proven
+    mid = generate_instance(7, 400, 1, 100, seed=2024)
+    opt, feas, infeas, nosol = (
+        SolveStatus.OPTIMAL,
+        SolveStatus.FEASIBLE,
+        SolveStatus.INFEASIBLE,
+        SolveStatus.NO_SOLUTION,
+    )
+    cases = [
+        (DIAG, {}, (opt, 20, 20, 1)),
+        (BOTH_BLOCKED, {}, (infeas, None, None, 2)),
+        (mid, {"node_limit": 1}, (nosol, None, 198, 1)),
+        (mid, {"node_limit": 1, "heuristic_seed": 18}, (feas, 435, 198, 1)),
+        (mid, {}, (opt, 375, 375, 30)),
+        (mid, {"seed_incumbent": False}, (opt, 375, 375, 30)),
+        (generate_instance(3, 4, 1, 100, 1), {"node_limit": 0}, (opt, 109, 109, 0)),
+        (generate_instance(12, 3000, 1, 100, 1), {}, (infeas, None, None, 2996)),
+        (
+            generate_instance(15, 5000, 1, 100, 1),
+            {"node_limit": 200},
+            (nosol, None, 309, 200),
+        ),
+        (
+            generate_instance(30, 20000, 1, 100, 1),
+            {"node_limit": 40},
+            (feas, 556, 204, 40),
+        ),
+    ]
+    for inst, limits, expected in cases:
+        sol = solve_exact(inst, **limits)
+        assert (sol.status, sol.value, sol.lower_bound, sol.nodes) == expected, limits
