@@ -167,10 +167,6 @@ def _run_unit(args: tuple) -> tuple[list[InstanceResult], int | None]:
                     time_limit=time_limit, restarts=HEURISTIC_RESTARTS, rng_seed=seed
                 ),
             )
-            if sol is None:
-                # no feasible solution found within the restart budget; this
-                # is not a proof of infeasibility
-                sol = Solution(None, None, SolveStatus.NO_SOLUTION)
         solutions[method] = sol
     proven = [
         sol.value
@@ -287,9 +283,12 @@ def run_benchmark(
             writer = csv.writer(csv_file, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
             csv_file.flush()
+        # a pool starts all its workers at the first submit, so it gets no
+        # more than there are instances
+        workers = min(jobs, len(units))
         solve_all = map
-        if jobs > 1:
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+        if workers > 1:
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
             solve_all = stack.enter_context(pool).map
         # Both maps yield in submission order, so the file content and order
         # are independent of worker scheduling, and the outputs of each group

@@ -16,7 +16,6 @@ from .heuristic import LSConfig, run_heuristic
 from .instance import generate_instance, parse_instance, write_instance
 from .model import build_model, check_feasible, evaluate, export_lp
 from .oracle import brute_force
-from .solution import Solution, SolveStatus
 
 
 def _read_instance(path: Path):
@@ -52,10 +51,7 @@ def _cmd_solve(args) -> int:
         cfg = LSConfig(
             time_limit=args.time_limit, restarts=args.restarts, rng_seed=args.seed
         )
-        found = run_heuristic(inst, cfg)
-        sol = found if found is not None else Solution(
-            assignment=None, value=None, status=SolveStatus.NO_SOLUTION
-        )
+        sol = run_heuristic(inst, cfg)
 
     print(f"status {sol.status}")
     print(f"value {'-' if sol.value is None else sol.value}")

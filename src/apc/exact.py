@@ -19,7 +19,7 @@ import time
 from .heuristic import LSConfig, run_heuristic
 from .hungarian import MaskedCosts, solve_ap
 from .instance import Instance
-from .model import _require_permutation, check_feasible, evaluate
+from .model import _require_permutation
 from .solution import Solution, SolveStatus
 
 
@@ -68,7 +68,6 @@ def solve_exact(
     *,
     time_limit: float = 3600.0,
     node_limit: int | None = None,
-    initial_incumbent: Solution | None = None,
     seed_incumbent: bool = True,
     heuristic_seed: int = 0,
 ) -> Solution:
@@ -77,11 +76,13 @@ def solve_exact(
     Node selection is best-first on the relaxation bound, tie-broken by depth
     (deeper first) then insertion order, so runs are deterministic whenever no
     limit triggers. With `seed_incumbent` the root incumbent comes from a
-    short greedy+descent run. Statuses: Optimal / Infeasible when the search
-    completes or a limit stops it with no open bound below the incumbent,
-    TimeLimit / Feasible (node limit) with the best incumbent and the best
-    open bound otherwise, NoSolution (with the best open bound) when a limit
-    stops the search before any incumbent is found.
+    short greedy+descent run; the only other incumbent is the first
+    conflict-free relaxation popped, which ends the search. The status is set
+    once, after the search: Optimal / Infeasible when the search completes or
+    a limit stops it with no open bound below the incumbent, TimeLimit /
+    Feasible (node limit) with the best incumbent and the best open bound
+    otherwise, NoSolution (with the best open bound) when a limit stops the
+    search before any incumbent is found.
     """
     if not time_limit > 0:  # also rejects NaN
         raise ValueError(f"time_limit must be positive, got {time_limit}")
@@ -93,33 +94,14 @@ def solve_exact(
     inc_assignment: tuple[int, ...] | None = None
     inc_value: int | None = None
     sec_best = 0.0
-
-    def consider(assignment, value: int) -> None:
-        nonlocal inc_assignment, inc_value, sec_best
-        if inc_value is None or value < inc_value:
-            inc_assignment = tuple(assignment)
-            inc_value = value
-            sec_best = time.perf_counter() - start
-
-    if initial_incumbent is not None:
-        if initial_incumbent.assignment is None or not check_feasible(
-            inst, initial_incumbent.assignment
-        ).feasible:
-            raise ValueError("initial incumbent is not conflict-feasible")
-        consider(
-            initial_incumbent.assignment,
-            evaluate(inst, initial_incumbent.assignment),
-        )
-    elif seed_incumbent and inst.conflicts:
+    if seed_incumbent and inst.conflicts:
         budget = min(1.0, 0.05 * time_limit)
         seeded = run_heuristic(
-            inst,
-            LSConfig(
-                max_passes=200, time_limit=budget, restarts=2, rng_seed=heuristic_seed
-            ),
+            inst, LSConfig(time_limit=budget, restarts=2, rng_seed=heuristic_seed)
         )
-        if seeded is not None:
-            consider(seeded.assignment, seeded.value)
+        if seeded.value is not None:
+            inc_assignment, inc_value = seeded.assignment, seeded.value
+            sec_best = time.perf_counter() - start
 
     partners = inst.partners
     nodes = 0
@@ -132,30 +114,25 @@ def solve_exact(
     if root_res is not None:
         heapq.heappush(heap, (root_res[1], 0, next(tiebreak), root, root_res))
 
-    status = None
-    open_bound: int | None = None
+    limit = None  # the status of the limit that stopped the search, if one did
     while heap:
         if node_limit is not None and nodes >= node_limit:
-            status = SolveStatus.FEASIBLE
-            open_bound = heap[0][0]
+            limit = SolveStatus.FEASIBLE
             break
         if time.perf_counter() > deadline:
-            status = SolveStatus.TIME_LIMIT
-            open_bound = heap[0][0]
+            limit = SolveStatus.TIME_LIMIT
             break
         bound, neg_depth, _, masks, res = heapq.heappop(heap)
         nodes += 1
         if inc_value is not None and bound >= inc_value:
             # Best-first: every open node is at least this bound, so the
             # incumbent is proven optimal.
-            status = SolveStatus.OPTIMAL
-            open_bound = inc_value
             break
         edge = find_violated_conflict(res[0], inst)
         if edge is None:
-            consider(res[0], bound)
-            status = SolveStatus.OPTIMAL
-            open_bound = inc_value
+            # the best open relaxation is conflict-free, so it is optimal
+            inc_assignment, inc_value = res[0], bound
+            sec_best = time.perf_counter() - start
             break
         # Disjoint dichotomy on the edge in the most violated pairs: drop it
         # entirely, or commit to it (which excludes every edge it conflicts
@@ -172,16 +149,17 @@ def solve_exact(
             heapq.heappush(
                 heap, (child_value, neg_depth - 1, next(tiebreak), child, child_res)
             )
+
+    # A search that was not stopped by a limit has proven its incumbent
+    # optimal, or the instance infeasible; so has a stopped one whose open
+    # bounds all reach the incumbent.
+    if limit is not None and (inc_value is None or heap[0][0] < inc_value):
+        status = limit if inc_value is not None else SolveStatus.NO_SOLUTION
+        lower_bound = heap[0][0]
     else:
         status = SolveStatus.INFEASIBLE if inc_value is None else SolveStatus.OPTIMAL
-        open_bound = inc_value
-
+        lower_bound = inc_value
     sec_total = time.perf_counter() - start
-    if status in (SolveStatus.TIME_LIMIT, SolveStatus.FEASIBLE):
-        if inc_value is None:
-            status = SolveStatus.NO_SOLUTION
-        elif open_bound >= inc_value:  # the limit struck after the proof
-            status, open_bound = SolveStatus.OPTIMAL, inc_value
     return Solution(
         assignment=inc_assignment,
         value=inc_value,
@@ -189,5 +167,5 @@ def solve_exact(
         sec_best=min(sec_best, sec_total),
         sec_total=sec_total,
         nodes=nodes,
-        lower_bound=open_bound,
+        lower_bound=lower_bound,
     )

@@ -18,15 +18,15 @@ from .solution import Solution, SolveStatus
 
 @dataclass(frozen=True)
 class LSConfig:
-    """Knobs for the improvement loop and the restart driver."""
+    """Knobs for the restart driver: one time budget shared by every restart
+    and its descent, the restart count, and the seed the restarts draw from."""
 
-    max_passes: int = 1000
     time_limit: float = 3600.0
     restarts: int = 1
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_passes < 1 or self.restarts < 1 or not self.time_limit > 0:
+        if self.restarts < 1 or not self.time_limit > 0:
             raise ValueError(f"all limits must be positive, got {self}")
 
 
@@ -126,7 +126,7 @@ def local_search(inst: Instance, start: Solution, cfg: LSConfig) -> Solution:
     """Steepest descent over column swaps between row pairs.
 
     Each pass applies the single best strictly-improving admissible swap;
-    the loop stops at a local optimum, the pass limit or the time limit.
+    the loop stops at a local optimum or at the time limit.
     The result is never worse than the start and stays conflict-feasible.
     """
     report = check_feasible(inst, start.assignment)
@@ -144,9 +144,7 @@ def local_search(inst: Instance, start: Solution, cfg: LSConfig) -> Solution:
     deadline = t0 + cfg.time_limit
     improved_at = 0.0
 
-    for _ in range(cfg.max_passes):
-        if time.perf_counter() > deadline:
-            break
+    while time.perf_counter() <= deadline:
         best_delta = 0
         best_move = None
         for i in range(n):
@@ -177,12 +175,13 @@ def local_search(inst: Instance, start: Solution, cfg: LSConfig) -> Solution:
     )
 
 
-def run_heuristic(inst: Instance, cfg: LSConfig) -> Solution | None:
+def run_heuristic(inst: Instance, cfg: LSConfig) -> Solution:
     """Best of `cfg.restarts` greedy+descent runs under one time budget.
 
     Restart seeds are drawn sequentially from cfg.rng_seed, so the best value
-    over k restarts is non-increasing in k for a fixed seed. Returns None when
-    no restart produces a feasible solution (not a proof of infeasibility).
+    over k restarts is non-increasing in k for a fixed seed. When no restart
+    produces a feasible solution the result has status NoSolution and no
+    assignment; that is not a proof of infeasibility.
     """
     start = time.perf_counter()
     deadline = start + cfg.time_limit
@@ -201,9 +200,9 @@ def run_heuristic(inst: Instance, cfg: LSConfig) -> Solution | None:
         if best is None or improved.value < best.value:
             best = improved
             best_at = time.perf_counter() - start
-    if best is None:
-        return None
     total = time.perf_counter() - start
+    if best is None:
+        return Solution(None, None, SolveStatus.NO_SOLUTION, sec_total=total)
     return replace(best, sec_best=best_at, sec_total=total)
 
 

@@ -5,7 +5,7 @@ subject to: each left node assigned exactly once, each right node covered
 exactly once, and at most one edge selected from every conflict pair.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotAPermutationError
@@ -16,11 +16,10 @@ from .instance import ConflictPair, Edge, Instance
 class ModelIR:
     """Backend-neutral binary program.
 
-    Variables are indexed 0..num_vars-1 with edge (a, b) mapped to a*n + b;
-    ``var_map`` records the full bijection explicitly. Row and column
-    constraints are equalities summing their variables to 1; conflict
-    constraints are pairs (u, v) read as x_u + x_v <= 1. All variables are
-    binary.
+    Variables are indexed 0..num_vars-1 with edge (a, b) mapped to a*n + b,
+    which ``edge_of`` inverts. Row and column constraints are equalities
+    summing their variables to 1; conflict constraints are pairs (u, v) read
+    as x_u + x_v <= 1. All variables are binary.
     """
 
     n: int
@@ -29,7 +28,6 @@ class ModelIR:
     row_constraints: tuple[tuple[int, ...], ...]
     col_constraints: tuple[tuple[int, ...], ...]
     conflict_constraints: tuple[tuple[int, int], ...]
-    var_map: dict[Edge, int] = field(repr=False)
 
     def edge_of(self, var: int) -> Edge:
         return Edge(var // self.n, var % self.n)
@@ -66,7 +64,6 @@ class FeasibilityReport:
 def build_model(inst: Instance) -> ModelIR:
     """Translate an instance into the binary program IR."""
     n = inst.n
-    var_map = {Edge(i, j): i * n + j for i in range(n) for j in range(n)}
     objective = tuple(
         (i * n + j, inst.costs[i][j]) for i in range(n) for j in range(n)
     )
@@ -74,7 +71,7 @@ def build_model(inst: Instance) -> ModelIR:
     cols = tuple(tuple(i * n + j for i in range(n)) for j in range(n))
     # flat 4-tuples sort faster than the nested pairs, in the same order
     conflicts = tuple(
-        (var_map[a1, b1], var_map[a2, b2])
+        (a1 * n + b1, a2 * n + b2)
         for a1, b1, a2, b2 in sorted(p.e1 + p.e2 for p in inst.conflicts)
     )
     return ModelIR(
@@ -84,7 +81,6 @@ def build_model(inst: Instance) -> ModelIR:
         row_constraints=rows,
         col_constraints=cols,
         conflict_constraints=conflicts,
-        var_map=var_map,
     )
 
 

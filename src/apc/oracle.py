@@ -46,27 +46,18 @@ def brute_force(inst: Instance) -> Solution:
             f"brute force is guarded to n <= {BRUTE_FORCE_MAX_N}, got n = {inst.n}"
         )
     start = time.perf_counter()
-    best = min(_feasible_permutations(inst), key=lambda pv: pv[1], default=None)
+    perm, value = min(
+        _feasible_permutations(inst), key=lambda pv: pv[1], default=(None, None)
+    )
     elapsed = time.perf_counter() - start
-    count = math.factorial(inst.n)
-    if best is None:
-        return Solution(
-            assignment=None,
-            value=None,
-            status=SolveStatus.INFEASIBLE,
-            sec_best=elapsed,
-            sec_total=elapsed,
-            nodes=count,
-        )
-    best_perm, best_value = best
     return Solution(
-        assignment=best_perm,
-        value=best_value,
-        status=SolveStatus.OPTIMAL,
+        assignment=perm,
+        value=value,
+        status=SolveStatus.INFEASIBLE if perm is None else SolveStatus.OPTIMAL,
         sec_best=elapsed,
         sec_total=elapsed,
-        nodes=count,
-        lower_bound=best_value,
+        nodes=math.factorial(inst.n),
+        lower_bound=value,
     )
 
 

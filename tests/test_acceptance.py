@@ -113,7 +113,7 @@ def test_criterion_4_heuristic_sandwich():
         if truth.status is not SolveStatus.OPTIMAL:
             continue
         sol = run_heuristic(inst, LSConfig(restarts=10, rng_seed=idx))
-        if sol is None:
+        if sol.value is None:
             # bounded-repair greedy may legitimately give up on very dense
             # conflict sets; it must never fail without conflicts
             if not inst.conflicts:

@@ -89,6 +89,33 @@ def test_parallel_matches_serial(tmp_path):
     assert len(serial_csv.read_text().splitlines()) == 1 + 6
 
 
+def test_pool_has_no_more_workers_than_instances(monkeypatch):
+    made = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    # concurrent.futures loads its pool class (and multiprocessing) on first
+    # use, which is why bench reads the class through that module
+    monkeypatch.setattr(
+        "apc.bench.concurrent.futures.ProcessPoolExecutor", InProcessPool
+    )
+    two = run_benchmark([make_group(4, 0, replicate_count=2)], ("exact",), 30.0, jobs=8)
+    assert made == [2] and len(two[0].results) == 2
+    run_benchmark([make_group(4, 0, replicate_count=1)], ("exact",), 30.0, jobs=8)
+    assert made == [2]
+
+
 def test_empty_heuristic_is_no_solution_not_infeasible():
     # every edge pair conflicts: exact proves infeasibility, the heuristic
     # only fails to find a solution

@@ -18,7 +18,7 @@ from apc.instance import (
 )
 from apc.model import check_feasible, evaluate
 from apc.oracle import brute_force, enumerate_feasible
-from apc.solution import SolveStatus
+from apc.solution import Solution, SolveStatus
 
 DIAG = Instance.from_costs([[1, 10], [10, 1]], [((0, 0), (1, 1))])
 BOTH_BLOCKED = Instance.from_costs(
@@ -274,20 +274,6 @@ def test_determinism():
     )
 
 
-def test_initial_incumbent_is_used():
-    opt = brute_force(DIAG)
-    sol = solve_exact(DIAG, time_limit=10, initial_incumbent=opt)
-    assert sol.status is SolveStatus.OPTIMAL
-    assert sol.value == opt.value
-
-
-def test_initial_incumbent_must_be_feasible():
-    bad = brute_force(Instance.from_costs([[1, 10], [10, 1]]))  # ignores conflicts
-    assert bad.assignment == (0, 1)
-    with pytest.raises(ValueError):
-        solve_exact(DIAG, time_limit=10, initial_incumbent=bad)
-
-
 def _solution_iff_solved(sol):
     # a run returns an assignment exactly when it neither proved infeasibility
     # nor stopped empty-handed
@@ -304,10 +290,11 @@ def test_node_limit_interrupts():
     assert sol.status is SolveStatus.NO_SOLUTION and _solution_iff_solved(sol)
     assert sol.nodes == 1
     assert sol.lower_bound is not None and sol.lower_bound <= full.value
-    seeded = solve_exact(inst, time_limit=30, node_limit=1, initial_incumbent=full)
+    # with heuristic_seed=18 the seed finds an incumbent the limit leaves unproven
+    seeded = solve_exact(inst, time_limit=30, node_limit=1, heuristic_seed=18)
     assert seeded.status is SolveStatus.FEASIBLE and _solution_iff_solved(seeded)
     assert seeded.nodes == 1
-    assert seeded.value == full.value and seeded.lower_bound <= full.value
+    assert seeded.value == 435 and seeded.lower_bound == 198 <= full.value
 
 
 def test_time_limit_status():
@@ -338,7 +325,7 @@ def test_seeding_heuristic_stays_inside_a_short_time_limit(monkeypatch):
 
     def spy(inst, cfg):
         budgets.append(cfg.time_limit)
-        return None
+        return Solution(None, None, SolveStatus.NO_SOLUTION)
 
     monkeypatch.setattr("apc.exact.run_heuristic", spy)
     solve_exact(generate_instance(4, 10, 1, 100, seed=1), time_limit=0.01)

@@ -109,9 +109,9 @@ def test_heuristic_never_beats_the_oracle():
         opt = brute_force(inst)
         sol = run_heuristic(inst, LSConfig(restarts=3, rng_seed=seed))
         if opt.status is SolveStatus.INFEASIBLE:
-            assert sol is None or check_feasible(inst, sol.assignment).feasible
+            assert sol.value is None or check_feasible(inst, sol.assignment).feasible
             continue
-        if sol is not None:
+        if sol.value is not None:
             assert sol.value >= opt.value
             gaps.append(gap_percent(sol.value, opt.value))
     assert gaps and all(g >= 0 for g in gaps)
@@ -146,8 +146,6 @@ def test_gap_percent():
 
 def test_lsconfig_rejects_bad_limits():
     with pytest.raises(ValueError):
-        LSConfig(max_passes=0)
-    with pytest.raises(ValueError):
         LSConfig(time_limit=0)
     with pytest.raises(ValueError):
         LSConfig(restarts=0)
@@ -181,7 +179,7 @@ def test_heuristic_output_is_pinned():
     for n, m, s in rows:
         inst = generate_instance(n, m, 1, 100, s)
         sol = run_heuristic(inst, LSConfig(restarts=5, rng_seed=s))
-        results.append(None if sol is None else (sol.assignment, sol.value))
+        results.append(None if sol.value is None else (sol.assignment, sol.value))
     assert sum(r is None for r in results) == 4
     digest = "64a2b1aca1233b8df547310b40a4589d164f7ae49c30f69339dbec11ea72f608"
     assert hashlib.sha256(repr(results).encode()).hexdigest() == digest

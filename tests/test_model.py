@@ -64,10 +64,9 @@ def test_build_model_counts_match_generated_instance():
 def test_var_map_is_bijection():
     inst = generate_instance(6, 0, 1, 9, seed=2)
     ir = build_model(inst)
-    assert len(ir.var_map) == 36
-    assert sorted(ir.var_map.values()) == list(range(36))
-    for edge, var in ir.var_map.items():
-        assert ir.edge_of(var) == edge
+    assert ir.num_vars == 36
+    grid = [Edge(i, j) for i in range(6) for j in range(6)]
+    assert [ir.edge_of(var) for var in range(ir.num_vars)] == grid
 
 
 def test_every_var_in_one_row_and_one_col():
@@ -207,6 +206,6 @@ def test_ir_objective_agrees_with_evaluate(data, seed):
     inst = generate_instance(5, 30, 1, 50, seed=seed)
     perm = data.draw(st.permutations(range(5)))
     ir = build_model(inst)
-    selected = {ir.var_map[Edge(i, j)] for i, j in enumerate(perm)}
+    selected = {i * inst.n + j for i, j in enumerate(perm)}
     ir_value = sum(coeff for var, coeff in ir.objective if var in selected)
     assert ir_value == evaluate(inst, perm)
