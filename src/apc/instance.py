@@ -23,7 +23,9 @@ write/parse round trip; parsers that discard comments read the same data.
 
 import itertools
 import math
+import operator
 import random
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, NamedTuple
@@ -56,8 +58,8 @@ class ConflictPair(_EdgePair):
 
     A canonical tuple of two :class:`Edge` in lexicographic order, so a pair
     built from (e2, e1) is the same tuple as one built from (e1, e2), and
-    pairs compare and hash as tuples do. An ``Edge`` argument is kept as
-    that very object, so pairs can share edges; anything else is coerced.
+    pairs compare and hash as tuples do. An ``Edge`` argument is kept as it
+    is; anything else is coerced.
     """
 
     __slots__ = ()
@@ -74,57 +76,132 @@ class ConflictPair(_EdgePair):
         return super().__new__(cls, e1, e2)
 
 
-class _EdgeTable(dict):
-    """One shared :class:`Edge` per used grid cell, keyed by its id a*n + b."""
+class ConflictSet(Set):
+    """Read-only set of the :class:`ConflictPair` of an n x n instance.
 
-    def __init__(self, n: int):
+    It holds only int keys: the pair of edge ids ``u = a1*n + b1 < v =
+    a2*n + b2`` is the key ``u*n*n + v``, so sorted keys follow the pairs'
+    own order. Iterating builds each pair as it goes and keeps none, because
+    the cyclic GC walks every live tuple subclass on each collection and
+    never a plain int. ``len`` and ``in`` work on the keys; any set of the
+    same pairs compares equal and hashes alike.
+    """
+
+    __slots__ = ("n", "keys")
+
+    def __init__(self, n: int, keys: frozenset[int]):
         self.n = n
+        self.keys = keys
 
-    def __missing__(self, key: int) -> Edge:
-        edge = self[key] = Edge(*divmod(key, self.n))
-        return edge
+    @classmethod
+    def from_pairs(cls, n: int, pairs: Iterable) -> "ConflictSet":
+        """Coerce any iterable of pairs of (a, b) edges.
+
+        Raises IndexOutOfRangeError for an edge outside the n x n grid and
+        DegenerateConflictError for a pair of one edge twice.
+        """
+        if isinstance(pairs, cls) and pairs.n == n:
+            return pairs
+        nn = n * n
+        keys = set()
+        for (a1, b1), (a2, b2) in pairs:
+            a1, b1, a2, b2 = map(operator.index, (a1, b1, a2, b2))
+            if not (0 <= a1 < n and 0 <= b1 < n and 0 <= a2 < n and 0 <= b2 < n):
+                raise IndexOutOfRangeError(
+                    f"conflict {(a1, b1)}-{(a2, b2)} outside the {n}x{n} grid"
+                )
+            u, v = a1 * n + b1, a2 * n + b2
+            if u == v:
+                raise DegenerateConflictError(
+                    f"conflict pair needs two distinct edges, got {Edge(a1, b1)} twice"
+                )
+            keys.add(u * nn + v if u < v else v * nn + u)
+        return cls(n, frozenset(keys))
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        # the result of a set operator is a plain frozenset of pairs
+        return frozenset(it)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self):
+        n = self.n
+        nn = n * n
+        pair, edge = ConflictPair._make, Edge._make
+        for key in self.keys:
+            u, v = divmod(key, nn)
+            yield pair((edge(divmod(u, n)), edge(divmod(v, n))))
+
+    def __contains__(self, pair) -> bool:
+        # true exactly for a tuple equal to a member, as in a frozenset of pairs
+        n = self.n
+        try:
+            (a1, b1), (a2, b2) = pair
+            if not (0 <= a1 < n and 0 <= b1 < n and 0 <= a2 < n and 0 <= b2 < n):
+                return False
+        except (TypeError, ValueError):
+            return False
+        u, v = a1 * n + b1, a2 * n + b2
+        return u < v and u * n * n + v in self.keys
+
+    def __eq__(self, other):
+        if isinstance(other, ConflictSet) and other.n == self.n:
+            return self.keys == other.keys
+        return super().__eq__(other)
+
+    def __hash__(self) -> int:
+        return self._hash()
+
+    def __reduce__(self):
+        return type(self), (self.n, self.keys)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({sorted(self)!r})"
 
 
 @dataclass(frozen=True)
 class Instance:
-    """Immutable problem data: size, cost matrix, conflict set."""
+    """Immutable problem data: size, cost matrix, conflict set.
+
+    ``conflicts`` takes any iterable of pairs and holds it as a
+    :class:`ConflictSet`; an edge outside the n x n grid raises
+    IndexOutOfRangeError here, when the instance is built.
+    """
 
     name: str
     n: int
     costs: tuple[tuple[int, ...], ...]
-    conflicts: frozenset[ConflictPair] = frozenset()
+    conflicts: ConflictSet = ConflictSet(0, frozenset())
 
     def __post_init__(self):
         object.__setattr__(self, "costs", tuple(tuple(row) for row in self.costs))
-        object.__setattr__(self, "conflicts", frozenset(self.conflicts))
+        object.__setattr__(
+            self, "conflicts", ConflictSet.from_pairs(self.n, self.conflicts)
+        )
 
     @classmethod
     def from_costs(cls, costs, conflicts: Iterable = (), name: str = "") -> "Instance":
         """Build an instance from a square cost matrix; n is inferred."""
         rows = tuple(tuple(row) for row in costs)
-        pairs = frozenset(
-            p if isinstance(p, ConflictPair) else ConflictPair(*p) for p in conflicts
-        )
-        return cls(name=name, n=len(rows), costs=rows, conflicts=pairs)
+        return cls(name=name, n=len(rows), costs=rows, conflicts=conflicts)
 
     @cached_property
     def partners(self) -> tuple[tuple[int, ...], ...]:
         """Compiled conflict index on edge ids: ``partners[a*n + b]`` holds
         the id ``c*n + d`` of every edge (c, d) that conflicts with (a, b).
 
-        Built once, on first use, and cached on the instance. It is not a
-        field, so equality and hashing ignore it. Each id is one shared int
-        object, looked up in a single ``range`` list.
+        Built once from the conflict keys, on first use, and cached on the
+        instance. It is not a field, so equality and hashing ignore it. Each
+        id is one shared int object, looked up in a single ``range`` list.
         """
-        n = self.n
-        ids = list(range(n * n))
+        nn = self.n * self.n
+        ids = list(range(nn))
         adj: list[list[int]] = [[] for _ in ids]
-        for (a1, b1), (a2, b2) in self.conflicts:
-            if not (0 <= a1 < n and 0 <= b1 < n and 0 <= a2 < n and 0 <= b2 < n):
-                raise IndexOutOfRangeError(
-                    f"conflict {(a1, b1)}-{(a2, b2)} outside the {n}x{n} grid"
-                )
-            u, v = ids[a1 * n + b1], ids[a2 * n + b2]
+        for key in self.conflicts.keys:
+            u, v = divmod(key, nn)
+            u, v = ids[u], ids[v]
             adj[u].append(v)
             adj[v].append(u)
         for e, lst in enumerate(adj):  # free each list as its tuple lands
@@ -154,8 +231,7 @@ def parse_instance(source: str | IO[str]) -> Instance:
     :class:`~apc.errors.FormatError` subclass naming the first problem found:
     MalformedHeaderError, DimensionMismatchError, IndexOutOfRangeError,
     DegenerateConflictError, DuplicateConflictError or NegativeCostError.
-    Duplicate conflict lines are an error, never merged silently. The pairs
-    share one :class:`Edge` object per used grid cell, not two per line.
+    Duplicate conflict lines are an error, never merged silently.
     """
     text = source.read() if hasattr(source, "read") else source
     name = ""
@@ -235,8 +311,8 @@ def parse_instance(source: str | IO[str]) -> Instance:
         )
     (m,) = count
 
-    edges = _EdgeTable(n)
-    conflicts: set[ConflictPair] = set()
+    nn = n * n
+    keys: set[int] = set()
     for lineno, line in itertools.islice(lines, m):
         try:
             a1, b1, a2, b2 = map(int, line.split())
@@ -247,19 +323,26 @@ def parse_instance(source: str | IO[str]) -> Instance:
         if not (0 <= a1 < n and 0 <= b1 < n and 0 <= a2 < n and 0 <= b2 < n):
             bad = next(i for i in (a1, b1, a2, b2) if not 0 <= i < n)
             raise IndexOutOfRangeError(f"line {lineno}: index {bad} outside [0, {n})")
-        before = len(conflicts)
-        conflicts.add(ConflictPair(edges[a1 * n + b1], edges[a2 * n + b2]))
-        if len(conflicts) == before:
+        u, v = a1 * n + b1, a2 * n + b2
+        if u == v:
+            raise DegenerateConflictError(
+                f"conflict pair needs two distinct edges, got {Edge(a1, b1)} twice"
+            )
+        before = len(keys)
+        keys.add(u * nn + v if u < v else v * nn + u)
+        if len(keys) == before:
             raise DuplicateConflictError(f"line {lineno}: duplicate conflict {line!r}")
-    if len(conflicts) < m:  # the lines ran out, so take() raises
-        take(f"conflict line {len(conflicts) + 1} of {m}")
+    if len(keys) < m:  # the lines ran out, so take() raises
+        take(f"conflict line {len(keys) + 1} of {m}")
 
     extra = next(lines, None)
     if extra is not None:
         lineno, line = extra
         raise MalformedHeaderError(f"line {lineno}: unexpected trailing content {line!r}")
 
-    return Instance(name=name, n=n, costs=tuple(costs), conflicts=frozenset(conflicts))
+    return Instance(
+        name=name, n=n, costs=tuple(costs), conflicts=ConflictSet(n, frozenset(keys))
+    )
 
 
 def write_instance(inst: Instance) -> str:
@@ -279,10 +362,12 @@ def write_instance(inst: Instance) -> str:
     out.append(f"n {inst.n}")
     out.append("costs")
     out.extend(" ".join(map(str, row)) for row in inst.costs)
-    # flat 4-tuples sort faster than the nested pairs, in the same order
-    quads = sorted(p.e1 + p.e2 for p in inst.conflicts)
-    out.append(f"conflicts {len(quads)}")
-    out.extend(f"{a1} {b1} {a2} {b2}" for a1, b1, a2, b2 in quads)
+    n = inst.n
+    nn = n * n
+    out.append(f"conflicts {len(inst.conflicts)}")
+    for key in sorted(inst.conflicts.keys):  # sorted keys are sorted pairs
+        u, v = divmod(key, nn)
+        out.append(f"{u // n} {u % n} {v // n} {v % n}")
     return "\n".join(out) + "\n"
 
 
@@ -329,22 +414,25 @@ def generate_instance(
     costs = tuple(
         tuple(rng.randint(cost_lo, cost_hi) for _ in range(n)) for _ in range(n)
     )
-    num_edges = n * n
-    edges = _EdgeTable(n)
-    conflicts = set()
+    nn = n * n
+    keys = set()
     for rank in rng.sample(range(limit), m) if m else ():
-        eu, ev = _unrank_edge_pair(rank, num_edges)
-        conflicts.add(ConflictPair(edges[eu], edges[ev]))
+        u, v = _unrank_edge_pair(rank, nn)
+        keys.add(u * nn + v)
     if name is None:
         name = f"apc-n{n}-m{m}-s{seed}"
-    return Instance(name=name, n=n, costs=costs, conflicts=frozenset(conflicts))
+    return Instance(
+        name=name, n=n, costs=costs, conflicts=ConflictSet(n, frozenset(keys))
+    )
 
 
 def validate(inst: Instance) -> list[Violation]:
     """Check every instance invariant; returns one record per violation.
 
     Violations are data, not failures: an empty list means the instance is
-    valid. Arbitrary in-memory candidates are accepted.
+    valid. Candidates with any size and cost matrix are accepted; conflicts
+    need no check here, because :class:`Instance` rejects an out-of-range
+    or degenerate pair when it is built.
     """
     out: list[Violation] = []
     if inst.n < 1:
@@ -378,15 +466,5 @@ def validate(inst: Instance) -> list[Violation]:
             elif value < 0:
                 out.append(
                     Violation("NegativeCost", (i, j), f"cost[{i}][{j}] = {value} < 0")
-                )
-    for pair in sorted(inst.conflicts):
-        for e in pair:
-            if not (0 <= e.a < inst.n and 0 <= e.b < inst.n):
-                out.append(
-                    Violation(
-                        "IndexOutOfRange",
-                        tuple(e),
-                        f"conflict edge {tuple(e)} outside the {inst.n}x{inst.n} grid",
-                    )
                 )
     return out

@@ -69,11 +69,8 @@ def build_model(inst: Instance) -> ModelIR:
     )
     rows = tuple(tuple(i * n + j for j in range(n)) for i in range(n))
     cols = tuple(tuple(i * n + j for i in range(n)) for j in range(n))
-    # flat 4-tuples sort faster than the nested pairs, in the same order
-    conflicts = tuple(
-        (a1 * n + b1, a2 * n + b2)
-        for a1, b1, a2, b2 in sorted(p.e1 + p.e2 for p in inst.conflicts)
-    )
+    nn = n * n
+    conflicts = tuple(divmod(key, nn) for key in sorted(inst.conflicts.keys))
     return ModelIR(
         n=n,
         num_vars=n * n,

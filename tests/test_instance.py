@@ -1,9 +1,10 @@
 """Instance types, text format, generator and validator."""
 
+import collections.abc
+import gc
 import hashlib
 import itertools
 import pickle
-import random
 import re
 import sys
 import tracemalloc
@@ -238,6 +239,55 @@ def test_round_trip_random_instances(n, frac, seed):
     assert parsed == inst and hash(parsed) == hash(inst)
 
 
+@st.composite
+def _sized_pairs(draw):
+    """(n, raw pairs of distinct edges of an n x n grid, in either order)."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = st.tuples(edge, edge).filter(lambda p: p[0] != p[1])
+    return n, draw(st.lists(pairs, max_size=3 * n * n))
+
+
+@given(_sized_pairs())
+@settings(max_examples=80, deadline=None)
+def test_conflict_set_behaves_as_a_frozenset_of_pairs(case):
+    n, raw = case
+    ref = frozenset(ConflictPair(e1, e2) for e1, e2 in raw)
+    inst = Instance.from_costs([[1] * n] * n, raw)
+    view = inst.conflicts
+    assert isinstance(view, collections.abc.Set)
+    assert len(view) == len(ref)
+    assert sorted(view) == sorted(ref)
+    assert all(type(p) is ConflictPair for p in view)
+
+    edges = [Edge(a, b) for a in range(n) for b in range(n)]
+    for e1, e2 in itertools.combinations(edges, 2):
+        for probe in [ConflictPair(e2, e1), (e1, e2), (e2, e1), ((e1.a, e1.b), e2)]:
+            assert (probe in view) == (probe in ref)
+    outside = [((0, 0), (0, n)), ((0, n), (0, 0)), ((-1, 0), (0, 0)), ((0, 0), (0, 0))]
+    junk = [None, 3, "ab", ("ab", "cd"), (), (edges[0],), tuple(edges[:3])]
+    for probe in outside + junk:
+        assert probe not in view and probe not in ref
+
+    swapped = Instance.from_costs(inst.costs, [(e2, e1) for e1, e2 in reversed(raw)])
+    wider = Instance.from_costs([[1] * (n + 1)] * (n + 1), raw)  # same pairs, other keys
+    again = pickle.loads(pickle.dumps(view))
+    assert type(again) is type(view)
+    for same in [ref, swapped.conflicts, wider.conflicts, again, set(ref)]:
+        assert view == same and same == view and not view != same
+        if not isinstance(same, set):
+            assert hash(view) == hash(same)
+    if ref:
+        fewer = ref - {min(ref)}
+        assert view != fewer and fewer != view and view != Instance.from_costs(
+            inst.costs, fewer
+        ).conflicts
+    assert view | ref == ref and type(view & ref) is frozenset
+
+    lines = write_instance(inst).split(f"conflicts {len(ref)}\n")[1].splitlines()
+    assert [f"{p.e1.a} {p.e1.b} {p.e2.a} {p.e2.b}" for p in sorted(view)] == lines
+
+
 @pytest.mark.parametrize(
     "n,m,seed", [(1, 0, 1), (3, 20, 2), (5, 150, 3), (7, 0, 4), (20, 600, 5)]
 )
@@ -256,12 +306,17 @@ def test_partners_index_holds_each_pair_at_both_endpoints(n, m, seed):
     assert all(ids.setdefault(e, e) is e for p in inst.partners for e in p)
 
 
-def _edges_are_shared(inst):
-    ids = {}
-    return all(ids.setdefault(e, e) is e for pair in inst.conflicts for e in pair)
+def _tracked_objects_kept_by(build):
+    """GC-tracked objects that the instance ``build()`` returns keeps alive."""
+    build()  # first-use caches fill outside the count
+    gc.collect()
+    before = len(gc.get_objects())
+    inst = build()
+    gc.collect()
+    return len(gc.get_objects()) - before, inst
 
 
-def test_conflict_edges_are_shared():
+def test_conflicts_add_no_tracked_object_per_pair():
     e1, e2 = Edge(0, 1), Edge(2, 3)
     pair = ConflictPair(e2, e1)
     assert pair.e1 is e1 and pair.e2 is e2
@@ -269,17 +324,20 @@ def test_conflict_edges_are_shared():
     assert coerced == pair
     assert type(coerced.e1) is Edge and type(coerced.e2) is Edge
 
-    generated = generate_instance(12, 2000, 1, 30, 7)
-    assert _edges_are_shared(generated)
-    head, _, body = write_instance(generated).partition("conflicts 2000\n")
-    lines = body.splitlines()
-    random.Random(3).shuffle(lines)
-    parsed = parse_instance(head + "conflicts 2000\n" + "\n".join(lines) + "\n")
-    assert parsed == generated
-    assert _edges_are_shared(parsed)
-    again = pickle.loads(pickle.dumps(parsed))
-    assert again == parsed
-    assert _edges_are_shared(again)
+    # the cyclic GC walks every tracked object on each full collection, so
+    # 3000 pairs must cost it no more objects than none
+    empty = generate_instance(12, 0, 1, 30, 7)
+    generated = generate_instance(12, 3000, 1, 30, 7)
+    empty_text, text = write_instance(empty), write_instance(generated)
+    for build_empty, build in [
+        (lambda: generate_instance(12, 0, 1, 30, 7),
+         lambda: generate_instance(12, 3000, 1, 30, 7)),
+        (lambda: parse_instance(empty_text), lambda: parse_instance(text)),
+    ]:
+        base, _ = _tracked_objects_kept_by(build_empty)
+        grown, inst = _tracked_objects_kept_by(build)
+        assert inst == generated and len(inst.conflicts) == 3000
+        assert grown - base <= 4
 
 
 def test_sparse_instance_memory_does_not_scale_with_the_grid():
@@ -301,9 +359,10 @@ def test_sparse_instance_memory_does_not_scale_with_the_grid():
 
 
 def test_partners_index_rejects_out_of_range_conflicts():
-    inst = Instance.from_costs([[1, 2], [3, 4]], [((0, 0), (1, 2))])
+    # the conflict set is range-checked when the instance is built, before
+    # any index over it can be compiled
     with pytest.raises(IndexOutOfRangeError):
-        inst.partners
+        Instance.from_costs([[1, 2], [3, 4]], [((0, 0), (1, 2))])
 
 
 def test_generate_is_deterministic():
@@ -365,14 +424,14 @@ def test_validate_negative_cost():
 
 
 def test_validate_index_out_of_range():
-    inst = Instance(
-        name="",
-        n=3,
-        costs=tuple(tuple(1 for _ in range(3)) for _ in range(3)),
-        conflicts=frozenset({ConflictPair(Edge(5, 0), Edge(0, 0))}),
-    )
-    codes = {v.code for v in validate(inst)}
-    assert codes == {"IndexOutOfRange"}
+    # no instance holds such a conflict, so validate has nothing to report
+    with pytest.raises(IndexOutOfRangeError):
+        Instance(
+            name="",
+            n=3,
+            costs=tuple(tuple(1 for _ in range(3)) for _ in range(3)),
+            conflicts=frozenset({ConflictPair(Edge(5, 0), Edge(0, 0))}),
+        )
 
 
 def test_validate_shape_mismatch():
