@@ -2,7 +2,7 @@
 
 Given an n x n non-negative cost matrix and a set of conflicting edge pairs,
 find a minimum-cost perfect matching that uses at most one edge from every
-pair. The package provides a text format with generator and validator, a
+pair. The package provides a text format and random generator, a
 binary-program IR with LP export, a masked assignment engine, an exact
 branch-and-bound solver, a greedy + local-search heuristic, an exhaustive
 oracle for small sizes, and a benchmark harness.
@@ -30,11 +30,9 @@ from .instance import (
     ConflictPair,
     Edge,
     Instance,
-    Violation,
     generate_instance,
     max_conflict_pairs,
     parse_instance,
-    validate,
     write_instance,
 )
 from .model import (
@@ -63,7 +61,6 @@ __all__ = [
     "ModelIR",
     "Solution",
     "SolveStatus",
-    "Violation",
     "branch",
     "brute_force",
     "build_model",
@@ -85,6 +82,5 @@ __all__ = [
     "run_heuristic",
     "solve_ap",
     "solve_exact",
-    "validate",
     "write_instance",
 ]

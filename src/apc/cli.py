@@ -85,12 +85,6 @@ def _cmd_check(args) -> int:
     except ValueError:
         print(f"error: solution file {args.solution} is not integers", file=sys.stderr)
         return 2
-    if len(assignment) != inst.n:
-        print(
-            f"error: solution holds {len(assignment)} entries, expected {inst.n}",
-            file=sys.stderr,
-        )
-        return 2
     report = check_feasible(inst, assignment)
     if report.feasible:
         print(f"feasible value {evaluate(inst, assignment)}")
@@ -151,9 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", type=Path, default=None, help="write the assignment file")
     s.set_defaults(func=_cmd_solve)
 
-    e = sub.add_parser("export", help="export the model of an instance")
+    e = sub.add_parser("export", help="export the model of an instance as an LP file")
     e.add_argument("instance", type=Path)
-    e.add_argument("--format", choices=("lp",), default="lp")
     e.add_argument("--out", type=Path, default=None)
     e.set_defaults(func=_cmd_export)
 

@@ -28,7 +28,7 @@ import random
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import (
     DegenerateConflictError,
@@ -126,6 +126,12 @@ class ConflictSet(Set):
     def __len__(self) -> int:
         return len(self.keys)
 
+    def id_pairs(self) -> Iterator[tuple[int, int]]:
+        """Yield each pair as edge ids ``(u, v)``, ``u < v``, in sorted order."""
+        nn = self.n * self.n
+        for key in sorted(self.keys):
+            yield divmod(key, nn)
+
     def __iter__(self):
         n = self.n
         nn = n * n
@@ -163,29 +169,46 @@ class ConflictSet(Set):
 
 @dataclass(frozen=True)
 class Instance:
-    """Immutable problem data: size, cost matrix, conflict set.
+    """Immutable problem data: cost matrix, conflict set, name.
 
+    Valid once built: ``n`` is the number of cost rows, and a matrix that is
+    empty or not square raises DimensionMismatchError, a negative cost
+    NegativeCostError and a cost that is not an integer TypeError.
     ``conflicts`` takes any iterable of pairs and holds it as a
     :class:`ConflictSet`; an edge outside the n x n grid raises
-    IndexOutOfRangeError here, when the instance is built.
+    IndexOutOfRangeError and a pair of one edge twice DegenerateConflictError.
     """
 
-    name: str
-    n: int
     costs: tuple[tuple[int, ...], ...]
     conflicts: ConflictSet = ConflictSet(0, frozenset())
+    name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "costs", tuple(tuple(row) for row in self.costs))
-        object.__setattr__(
-            self, "conflicts", ConflictSet.from_pairs(self.n, self.conflicts)
+        # a row of ints is kept, not copied, which keeps the peak memory of
+        # parsing down; any other row is coerced, so a float or a str raises
+        # TypeError
+        costs = tuple(
+            row if all(type(c) is int for c in row) else tuple(map(operator.index, row))
+            for row in map(tuple, self.costs)
         )
+        n = len(costs)
+        if n == 0:
+            raise DimensionMismatchError("cost matrix has no rows")
+        for i, row in enumerate(costs):
+            if len(row) != n:
+                raise DimensionMismatchError(
+                    f"cost row {i} has {len(row)} entries, expected {n}"
+                )
+            if min(row) < 0:
+                j = next(j for j, value in enumerate(row) if value < 0)
+                raise NegativeCostError(f"cost[{i}][{j}] = {row[j]} < 0")
+        object.__setattr__(self, "costs", costs)
+        object.__setattr__(self, "conflicts", ConflictSet.from_pairs(n, self.conflicts))
 
-    @classmethod
-    def from_costs(cls, costs, conflicts: Iterable = (), name: str = "") -> "Instance":
-        """Build an instance from a square cost matrix; n is inferred."""
-        rows = tuple(tuple(row) for row in costs)
-        return cls(name=name, n=len(rows), costs=rows, conflicts=conflicts)
+    @property
+    def n(self) -> int:
+        """Nodes per side: the number of cost rows."""
+        return len(self.costs)
 
     @cached_property
     def partners(self) -> tuple[tuple[int, ...], ...]:
@@ -207,15 +230,6 @@ class Instance:
         for e, lst in enumerate(adj):  # free each list as its tuple lands
             adj[e] = tuple(lst)
         return tuple(adj)
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One broken invariant found by :func:`validate`."""
-
-    code: str
-    where: tuple
-    message: str
 
 
 def max_conflict_pairs(n: int) -> int:
@@ -326,7 +340,8 @@ def parse_instance(source: str | IO[str]) -> Instance:
         u, v = a1 * n + b1, a2 * n + b2
         if u == v:
             raise DegenerateConflictError(
-                f"conflict pair needs two distinct edges, got {Edge(a1, b1)} twice"
+                f"line {lineno}: conflict pair needs two distinct edges, "
+                f"got {Edge(a1, b1)} twice"
             )
         before = len(keys)
         keys.add(u * nn + v if u < v else v * nn + u)
@@ -340,9 +355,7 @@ def parse_instance(source: str | IO[str]) -> Instance:
         lineno, line = extra
         raise MalformedHeaderError(f"line {lineno}: unexpected trailing content {line!r}")
 
-    return Instance(
-        name=name, n=n, costs=tuple(costs), conflicts=ConflictSet(n, frozenset(keys))
-    )
+    return Instance(tuple(costs), ConflictSet(n, frozenset(keys)), name)
 
 
 def write_instance(inst: Instance) -> str:
@@ -363,10 +376,8 @@ def write_instance(inst: Instance) -> str:
     out.append("costs")
     out.extend(" ".join(map(str, row)) for row in inst.costs)
     n = inst.n
-    nn = n * n
     out.append(f"conflicts {len(inst.conflicts)}")
-    for key in sorted(inst.conflicts.keys):  # sorted keys are sorted pairs
-        u, v = divmod(key, nn)
+    for u, v in inst.conflicts.id_pairs():
         out.append(f"{u // n} {u % n} {v // n} {v % n}")
     return "\n".join(out) + "\n"
 
@@ -421,50 +432,4 @@ def generate_instance(
         keys.add(u * nn + v)
     if name is None:
         name = f"apc-n{n}-m{m}-s{seed}"
-    return Instance(
-        name=name, n=n, costs=costs, conflicts=ConflictSet(n, frozenset(keys))
-    )
-
-
-def validate(inst: Instance) -> list[Violation]:
-    """Check every instance invariant; returns one record per violation.
-
-    Violations are data, not failures: an empty list means the instance is
-    valid. Candidates with any size and cost matrix are accepted; conflicts
-    need no check here, because :class:`Instance` rejects an out-of-range
-    or degenerate pair when it is built.
-    """
-    out: list[Violation] = []
-    if inst.n < 1:
-        out.append(Violation("BadSize", (inst.n,), f"n must be >= 1, got {inst.n}"))
-        return out
-    if len(inst.costs) != inst.n:
-        out.append(
-            Violation(
-                "ShapeMismatch",
-                (len(inst.costs),),
-                f"cost matrix has {len(inst.costs)} rows, expected {inst.n}",
-            )
-        )
-    for i, row in enumerate(inst.costs):
-        if len(row) != inst.n:
-            out.append(
-                Violation(
-                    "ShapeMismatch",
-                    (i,),
-                    f"cost row {i} has {len(row)} entries, expected {inst.n}",
-                )
-            )
-            continue
-        for j, value in enumerate(row):
-            if not isinstance(value, int):
-                out.append(
-                    Violation(
-                        "NonIntegerCost", (i, j), f"cost[{i}][{j}] = {value!r} is not an integer"
-                    )
-                )
-            elif value < 0:
-                out.append(
-                    Violation("NegativeCost", (i, j), f"cost[{i}][{j}] = {value} < 0")
-                )
-    return out
+    return Instance(costs, ConflictSet(n, frozenset(keys)), name)

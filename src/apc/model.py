@@ -69,8 +69,7 @@ def build_model(inst: Instance) -> ModelIR:
     )
     rows = tuple(tuple(i * n + j for j in range(n)) for i in range(n))
     cols = tuple(tuple(i * n + j for i in range(n)) for j in range(n))
-    nn = n * n
-    conflicts = tuple(divmod(key, nn) for key in sorted(inst.conflicts.keys))
+    conflicts = tuple(inst.conflicts.id_pairs())
     return ModelIR(
         n=n,
         num_vars=n * n,

@@ -156,9 +156,7 @@ def test_criterion_5_conflict_monotonicity():
         infeasible = False
         for pair in pool[:30]:
             conflicts.add(pair)
-            sol = brute_force(
-                Instance(inst.name, n, inst.costs, frozenset(conflicts))
-            )
+            sol = brute_force(Instance(inst.costs, frozenset(conflicts), inst.name))
             if sol.status is SolveStatus.INFEASIBLE:
                 if not infeasible:
                     transitions += 1

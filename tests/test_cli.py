@@ -85,9 +85,7 @@ def test_generate_then_export_lp(tmp_path, capsys):
         "generate", "--n", "15", "--conflicts", "5000",
         "--seed", "1", "--out", str(inst_path),
     ]) == 0
-    assert main([
-        "export", str(inst_path), "--format", "lp", "--out", str(lp_path),
-    ]) == 0
+    assert main(["export", str(inst_path), "--out", str(lp_path)]) == 0
     text = lp_path.read_text()
     binary_section = text.split("Binary\n")[1].split("End")[0]
     variables = {line.strip() for line in binary_section.splitlines() if line.strip()}
@@ -162,6 +160,15 @@ def test_check_rejects_garbage_solution(diag_file, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("zero one\n")
     assert main(["check", str(diag_file), str(bad)]) == 2
+
+
+def test_check_rejects_wrong_length_solution(diag_file, tmp_path, capsys):
+    short = tmp_path / "short.txt"
+    short.write_text("0\n")
+    assert main(["check", str(diag_file), str(short)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: assignment has length 1, expected 2\n"
 
 
 def test_malformed_instance_exits_2(tmp_path, capsys):

@@ -20,8 +20,8 @@ from apc.model import check_feasible, evaluate
 from apc.oracle import brute_force, enumerate_feasible
 from apc.solution import Solution, SolveStatus
 
-DIAG = Instance.from_costs([[1, 10], [10, 1]], [((0, 0), (1, 1))])
-BOTH_BLOCKED = Instance.from_costs(
+DIAG = Instance([[1, 10], [10, 1]], [((0, 0), (1, 1))])
+BOTH_BLOCKED = Instance(
     [[1, 10], [10, 1]], [((0, 0), (1, 1)), ((0, 1), (1, 0))]
 )
 
@@ -67,14 +67,14 @@ def test_find_violated_conflict_basics():
 def test_find_violated_conflict_prefers_count_then_cost():
     costs = [[5, 1, 1], [1, 50, 1], [1, 1, 1]]
     # the cheap edge (2, 2) sits in two violated pairs, the costly (1, 1) in one
-    inst = Instance.from_costs(costs, [((0, 0), (2, 2)), ((1, 1), (2, 2))])
+    inst = Instance(costs, [((0, 0), (2, 2)), ((1, 1), (2, 2))])
     assert find_violated_conflict([0, 1, 2], inst) == 2 * 3 + 2
     # all three edges sit in two violated pairs: the costliest wins
     triangle = [((0, 0), (1, 1)), ((0, 0), (2, 2)), ((1, 1), (2, 2))]
-    inst = Instance.from_costs(costs, triangle)
+    inst = Instance(costs, triangle)
     assert find_violated_conflict([0, 1, 2], inst) == 1 * 3 + 1
     # count and cost tie between (0, 0) and (1, 1): the smaller id wins
-    inst = Instance.from_costs([[7, 1, 1], [1, 7, 1], [1, 1, 1]], triangle)
+    inst = Instance([[7, 1, 1], [1, 7, 1], [1, 1, 1]], triangle)
     assert find_violated_conflict([0, 1, 2], inst) == 0
 
 
@@ -246,7 +246,7 @@ def test_branch_completeness_on_dense_instance():
     # the search must agree with enumeration even when every pair conflicts
     edges = [Edge(a, b) for a in range(3) for b in range(3)]
     pairs = {ConflictPair(e, f) for e, f in itertools.combinations(edges, 2)}
-    inst = Instance.from_costs([[2, 3, 4], [5, 6, 7], [8, 9, 1]], pairs)
+    inst = Instance([[2, 3, 4], [5, 6, 7], [8, 9, 1]], pairs)
     assert solve_exact(inst, time_limit=10).status is SolveStatus.INFEASIBLE
 
 

@@ -17,8 +17,8 @@ from apc.model import check_feasible
 from apc.oracle import brute_force
 from apc.solution import Solution, SolveStatus
 
-DIAG = Instance.from_costs([[1, 10], [10, 1]], [((0, 0), (1, 1))])
-BOTH_BLOCKED = Instance.from_costs(
+DIAG = Instance([[1, 10], [10, 1]], [((0, 0), (1, 1))])
+BOTH_BLOCKED = Instance(
     [[1, 10], [10, 1]], [((0, 0), (1, 1)), ((0, 1), (1, 0))]
 )
 
@@ -34,7 +34,7 @@ def feasible_solution(inst, assignment):
 
 
 def test_greedy_without_conflicts_hits_cheap_diagonal():
-    inst = Instance.from_costs([[1, 10], [10, 1]])
+    inst = Instance([[1, 10], [10, 1]])
     sol = construct_greedy(inst, rng_seed=0)
     assert sol.assignment == (0, 1)
     assert sol.value == 2
@@ -70,7 +70,7 @@ def test_greedy_is_deterministic():
 
 
 def test_local_search_fixpoint_is_returned_unchanged():
-    inst = Instance.from_costs([[1, 10], [10, 1]])
+    inst = Instance([[1, 10], [10, 1]])
     start = feasible_solution(inst, [0, 1])  # already optimal
     out = local_search(inst, start, LSConfig())
     assert out.assignment == (0, 1)
@@ -78,7 +78,7 @@ def test_local_search_fixpoint_is_returned_unchanged():
 
 
 def test_local_search_single_swap_reaches_optimum():
-    inst = Instance.from_costs([[1, 10], [10, 1]])
+    inst = Instance([[1, 10], [10, 1]])
     start = feasible_solution(inst, [1, 0])  # value 20
     out = local_search(inst, start, LSConfig())
     assert out.assignment == (0, 1)
@@ -158,7 +158,7 @@ def test_greedy_repair_can_recover():
     # row's only conflict-free choice; repair must still find the one feasible
     # matching from every processing order
     conflicts = {ConflictPair(Edge(0, 0), Edge(1, 1))}
-    inst = Instance.from_costs([[1, 50], [50, 1]], conflicts)
+    inst = Instance([[1, 50], [50, 1]], conflicts)
     for seed in range(10):
         sol = construct_greedy(inst, rng_seed=seed)
         assert sol is not None

@@ -1,0 +1,68 @@
+"""Cross-check of the exact solver against HiGHS above the oracle's reach.
+
+The reference model is built here from ``inst.conflicts`` alone, not from
+``apc.model``, so a fault shared by the model and the solver still shows.
+scipy is a test-only dependency; without it this module is skipped.
+"""
+
+import pytest
+
+pytest.importorskip("scipy")
+
+import numpy as np  # noqa: E402  (installed with scipy)
+from scipy.optimize import Bounds, LinearConstraint, milp  # noqa: E402
+from scipy.sparse import coo_matrix  # noqa: E402
+
+from apc.exact import solve_exact  # noqa: E402
+from apc.instance import generate_instance  # noqa: E402
+from apc.solution import SolveStatus  # noqa: E402
+
+
+def highs_optimum(inst) -> int:
+    """Optimal value of the binary program, solved by HiGHS."""
+    n = inst.n
+    var = np.arange(n * n)
+    rows = np.concatenate([var // n, n + var % n])
+    assign = coo_matrix(
+        (np.ones(2 * n * n), (rows, np.concatenate([var, var]))), shape=(2 * n, n * n)
+    )
+    pairs = sorted(inst.conflicts)
+    k = np.arange(len(pairs))
+    cols = np.concatenate([
+        [p.e1.a * n + p.e1.b for p in pairs],
+        [p.e2.a * n + p.e2.b for p in pairs],
+    ])
+    conflict = coo_matrix(
+        (np.ones(2 * len(pairs)), (np.concatenate([k, k]), cols)),
+        shape=(len(pairs), n * n),
+    )
+    res = milp(
+        np.array([c for row in inst.costs for c in row], dtype=float),
+        integrality=np.ones(n * n),
+        bounds=Bounds(0, 1),
+        constraints=[
+            LinearConstraint(assign.tocsr(), 1, 1),
+            LinearConstraint(conflict.tocsr(), -np.inf, 1),
+        ],
+    )
+    assert res.status == 0, res.message  # proven optimal
+    chosen = {(a, int(np.argmax(res.x[a * n:(a + 1) * n]))) for a in range(n)}
+    assert sorted(b for _, b in chosen) == list(range(n))
+    assert not any(p.e1 in chosen and p.e2 in chosen for p in pairs)
+    return sum(inst.costs[a][b] for a, b in chosen)
+
+
+# (n, m, seed); 11/800 s1 is the deep row, 79 nodes to the proof
+ROWS = [(11, 300, 1), (11, 800, 1), (13, 400, 3), (15, 800, 4), (16, 1500, 4),
+        (18, 1000, 5), (20, 1200, 6)]
+
+
+@pytest.mark.parametrize("n,m,seed", ROWS)
+def test_exact_matches_highs(n, m, seed):
+    inst = generate_instance(n, m, 1, 100, seed)
+    ref = highs_optimum(inst)
+    sol = solve_exact(inst)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.value == ref == sol.lower_bound
+    stopped = solve_exact(inst, node_limit=2)
+    assert stopped.lower_bound <= ref <= stopped.value

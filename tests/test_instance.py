@@ -30,7 +30,6 @@ from apc.instance import (
     generate_instance,
     max_conflict_pairs,
     parse_instance,
-    validate,
     write_instance,
 )
 
@@ -88,7 +87,7 @@ CONFLICT_BLOCK_MESSAGES = {
     "APC 1\nn 1\ncosts\n7\nconflicts 1\n":
         "unexpected end of document, expected conflict line 1 of 1",
     _HEAD_2 + "conflicts 1\n0 0 0 0\n":
-        "conflict pair needs two distinct edges, got Edge(a=0, b=0) twice",
+        "line 7: conflict pair needs two distinct edges, got Edge(a=0, b=0) twice",
     _HEAD_2 + "conflicts 2\n0 0 1 1\n0 0 1 1\n": "line 8: duplicate conflict '0 0 1 1'",
     _HEAD_2 + "conflicts 2\n0 0 1 1\n1 1 0 0\n": "line 8: duplicate conflict '1 1 0 0'",
 }
@@ -184,16 +183,16 @@ def test_unrank_endpoints_at_scale(num_edges):
 )
 def test_write_rejects_names_it_cannot_read_back(name):
     with pytest.raises(ValueError):
-        write_instance(Instance.from_costs([[1]], name=name))
+        write_instance(Instance([[1]], name=name))
 
 
 def test_name_with_inner_space_round_trips():
-    inst = Instance.from_costs([[1, 2], [3, 4]], [((0, 0), (1, 1))], name="a b")
+    inst = Instance([[1, 2], [3, 4]], [((0, 0), (1, 1))], name="a b")
     assert parse_instance(write_instance(inst)) == inst
 
 
 def test_write_canonicalizes_conflict_order():
-    inst = Instance.from_costs(
+    inst = Instance(
         [[1, 2], [3, 4]], [((1, 1), (0, 0))], name=""
     )
     text = write_instance(inst)
@@ -253,7 +252,7 @@ def _sized_pairs(draw):
 def test_conflict_set_behaves_as_a_frozenset_of_pairs(case):
     n, raw = case
     ref = frozenset(ConflictPair(e1, e2) for e1, e2 in raw)
-    inst = Instance.from_costs([[1] * n] * n, raw)
+    inst = Instance([[1] * n] * n, raw)
     view = inst.conflicts
     assert isinstance(view, collections.abc.Set)
     assert len(view) == len(ref)
@@ -269,8 +268,8 @@ def test_conflict_set_behaves_as_a_frozenset_of_pairs(case):
     for probe in outside + junk:
         assert probe not in view and probe not in ref
 
-    swapped = Instance.from_costs(inst.costs, [(e2, e1) for e1, e2 in reversed(raw)])
-    wider = Instance.from_costs([[1] * (n + 1)] * (n + 1), raw)  # same pairs, other keys
+    swapped = Instance(inst.costs, [(e2, e1) for e1, e2 in reversed(raw)])
+    wider = Instance([[1] * (n + 1)] * (n + 1), raw)  # same pairs, other keys
     again = pickle.loads(pickle.dumps(view))
     assert type(again) is type(view)
     for same in [ref, swapped.conflicts, wider.conflicts, again, set(ref)]:
@@ -279,7 +278,7 @@ def test_conflict_set_behaves_as_a_frozenset_of_pairs(case):
             assert hash(view) == hash(same)
     if ref:
         fewer = ref - {min(ref)}
-        assert view != fewer and fewer != view and view != Instance.from_costs(
+        assert view != fewer and fewer != view and view != Instance(
             inst.costs, fewer
         ).conflicts
     assert view | ref == ref and type(view & ref) is frozenset
@@ -362,7 +361,9 @@ def test_partners_index_rejects_out_of_range_conflicts():
     # the conflict set is range-checked when the instance is built, before
     # any index over it can be compiled
     with pytest.raises(IndexOutOfRangeError):
-        Instance.from_costs([[1, 2], [3, 4]], [((0, 0), (1, 2))])
+        Instance([[1, 2], [3, 4]], [((0, 0), (1, 2))])
+    with pytest.raises(IndexOutOfRangeError):
+        Instance([[1] * 3] * 3, [((5, 0), (0, 0))])
 
 
 def test_generate_is_deterministic():
@@ -384,7 +385,7 @@ def test_generate_counts_and_ranges():
     assert inst.n == 15
     assert len(inst.conflicts) == 5000
     assert all(1 <= c <= 100 for row in inst.costs for c in row)
-    assert not validate(inst)
+    assert Instance(inst.costs, inst.conflicts, inst.name) == inst
 
 
 def test_generate_all_pairs_for_tiny_instance():
@@ -411,30 +412,34 @@ def test_generate_rejects_bad_params():
         generate_instance(2, 0, 5, 4, seed=0)
 
 
-def test_validate_ok():
-    inst = generate_instance(4, 10, 1, 50, seed=9)
-    assert validate(inst) == []
+def test_instance_derives_n_and_coerces_costs():
+    inst = Instance([[1, True], range(2)])
+    assert inst.n == 2
+    assert inst.costs == ((1, 1), (0, 1))
+    assert type(inst.costs[0][1]) is int  # operator.index turns a bool into an int
 
 
-def test_validate_negative_cost():
-    inst = Instance.from_costs([[-1, 2], [3, 4]])
-    out = validate(inst)
-    assert [v.code for v in out] == ["NegativeCost"]
-    assert out[0].where == (0, 0)
+def test_instance_rejects_empty_costs():
+    with pytest.raises(DimensionMismatchError, match="^cost matrix has no rows$"):
+        Instance(())
 
 
-def test_validate_index_out_of_range():
-    # no instance holds such a conflict, so validate has nothing to report
-    with pytest.raises(IndexOutOfRangeError):
-        Instance(
-            name="",
-            n=3,
-            costs=tuple(tuple(1 for _ in range(3)) for _ in range(3)),
-            conflicts=frozenset({ConflictPair(Edge(5, 0), Edge(0, 0))}),
-        )
+def test_instance_rejects_ragged_costs():
+    with pytest.raises(
+        DimensionMismatchError, match=r"^cost row 0 has 3 entries, expected 2$"
+    ):
+        Instance(((1, 2, 3), (4,)))
+    with pytest.raises(DimensionMismatchError, match=r"^cost row 1 has 1 entries"):
+        Instance(((1, 2), (4,)))
 
 
-def test_validate_shape_mismatch():
-    inst = Instance(name="", n=2, costs=((1, 2, 3), (4,)), conflicts=frozenset())
-    codes = [v.code for v in validate(inst)]
-    assert codes.count("ShapeMismatch") == 2
+def test_instance_rejects_negative_cost():
+    with pytest.raises(NegativeCostError, match=r"^cost\[1\]\[0\] = -3 < 0$"):
+        Instance([[1, 2], [-3, 4]])
+
+
+def test_instance_rejects_non_integer_cost():
+    with pytest.raises(TypeError):
+        Instance([[1, 2.0], [3, 4]])
+    with pytest.raises(TypeError):
+        Instance([[1, "2"], [3, 4]])

@@ -19,11 +19,11 @@ from apc.model import build_model, check_feasible, evaluate, export_lp
 
 
 def inst_1x1(cost=7):
-    return Instance.from_costs([[cost]])
+    return Instance([[cost]])
 
 
 def inst_2x2(conflicts=()):
-    return Instance.from_costs([[1, 10], [10, 1]], conflicts)
+    return Instance([[1, 10], [10, 1]], conflicts)
 
 
 DIAG_CONFLICT = (((0, 0), (1, 1)),)
@@ -116,18 +116,18 @@ def test_export_lp_is_byte_stable():
     [([0, 1], 1 + 4), ([1, 0], 2 + 3)],
 )
 def test_evaluate(assignment, expected):
-    inst = Instance.from_costs([[1, 2], [3, 4]])
+    inst = Instance([[1, 2], [3, 4]])
     assert evaluate(inst, assignment) == expected
 
 
 def test_evaluate_all_zero_costs():
-    inst = Instance.from_costs([[0, 0], [0, 0]])
+    inst = Instance([[0, 0], [0, 0]])
     assert evaluate(inst, [1, 0]) == 0
 
 
 @pytest.mark.parametrize("bad", [[0, 0], [0], [0, 2], [1, 1]])
 def test_evaluate_rejects_non_permutations(bad):
-    inst = Instance.from_costs([[1, 2], [3, 4]])
+    inst = Instance([[1, 2], [3, 4]])
     with pytest.raises(NotAPermutationError):
         evaluate(inst, bad)
 

@@ -17,25 +17,25 @@ def all_pairs(n):
     return {ConflictPair(e, f) for e, f in itertools.combinations(edges, 2)}
 
 
-FULLY_CONFLICTED_2 = Instance.from_costs([[1, 10], [10, 1]], all_pairs(2))
+FULLY_CONFLICTED_2 = Instance([[1, 10], [10, 1]], all_pairs(2))
 
 
 def test_single_node():
-    sol = brute_force(Instance.from_costs([[7]]))
+    sol = brute_force(Instance([[7]]))
     assert sol.assignment == (0,)
     assert sol.value == 7
     assert sol.status is SolveStatus.OPTIMAL
 
 
 def test_diagonal_conflict_picks_antidiagonal():
-    inst = Instance.from_costs([[1, 10], [10, 1]], [((0, 0), (1, 1))])
+    inst = Instance([[1, 10], [10, 1]], [((0, 0), (1, 1))])
     sol = brute_force(inst)
     assert sol.assignment == (1, 0)
     assert sol.value == 20
 
 
 def test_all_conflicts_is_infeasible():
-    inst = Instance.from_costs([[1] * 3 for _ in range(3)], all_pairs(3))
+    inst = Instance([[1] * 3 for _ in range(3)], all_pairs(3))
     assert len(inst.conflicts) == 36
     sol = brute_force(inst)
     assert sol.status is SolveStatus.INFEASIBLE
@@ -44,12 +44,12 @@ def test_all_conflicts_is_infeasible():
 
 def test_lexicographic_tie_break():
     # every permutation costs 0: the identity comes first lexicographically
-    inst = Instance.from_costs([[0] * 3 for _ in range(3)])
+    inst = Instance([[0] * 3 for _ in range(3)])
     assert brute_force(inst).assignment == (0, 1, 2)
 
 
 def test_enumerate_zero_conflicts():
-    inst = Instance.from_costs([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    inst = Instance([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     out = enumerate_feasible(inst)
     assert len(out) == 6
     assert [a for a, _ in out] == sorted(a for a, _ in out)
@@ -60,7 +60,7 @@ def test_enumerate_fully_conflicted():
 
 
 def test_enumerate_zero_costs():
-    inst = Instance.from_costs([[0, 0], [0, 0]])
+    inst = Instance([[0, 0], [0, 0]])
     assert enumerate_feasible(inst) == [((0, 1), 0), ((1, 0), 0)]
 
 
@@ -91,7 +91,7 @@ def test_conflict_monotonicity():
         went_infeasible = False
         for pair in pool[:25]:
             conflicts.add(pair)
-            inst = Instance(base.name, n, base.costs, frozenset(conflicts))
+            inst = Instance(base.costs, frozenset(conflicts), base.name)
             sol = brute_force(inst)
             if sol.status is SolveStatus.INFEASIBLE:
                 went_infeasible = True
@@ -103,9 +103,9 @@ def test_conflict_monotonicity():
 
 
 def test_size_guards():
-    big = Instance.from_costs([[0] * 11 for _ in range(11)])
+    big = Instance([[0] * 11 for _ in range(11)])
     with pytest.raises(InstanceTooLargeError):
         brute_force(big)
-    mid = Instance.from_costs([[0] * 9 for _ in range(9)])
+    mid = Instance([[0] * 9 for _ in range(9)])
     with pytest.raises(InstanceTooLargeError):
         enumerate_feasible(mid)
