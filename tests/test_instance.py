@@ -362,8 +362,6 @@ def test_partners_index_rejects_out_of_range_conflicts():
     # any index over it can be compiled
     with pytest.raises(IndexOutOfRangeError):
         Instance([[1, 2], [3, 4]], [((0, 0), (1, 2))])
-    with pytest.raises(IndexOutOfRangeError):
-        Instance([[1] * 3] * 3, [((5, 0), (0, 0))])
 
 
 def test_generate_is_deterministic():
@@ -385,7 +383,18 @@ def test_generate_counts_and_ranges():
     assert inst.n == 15
     assert len(inst.conflicts) == 5000
     assert all(1 <= c <= 100 for row in inst.costs for c in row)
+
+
+def test_validate_ok():
+    # a generated instance passes the checks Instance(...) runs when it is built
+    inst = generate_instance(4, 10, 1, 50, seed=9)
     assert Instance(inst.costs, inst.conflicts, inst.name) == inst
+
+
+def test_validate_index_out_of_range():
+    # a conflict outside the grid is rejected when the instance is built
+    with pytest.raises(IndexOutOfRangeError):
+        Instance([[1] * 3] * 3, [((5, 0), (0, 0))])
 
 
 def test_generate_all_pairs_for_tiny_instance():
