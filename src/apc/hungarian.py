@@ -2,13 +2,13 @@
 
 This is the conflict-free assignment engine: it ignores conflict pairs and
 therefore computes a valid lower bound for the conflicted problem, whose
-feasible set is a subset. Masks make it usable as the relaxation solver at
-branch-and-bound nodes: forbidden edges are excluded structurally from the
-augmenting search (never via inflated costs, so integer arithmetic stays
-exact), and forced rows and columns are skipped. Masks name edges by their
-int id ``a*n + b``, so the inner loop tests an int, not a tuple. A solve can
-start from an ancestor node's potentials, so a child re-matches only the
-rows its tighter masks freed.
+feasible set is a subset. Masks make it the relaxation solver at
+branch-and-bound nodes: forbidden edges are left out of the augmenting search
+(never priced out, so integer arithmetic stays exact), and forced rows and
+columns are skipped. Masks name edges by their int id ``a*n + b``. Each free
+row is matched by a shortest-path search on distance labels that settles the
+potentials once. A solve can start from an ancestor node's potentials, so a
+child re-matches only the rows its tighter masks freed.
 """
 
 import math
@@ -57,42 +57,42 @@ def _augment(base, forbidden, cols, r, u, v, row_of) -> bool:
     """Match free row `r` by one shortest augmenting path, O(n^2).
 
     Dijkstra over the reduced costs ``base[i][j] - u[i] - v[j]`` of allowed
-    edges (id ``i*n + j`` not in `forbidden`) into the free columns `cols`,
-    scanned in ascending order. `u`, `v` and `row_of` (row matched to each
-    column, -1 if none) are full-index and updated in place; the last slot of
-    `v` and `row_of` is the virtual column that hosts `r` until it is
-    matched. False when no augmenting path exists.
+    edges (id ``i*n + j`` not in `forbidden`): each step is one ascending
+    pass over the unscanned columns of `cols` that relaxes their distance
+    labels d and picks the nearest. On reaching a free column at distance D,
+    each scanned column j and its row are settled once by D - d[j]. `u`, `v`
+    and `row_of` (row of each column, -1 if none; its last slot is the
+    virtual column that hosts `r`) are updated in place. False when no
+    augmenting path exists, with `u` and `v` untouched.
     """
-    virtual = len(row_of) - 1
-    row_of[virtual] = r
-    minv = [_INF] * (virtual + 1)  # infinity only as a slack sentinel
-    way = [virtual] * (virtual + 1)
-    used, unused = [virtual], list(cols)
-    j0 = virtual
+    n = len(v)
+    row_of[n] = r
+    dist, way = [_INF] * n, [n] * n  # infinity only as an unreached sentinel
+    unused, scanned = list(cols), []
+    j0, d0 = n, 0
     while row_of[j0] >= 0:
         i0 = row_of[j0]
-        costs, ui, row_id = base[i0], u[i0], i0 * virtual
-        delta, j1 = _INF, -1
+        costs, offset, row_id = base[i0], d0 - u[i0], i0 * n
+        d1, j1 = _INF, -1
         for j in unused:
+            dj = dist[j]
             if row_id + j not in forbidden:
-                cur = costs[j] - ui - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
+                cur = costs[j] + offset - v[j]
+                if cur < dj:
+                    dist[j] = dj = cur
                     way[j] = j0
-            if minv[j] < delta:
-                delta = minv[j]
-                j1 = j
-        if delta == _INF:
+            if dj < d1:
+                d1, j1 = dj, j
+        if d1 == _INF:
             return False  # some row has run out of columns
-        for j in used:
-            u[row_of[j]] += delta
-            v[j] -= delta
-        for j in unused:
-            minv[j] -= delta
         unused.remove(j1)
-        used.append(j1)
-        j0 = j1
-    while j0 != virtual:
+        scanned.append(j1)
+        j0, d0 = j1, d1
+    u[r] += d0  # r hosts the virtual column, at distance 0
+    for j in scanned[:-1]:  # the last is the free column, at distance d0
+        u[row_of[j]] += d0 - dist[j]
+        v[j] -= d0 - dist[j]
+    while j0 != n:
         j1 = way[j0]
         row_of[j0] = row_of[j1]
         j0 = j1
@@ -107,37 +107,37 @@ def solve_ap(mc: MaskedCosts, start: tuple | None = None) -> tuple | None:
     and extends every forced one. A cold solve (`start` None) inserts the
     unforced rows in ascending order from zero potentials. A warm solve
     starts from `start`, an earlier result for masks that `mc` only tightens
-    (forbidden and forced are supersets of the earlier sets): no cost
-    changes and edges are only removed, so the earlier potentials stay
-    feasible. It keeps every earlier edge that is still allowed on an
-    unforced row and column and re-inserts only the other unforced rows. The
-    value is exact either way, since feasible potentials plus a perfect
-    matching on tight edges is optimal; a warm solve may return a different
-    optimum among equal-cost ones.
+    (supersets of its forbidden and forced sets): the costs are the same and
+    edges are only removed, so its potentials stay feasible. It keeps each
+    earlier edge still allowed on an unforced row and column and re-inserts
+    the other unforced rows. Feasible potentials plus a perfect matching on
+    tight edges is optimal, so the value is exact either way; a warm solve
+    may return another optimum of equal cost.
     """
-    n = mc.n
-    forced = dict(divmod(e, n) for e in mc.forced)
+    n, base = mc.n, mc.base
     row_of = [-1] * (n + 1)  # row matched to each column; slot n is virtual
-    for a, b in forced.items():
-        row_of[b] = a
+    open_row = [True] * n
+    for e in mc.forced:
+        row_of[e % n] = e // n
+        open_row[e // n] = False
     cols = [j for j in range(n) if row_of[j] < 0]
-    free = [i for i in range(n) if i not in forced]
     if start is None:
-        u, v = [0] * n, [0] * (n + 1)
+        u, v, free = [0] * n, [0] * n, [i for i in range(n) if open_row[i]]
     else:
         kept, _, (u, v) = start
         if not len(kept) == len(u) == len(v) == n:
             raise ValueError(f"start does not fit the {n}x{n} matrix")
-        u, v = list(u), [*v, 0]
-        for i in free:
-            if row_of[kept[i]] < 0 and i * n + kept[i] not in mc.forbidden:
-                row_of[kept[i]] = i
-        free = [i for i in free if row_of[kept[i]] != i]
+        u, v, free = list(u), list(v), []
+        for i, j in enumerate(kept):
+            if open_row[i] and row_of[j] < 0 and i * n + j not in mc.forbidden:
+                row_of[j] = i
+            elif open_row[i]:
+                free.append(i)
     for r in free:
-        if not _augment(mc.base, mc.forbidden, cols, r, u, v, row_of):
+        if not _augment(base, mc.forbidden, cols, r, u, v, row_of):
             return None
-    assignment = [0] * n
+    assignment, value = [0] * n, 0
     for j in range(n):
         assignment[row_of[j]] = j
-    value = sum(mc.base[i][assignment[i]] for i in range(n))
-    return tuple(assignment), value, (tuple(u), tuple(v[:n]))
+        value += base[row_of[j]][j]
+    return tuple(assignment), value, (tuple(u), tuple(v))

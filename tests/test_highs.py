@@ -5,6 +5,8 @@ The reference model is built here from ``inst.conflicts`` alone, not from
 scipy is a test-only dependency; without it this module is skipped.
 """
 
+import functools
+
 import pytest
 
 pytest.importorskip("scipy")
@@ -57,12 +59,32 @@ ROWS = [(11, 300, 1), (11, 800, 1), (13, 400, 3), (15, 800, 4), (16, 1500, 4),
         (18, 1000, 5), (20, 1200, 6)]
 
 
+@functools.cache
+def row(n, m, seed):
+    """The instance of a row and its HiGHS optimum, solved once per session."""
+    inst = generate_instance(n, m, 1, 100, seed)
+    return inst, highs_optimum(inst)
+
+
 @pytest.mark.parametrize("n,m,seed", ROWS)
 def test_exact_matches_highs(n, m, seed):
-    inst = generate_instance(n, m, 1, 100, seed)
-    ref = highs_optimum(inst)
+    inst, ref = row(n, m, seed)
     sol = solve_exact(inst)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.value == ref == sol.lower_bound
     stopped = solve_exact(inst, node_limit=2)
     assert stopped.lower_bound <= ref <= stopped.value
+
+
+@pytest.mark.parametrize("n,m,seed", ROWS)
+def test_time_limited_bounds_bracket_highs(n, m, seed):
+    # On a 2-vCPU VM every row proves within 0.02 s; the shorter limits stop
+    # some searches early, so an open bound is checked as well as a proof.
+    inst, ref = row(n, m, seed)
+    for limit in (0.001, 0.005, 0.02):
+        sol = solve_exact(inst, time_limit=limit, seed_incumbent=False)
+        assert sol.lower_bound <= ref
+        if sol.value is not None:
+            assert ref <= sol.value
+        if sol.status is SolveStatus.OPTIMAL:
+            assert sol.value == ref

@@ -261,3 +261,34 @@ def test_start_of_the_wrong_size_is_rejected():
         solve_ap(mc, (assignment, value, (u, v + (0,))))
     with pytest.raises(ValueError):
         solve_ap(mc, (assignment[:1], value, (u, v)))
+
+
+def test_solves_and_potentials_are_pinned():
+    # Node counts depend on the potentials too, since each child starts from
+    # its parent's. These 300 full cold results, and one warm child of each
+    # feasible one (one selected edge forbidden, one allowed edge forced),
+    # fix the potentials as well as the matchings.
+    rng = random.Random(3141)
+    results = []
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        parent = random_masked(rng, n)
+        cold = solve_ap(parent)
+        results.append(cold)
+        if cold is None:
+            continue
+        forbidden, forced = set(parent.forbidden), set(parent.forced)
+        rows = [i for i in range(n) if i * n + cold[0][i] not in forced]
+        if rows:
+            i = rng.choice(rows)
+            forbidden.add(i * n + cold[0][i])
+        open_cols = set(range(n)) - {e % n for e in forced}
+        allowed = [i * n + j for i in rows for j in sorted(open_cols)
+                   if i * n + j not in forbidden]
+        if allowed:
+            forced.add(rng.choice(allowed))
+        child = MaskedCosts(parent.base, frozenset(forbidden), frozenset(forced))
+        results.append(solve_ap(child, cold))
+    assert len(results) == 581 and sum(r is None for r in results) == 95  # 76 warm
+    digest = "dd96c1082a14968cf557a7e6ca38ba9fb77cfe94e7ab7bd9bb05c2282a7b2aaf"
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == digest
