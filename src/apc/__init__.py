@@ -2,8 +2,8 @@
 
 Given an n x n non-negative cost matrix and a set of conflicting edge pairs,
 find a minimum-cost perfect matching that uses at most one edge from every
-pair. The package provides a text format and random generator, a
-binary-program IR with LP export, a masked assignment engine, an exact
+pair. The package provides a text format and random generator, LP export
+of the binary program, a masked assignment engine, an exact
 branch-and-bound solver, a greedy + local-search heuristic, an exhaustive
 oracle for small sizes, and a benchmark harness.
 """
@@ -37,8 +37,6 @@ from .instance import (
 )
 from .model import (
     FeasibilityReport,
-    ModelIR,
-    build_model,
     check_feasible,
     evaluate,
     export_lp,
@@ -58,12 +56,10 @@ __all__ = [
     "InstanceResult",
     "LSConfig",
     "MaskedCosts",
-    "ModelIR",
     "Solution",
     "SolveStatus",
     "branch",
     "brute_force",
-    "build_model",
     "check_feasible",
     "construct_greedy",
     "emit_table",

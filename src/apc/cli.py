@@ -14,7 +14,7 @@ from .errors import ApcError
 from .exact import solve_exact
 from .heuristic import LSConfig, run_heuristic
 from .instance import generate_instance, parse_instance, write_instance
-from .model import build_model, check_feasible, evaluate, export_lp
+from .model import check_feasible, evaluate, export_lp
 from .oracle import brute_force
 
 
@@ -69,7 +69,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_export(args) -> int:
     inst = _read_instance(args.instance)
-    text = export_lp(build_model(inst))
+    text = export_lp(inst)
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -1,40 +1,16 @@
-"""Binary linear model of an instance: IR, LP export, evaluation, feasibility.
+"""Binary linear model of an instance: LP export, evaluation, feasibility.
 
 One binary variable per edge. The model minimizes total assignment cost
 subject to: each left node assigned exactly once, each right node covered
 exactly once, and at most one edge selected from every conflict pair.
+``export_lp`` writes it straight from the instance as an LP file.
 """
 
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotAPermutationError
-from .instance import ConflictPair, Edge, Instance
-
-
-@dataclass(frozen=True)
-class ModelIR:
-    """Backend-neutral binary program.
-
-    Variables are indexed 0..num_vars-1 with edge (a, b) mapped to a*n + b,
-    which ``edge_of`` inverts. Row and column constraints are equalities
-    summing their variables to 1; conflict constraints are pairs (u, v) read
-    as x_u + x_v <= 1. All variables are binary.
-    """
-
-    n: int
-    num_vars: int
-    objective: tuple[tuple[int, int], ...]
-    row_constraints: tuple[tuple[int, ...], ...]
-    col_constraints: tuple[tuple[int, ...], ...]
-    conflict_constraints: tuple[tuple[int, int], ...]
-
-    def edge_of(self, var: int) -> Edge:
-        return Edge(var // self.n, var % self.n)
-
-    def variable_name(self, var: int) -> str:
-        e = self.edge_of(var)
-        return f"x_{e.a}_{e.b}"
+from .instance import ConflictPair, Instance
 
 
 @dataclass(frozen=True)
@@ -46,38 +22,17 @@ class FeasibilityReport:
     every conflict pair whose two edges are both selected.
     """
 
-    is_perfect_matching: bool
     violated_rows: tuple[int, ...]
     violated_cols: tuple[int, ...]
     violated_conflicts: tuple[ConflictPair, ...]
 
     @property
+    def is_perfect_matching(self) -> bool:
+        return not self.violated_rows and not self.violated_cols
+
+    @property
     def feasible(self) -> bool:
-        return (
-            self.is_perfect_matching
-            and not self.violated_rows
-            and not self.violated_cols
-            and not self.violated_conflicts
-        )
-
-
-def build_model(inst: Instance) -> ModelIR:
-    """Translate an instance into the binary program IR."""
-    n = inst.n
-    objective = tuple(
-        (i * n + j, inst.costs[i][j]) for i in range(n) for j in range(n)
-    )
-    rows = tuple(tuple(i * n + j for j in range(n)) for i in range(n))
-    cols = tuple(tuple(i * n + j for i in range(n)) for j in range(n))
-    conflicts = tuple(inst.conflicts.id_pairs())
-    return ModelIR(
-        n=n,
-        num_vars=n * n,
-        objective=objective,
-        row_constraints=rows,
-        col_constraints=cols,
-        conflict_constraints=conflicts,
-    )
+        return self.is_perfect_matching and not self.violated_conflicts
 
 
 def _wrap_expression(prefix: str, terms: Sequence[str], suffix: str = "") -> list[str]:
@@ -93,28 +48,29 @@ def _wrap_expression(prefix: str, terms: Sequence[str], suffix: str = "") -> lis
     return lines
 
 
-def export_lp(ir: ModelIR) -> str:
+def export_lp(inst: Instance) -> str:
     """Emit the model as LP-format text (Minimize / Subject To / Binary / End).
 
-    Output is a pure function of the IR: objective terms in variable order,
-    then row, column and conflict constraints in index order, so repeated
-    exports are byte-identical.
+    Variable ``x_a_b`` is edge (a, b). The objective lists every variable in
+    row-major order, then come the row equalities ``row_i``, the column
+    equalities ``col_j`` and one ``conf_t`` per conflict in
+    ``inst.conflicts.id_pairs()`` order, so repeated exports are
+    byte-identical.
     """
+    n = inst.n
+    names = [f"x_{a}_{b}" for a in range(n) for b in range(n)]
+    costs = [c for row in inst.costs for c in row]
     lines = ["Minimize"]
-    obj_terms = [f"{coeff} {ir.variable_name(var)}" for var, coeff in ir.objective]
-    lines.extend(_wrap_expression(" obj: ", obj_terms))
+    lines.extend(_wrap_expression(" obj: ", [f"{c} {x}" for c, x in zip(costs, names)]))
     lines.append("Subject To")
-    for i, members in enumerate(ir.row_constraints):
-        terms = [ir.variable_name(v) for v in members]
-        lines.extend(_wrap_expression(f" row_{i}: ", terms, " = 1"))
-    for j, members in enumerate(ir.col_constraints):
-        terms = [ir.variable_name(v) for v in members]
-        lines.extend(_wrap_expression(f" col_{j}: ", terms, " = 1"))
-    for t, (u, v) in enumerate(ir.conflict_constraints):
-        lines.append(f" conf_{t}: {ir.variable_name(u)} + {ir.variable_name(v)} <= 1")
+    for i in range(n):
+        lines.extend(_wrap_expression(f" row_{i}: ", names[i * n : (i + 1) * n], " = 1"))
+    for j in range(n):
+        lines.extend(_wrap_expression(f" col_{j}: ", names[j::n], " = 1"))
+    for t, (u, v) in enumerate(inst.conflicts.id_pairs()):
+        lines.append(f" conf_{t}: {names[u]} + {names[v]} <= 1")
     lines.append("Binary")
-    for var in range(ir.num_vars):
-        lines.append(f" {ir.variable_name(var)}")
+    lines.extend(f" {x}" for x in names)
     lines.append("End")
     return "\n".join(lines) + "\n"
 
@@ -157,7 +113,6 @@ def check_feasible(inst: Instance, assignment: Sequence[int]) -> FeasibilityRepo
         if e < p
     ]
     return FeasibilityReport(
-        is_perfect_matching=not bad_rows and not bad_cols,
         violated_rows=bad_rows,
         violated_cols=bad_cols,
         violated_conflicts=tuple(sorted(violated)),

@@ -6,11 +6,11 @@ through 3..7, conflict density stepping 0 %..50 % of all edge pairs, costs
 uniform in [1, 100], fixed seeds.
 """
 
+import collections
 import csv
 import io
 import itertools
 import random
-import re
 import statistics
 import time
 
@@ -26,10 +26,12 @@ from apc.instance import (
     parse_instance,
     write_instance,
 )
-from apc.model import build_model, check_feasible, evaluate, export_lp
+from apc.model import check_feasible, evaluate, export_lp
 from apc.oracle import brute_force
 from apc.exact import solve_exact
 from apc.solution import SolveStatus
+
+from lp_text import parse_lp
 
 _SUITE_CACHE = []
 
@@ -222,54 +224,6 @@ def test_criterion_6_scaled_benchmark_methodology():
     assert elapsed < 600
 
 
-def _parse_lp(text):
-    """Independent reader of the exported LP file (test-side only)."""
-    sections = {}
-    current = None
-    for line in text.splitlines():
-        if line in ("Minimize", "Subject To", "Binary", "End"):
-            current = line
-            sections[current] = []
-        elif current is not None:
-            sections[current].append(line)
-
-    def read_terms(expr):
-        terms = []
-        for raw in expr.split("+"):
-            raw = raw.strip()
-            if not raw:
-                continue
-            match = re.fullmatch(r"(?:(\d+)\s+)?x_(\d+)_(\d+)", raw)
-            assert match, raw
-            coeff = int(match.group(1)) if match.group(1) else 1
-            terms.append((coeff, (int(match.group(2)), int(match.group(3)))))
-        return terms
-
-    def glue(lines):
-        # continuation lines carry no ':'; fold them into their constraint
-        items = []
-        for line in lines:
-            if ":" in line:
-                items.append(line)
-            else:
-                items[-1] += " " + line.strip()
-        return items
-
-    objective = read_terms(" ".join(sections["Minimize"]).split(":", 1)[1])
-    constraints = []
-    for item in glue(sections["Subject To"]):
-        name, body = item.split(":", 1)
-        if "<=" in body:
-            expr, rhs = body.split("<=")
-            op = "<="
-        else:
-            expr, rhs = body.split("=")
-            op = "="
-        constraints.append((name.strip(), read_terms(expr), op, int(rhs)))
-    binaries = {line.strip() for line in sections["Binary"] if line.strip()}
-    return objective, constraints, binaries
-
-
 def test_criterion_7_model_lp_fidelity():
     checked = 0
     failures = []
@@ -284,15 +238,11 @@ def test_criterion_7_model_lp_fidelity():
         if sol.status is not SolveStatus.OPTIMAL:
             continue
         checked += 1
-        ir = build_model(inst)
-        if (
-            len(ir.row_constraints) != n
-            or len(ir.col_constraints) != n
-            or len(ir.conflict_constraints) != len(inst.conflicts)
-        ):
-            failures.append((inst.name, "constraint counts"))
+        objective, constraints, binaries = parse_lp(export_lp(inst))
+        kinds = collections.Counter(name.split("_")[0] for name, *_ in constraints)
+        if kinds != collections.Counter(row=n, col=n, conf=len(inst.conflicts)):
+            failures.append((inst.name, "constraint counts", kinds))
             continue
-        objective, constraints, binaries = _parse_lp(export_lp(ir))
         if len(binaries) != n * n:
             failures.append((inst.name, "binary section size"))
         selected = {(i, j) for i, j in enumerate(sol.assignment)}

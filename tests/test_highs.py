@@ -1,13 +1,17 @@
-"""Cross-check of the exact solver against HiGHS above the oracle's reach.
+"""Cross-check of the exact solver and the LP export against HiGHS.
 
 The reference model is built here from ``inst.conflicts`` alone, not from
 ``apc.model``, so a fault shared by the model and the solver still shows.
-scipy is a test-only dependency; without it this module is skipped.
+The LP text of ``export_lp`` is read back and solved by HiGHS separately,
+and must reach the same optimum. scipy is a test-only dependency; without
+it this module is skipped.
 """
 
 import functools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 pytest.importorskip("scipy")
 
@@ -17,11 +21,14 @@ from scipy.sparse import coo_matrix  # noqa: E402
 
 from apc.exact import solve_exact  # noqa: E402
 from apc.instance import generate_instance  # noqa: E402
+from apc.model import export_lp  # noqa: E402
 from apc.solution import SolveStatus  # noqa: E402
 
+from lp_text import parse_lp  # noqa: E402
 
-def highs_optimum(inst) -> int:
-    """Optimal value of the binary program, solved by HiGHS."""
+
+def highs_optimum(inst):
+    """Optimal value of the binary program solved by HiGHS; None if infeasible."""
     n = inst.n
     var = np.arange(n * n)
     rows = np.concatenate([var // n, n + var % n])
@@ -47,7 +54,9 @@ def highs_optimum(inst) -> int:
             LinearConstraint(conflict.tocsr(), -np.inf, 1),
         ],
     )
-    assert res.status == 0, res.message  # proven optimal
+    assert res.status in (0, 2), res.message  # proven optimal or infeasible
+    if res.status == 2:
+        return None
     chosen = {(a, int(np.argmax(res.x[a * n:(a + 1) * n]))) for a in range(n)}
     assert sorted(b for _, b in chosen) == list(range(n))
     assert not any(p.e1 in chosen and p.e2 in chosen for p in pairs)
@@ -88,3 +97,38 @@ def test_time_limited_bounds_bracket_highs(n, m, seed):
             assert ref <= sol.value
         if sol.status is SolveStatus.OPTIMAL:
             assert sol.value == ref
+
+
+@pytest.mark.parametrize("n,m,seed", ROWS)
+def test_exported_lp_solves_to_highs_optimum(n, m, seed):
+    inst, ref = row(n, m, seed)
+    objective, constraints, binaries = parse_lp(export_lp(inst))
+    var = {edge: k for k, edge in enumerate(binaries)}
+    c = np.zeros(len(var))
+    for coeff, edge in objective:
+        c[var[edge]] += coeff
+    matrix = np.zeros((len(constraints), len(var)))
+    lower = np.empty(len(constraints))
+    upper = np.empty(len(constraints))
+    for r, (_, terms, op, rhs) in enumerate(constraints):
+        for coeff, edge in terms:
+            matrix[r, var[edge]] += coeff
+        lower[r] = rhs if op == "=" else -np.inf
+        upper[r] = rhs
+    res = milp(c, integrality=np.ones(len(var)), bounds=Bounds(0, 1),
+               constraints=[LinearConstraint(matrix, lower, upper)])
+    assert res.status == 0, res.message
+    assert round(res.fun) == ref
+
+
+@given(n=st.integers(11, 20), m=st.integers(0, 1500), seed=st.integers())
+@settings(max_examples=6, deadline=None)
+def test_random_rows_match_highs(n, m, seed):
+    inst = generate_instance(n, m, 1, 100, seed)
+    ref = highs_optimum(inst)
+    sol = solve_exact(inst)
+    if ref is None:
+        assert sol.status is SolveStatus.INFEASIBLE
+    else:
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.value == ref

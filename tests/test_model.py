@@ -1,5 +1,6 @@
-"""Model IR, LP export, objective evaluation and feasibility checking."""
+"""LP export, objective evaluation and feasibility checking."""
 
+import collections
 import hashlib
 import random
 
@@ -15,7 +16,9 @@ from apc.instance import (
     generate_instance,
     max_conflict_pairs,
 )
-from apc.model import build_model, check_feasible, evaluate, export_lp
+from apc.model import check_feasible, evaluate, export_lp
+
+from lp_text import parse_lp
 
 
 def inst_1x1(cost=7):
@@ -29,84 +32,71 @@ def inst_2x2(conflicts=()):
 DIAG_CONFLICT = (((0, 0), (1, 1)),)
 
 
-def test_build_model_1x1():
-    ir = build_model(inst_1x1())
-    assert ir.num_vars == 1
-    assert ir.objective == ((0, 7),)
-    assert ir.row_constraints == ((0,),)
-    assert ir.col_constraints == ((0,),)
-    assert ir.conflict_constraints == ()
+def constraint_counts(constraints):
+    return collections.Counter(name.split("_")[0] for name, *_ in constraints)
 
 
-def test_build_model_2x2_with_conflict():
-    ir = build_model(inst_2x2(DIAG_CONFLICT))
-    assert ir.num_vars == 4
-    assert len(ir.row_constraints) + len(ir.col_constraints) == 4
-    assert ir.conflict_constraints == ((0, 3),)
-
-
-def test_build_model_counts_match_generated_instance():
+def test_export_lp_counts_match_generated_instance():
     inst = generate_instance(15, 5000, 1, 100, seed=1)
-    ir = build_model(inst)
-    assert ir.num_vars == 225
-    assert len(ir.row_constraints) == 15
-    assert len(ir.col_constraints) == 15
-    assert len(ir.conflict_constraints) == 5000
-    # independent recount from the exported text
-    text = export_lp(ir)
+    text = export_lp(inst)
     body = text.split("Subject To")[1].split("Binary")[0]
     names = [line.split(":")[0].strip() for line in body.splitlines() if ":" in line]
     assert sum(1 for s in names if s.startswith("row_")) == 15
     assert sum(1 for s in names if s.startswith("col_")) == 15
     assert sum(1 for s in names if s.startswith("conf_")) == 5000
+    binaries = text.split("Binary\n")[1].split("End")[0].split()
+    assert len(binaries) == len(set(binaries)) == 225
 
 
 def test_var_map_is_bijection():
     inst = generate_instance(6, 0, 1, 9, seed=2)
-    ir = build_model(inst)
-    assert ir.num_vars == 36
-    grid = [Edge(i, j) for i in range(6) for j in range(6)]
-    assert [ir.edge_of(var) for var in range(ir.num_vars)] == grid
+    _, _, binaries = parse_lp(export_lp(inst))
+    assert binaries == [(i, j) for i in range(6) for j in range(6)]
 
 
 def test_every_var_in_one_row_and_one_col():
-    ir = build_model(generate_instance(5, 10, 1, 9, seed=3))
-    row_hits = [0] * ir.num_vars
-    col_hits = [0] * ir.num_vars
-    for members in ir.row_constraints:
-        for v in members:
-            row_hits[v] += 1
-    for members in ir.col_constraints:
-        for v in members:
-            col_hits[v] += 1
-    assert row_hits == [1] * ir.num_vars
-    assert col_hits == [1] * ir.num_vars
+    inst = generate_instance(5, 10, 1, 9, seed=3)
+    _, constraints, _ = parse_lp(export_lp(inst))
+    hits = {"row": collections.Counter(), "col": collections.Counter()}
+    for name, terms, _, _ in constraints:
+        kind = name.split("_")[0]
+        if kind in hits:
+            hits[kind].update(edge for _, edge in terms)
+    grid = collections.Counter((i, j) for i in range(5) for j in range(5))
+    assert hits["row"] == hits["col"] == grid
 
 
 def test_export_lp_1x1():
-    text = export_lp(build_model(inst_1x1()))
+    text = export_lp(inst_1x1())
     assert "Minimize" in text and "Subject To" in text
     assert text.rstrip().endswith("End")
     assert "7 x_0_0" in text
     assert " row_0: x_0_0 = 1" in text
     assert " col_0: x_0_0 = 1" in text
     assert "Binary\n x_0_0\n" in text
+    objective, constraints, binaries = parse_lp(text)
+    assert objective == [(7, (0, 0))]
+    assert constraint_counts(constraints) == collections.Counter(row=1, col=1)
+    assert binaries == [(0, 0)]
 
 
 def test_export_lp_conflict_row():
-    text = export_lp(build_model(inst_2x2(DIAG_CONFLICT)))
+    text = export_lp(inst_2x2(DIAG_CONFLICT))
     assert " conf_0: x_0_0 + x_1_1 <= 1" in text
+    _, constraints, binaries = parse_lp(text)
+    assert len(binaries) == 4
+    assert constraint_counts(constraints) == collections.Counter(row=2, col=2, conf=1)
+    assert constraints[-1] == ("conf_0", [(1, (0, 0)), (1, (1, 1))], "<=", 1)
 
 
 def test_export_lp_is_deterministic():
     inst = generate_instance(7, 60, 1, 40, seed=4)
-    ir = build_model(inst)
-    assert export_lp(ir) == export_lp(ir)
-    assert export_lp(build_model(inst)) == export_lp(ir)
+    assert export_lp(inst) == export_lp(inst)
+    assert export_lp(generate_instance(7, 60, 1, 40, seed=4)) == export_lp(inst)
 
 
 def test_export_lp_is_byte_stable():
-    text = export_lp(build_model(generate_instance(12, 300, 1, 100, 5)))
+    text = export_lp(generate_instance(12, 300, 1, 100, 5))
     digest = "9975afe889dacccee971082b354f7da0eeff3c66543887bd6e7d1a1cd33e9260"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -202,10 +192,10 @@ def test_permutations_are_perfect_matchings(data, n):
 
 @given(data=st.data(), seed=st.integers(min_value=0, max_value=999))
 @settings(max_examples=40, deadline=None)
-def test_ir_objective_agrees_with_evaluate(data, seed):
+def test_lp_objective_agrees_with_evaluate(data, seed):
     inst = generate_instance(5, 30, 1, 50, seed=seed)
     perm = data.draw(st.permutations(range(5)))
-    ir = build_model(inst)
-    selected = {i * inst.n + j for i, j in enumerate(perm)}
-    ir_value = sum(coeff for var, coeff in ir.objective if var in selected)
-    assert ir_value == evaluate(inst, perm)
+    objective, _, _ = parse_lp(export_lp(inst))
+    selected = set(enumerate(perm))
+    lp_value = sum(coeff for coeff, edge in objective if edge in selected)
+    assert lp_value == evaluate(inst, perm)
