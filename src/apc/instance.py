@@ -21,7 +21,6 @@ The ``# name:`` comment is optional and carries the instance name through a
 write/parse round trip; parsers that discard comments read the same data.
 """
 
-import itertools
 import math
 import operator
 import random
@@ -249,21 +248,25 @@ def parse_instance(source: str | IO[str]) -> Instance:
     """
     text = source.read() if hasattr(source, "read") else source
     name = ""
+    numbered = enumerate(text.splitlines(), start=1)
+
+    def is_data(line: str) -> bool:
+        # false for a blank or comment line; the first non-empty '# name:'
+        # comment sets the name on the way
+        nonlocal name
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("name:") and not name:
+                name = body[len("name:"):].strip()
+            return False
+        return line != ""
 
     def logical_lines():
-        # (line number, stripped line) of every non-blank, non-comment line;
-        # the first non-empty '# name:' comment sets the name on the way
-        nonlocal name
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        # (line number, stripped line) of every non-blank, non-comment line
+        for lineno, raw in numbered:
             line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("name:") and not name:
-                    name = body[len("name:"):].strip()
-                continue
-            yield lineno, line
+            if is_data(line):
+                yield lineno, line
 
     lines = logical_lines()
 
@@ -325,35 +328,49 @@ def parse_instance(source: str | IO[str]) -> Instance:
         )
     (m,) = count
 
+    # the rest of the document, read from the same numbered lines: each token
+    # is looked up in a table of the n canonical indices, built only now that
+    # the cost block holds n rows; only a line with a token outside it (blank,
+    # comment, trailing, or a signed, padded or bad index) takes the branch
+    # that skips it, rejects it or reads it with int()
+    index = {str(i): i for i in range(n)}
     nn = n * n
     keys: set[int] = set()
-    for lineno, line in itertools.islice(lines, m):
+    for lineno, raw in numbered:
         try:
-            a1, b1, a2, b2 = map(int, line.split())
-        except ValueError:  # a token that is not an int, or not 4 tokens
+            a1, b1, a2, b2 = raw.split()
+            u = index[a1] * n + index[b1]
+            v = index[a2] * n + index[b2]
+        except (KeyError, ValueError):
+            line = raw.strip()
+            if not is_data(line):
+                continue
+            if len(keys) < m:
+                try:
+                    a1, b1, a2, b2 = map(int, line.split())
+                except ValueError:  # a token that is not an int, or not 4 tokens
+                    raise MalformedHeaderError(
+                        f"line {lineno}: conflict line must hold 4 integers, got {line!r}"
+                    ) from None
+                if not (0 <= a1 < n and 0 <= b1 < n and 0 <= a2 < n and 0 <= b2 < n):
+                    bad = next(i for i in (a1, b1, a2, b2) if not 0 <= i < n)
+                    raise IndexOutOfRangeError(f"line {lineno}: index {bad} outside [0, {n})")
+                u, v = a1 * n + b1, a2 * n + b2
+        found = len(keys)
+        if found == m:
             raise MalformedHeaderError(
-                f"line {lineno}: conflict line must hold 4 integers, got {line!r}"
-            ) from None
-        if not (0 <= a1 < n and 0 <= b1 < n and 0 <= a2 < n and 0 <= b2 < n):
-            bad = next(i for i in (a1, b1, a2, b2) if not 0 <= i < n)
-            raise IndexOutOfRangeError(f"line {lineno}: index {bad} outside [0, {n})")
-        u, v = a1 * n + b1, a2 * n + b2
+                f"line {lineno}: unexpected trailing content {raw.strip()!r}"
+            )
         if u == v:
             raise DegenerateConflictError(
                 f"line {lineno}: conflict pair needs two distinct edges, "
-                f"got {Edge(a1, b1)} twice"
+                f"got {Edge(*divmod(u, n))} twice"
             )
-        before = len(keys)
         keys.add(u * nn + v if u < v else v * nn + u)
-        if len(keys) == before:
-            raise DuplicateConflictError(f"line {lineno}: duplicate conflict {line!r}")
+        if len(keys) == found:
+            raise DuplicateConflictError(f"line {lineno}: duplicate conflict {raw.strip()!r}")
     if len(keys) < m:  # the lines ran out, so take() raises
         take(f"conflict line {len(keys) + 1} of {m}")
-
-    extra = next(lines, None)
-    if extra is not None:
-        lineno, line = extra
-        raise MalformedHeaderError(f"line {lineno}: unexpected trailing content {line!r}")
 
     return Instance(tuple(costs), ConflictSet(n, frozenset(keys)), name)
 

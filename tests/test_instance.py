@@ -90,6 +90,15 @@ CONFLICT_BLOCK_MESSAGES = {
         "line 7: conflict pair needs two distinct edges, got Edge(a=0, b=0) twice",
     _HEAD_2 + "conflicts 2\n0 0 1 1\n0 0 1 1\n": "line 8: duplicate conflict '0 0 1 1'",
     _HEAD_2 + "conflicts 2\n0 0 1 1\n1 1 0 0\n": "line 8: duplicate conflict '1 1 0 0'",
+    # a comment and a blank line before the bad line move its number
+    _HEAD_2 + "conflicts 2\n0 0 1 1\n# note\n\n0 5 7 1\n": "line 10: index 5 outside [0, 2)",
+    # a padded or signed token is read by int(), then range-checked
+    _HEAD_2 + "conflicts 1\n0 0 02 1\n": "line 7: index 2 outside [0, 2)",
+    _HEAD_2 + "conflicts 1\n0 0 +2 1\n": "line 7: index 2 outside [0, 2)",
+    # '00' and '-0' are the edge index 0
+    _HEAD_2 + "conflicts 1\n00 0 -0 0\n":
+        "line 7: conflict pair needs two distinct edges, got Edge(a=0, b=0) twice",
+    _HEAD_2 + "conflicts 2\n0 0 1 1\n00 -0 1 1\n": "line 8: duplicate conflict '00 -0 1 1'",
 }
 
 
@@ -131,6 +140,11 @@ CONFLICT_BLOCK_MESSAGES = {
         ("APC 1\nn 2\ncosts\n1 2\n3 4\nconflicts 1\n0 -1 1 1\n", IndexOutOfRangeError),
         ("APC 1\nn 2\ncosts\n1 2\n3 4\nconflicts 1\n0 5 7 1\n", IndexOutOfRangeError),
         ("APC 1\nn 2\ncosts\n1 2\n3 4\nconflicts 2\n0 0 1 1\n", MalformedHeaderError),
+        (_HEAD_2 + "conflicts 2\n0 0 1 1\n# note\n\n0 5 7 1\n", IndexOutOfRangeError),
+        (_HEAD_2 + "conflicts 1\n0 0 02 1\n", IndexOutOfRangeError),
+        (_HEAD_2 + "conflicts 1\n0 0 +2 1\n", IndexOutOfRangeError),
+        (_HEAD_2 + "conflicts 1\n00 0 -0 0\n", DegenerateConflictError),
+        (_HEAD_2 + "conflicts 2\n0 0 1 1\n00 -0 1 1\n", DuplicateConflictError),
     ],
 )
 def test_parse_errors(doc, error):
@@ -236,6 +250,44 @@ def test_round_trip_random_instances(n, frac, seed):
     inst.partners  # a conflict index compiled on one side only must not matter
     parsed = parse_instance(write_instance(inst))
     assert parsed == inst and hash(parsed) == hash(inst)
+
+
+@st.composite
+def _respelled_documents(draw):
+    """(instance, its document with every conflict line spelled another way:
+    padded or signed tokens, tabs and runs of spaces, trailing whitespace,
+    CRLF endings, and comment, blank and '# name:' lines in and after the
+    conflict block)."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    m = int(draw(st.floats(min_value=0.0, max_value=1.0)) * max_conflict_pairs(n))
+    inst = generate_instance(n, m, 0, 30, draw(st.integers(min_value=0, max_value=2**32)))
+    rnd = draw(st.randoms(use_true_random=False))
+    head, conflicts = write_instance(inst).split(f"conflicts {m}\n")
+    filler = ["", "  ", "\t", "# a comment", "#0 0 1 1", "  # 0 0 1 1", "# name: other"]
+    spelling = ["{}", "0{}", "00{}", "+{}", "+0{}"]
+
+    def respell(line):
+        tokens = [rnd.choice(spelling).format(t) for t in line.split()]
+        if line.startswith("0 "):
+            tokens[0] = rnd.choice(["-0", "+0", "000"])
+        text = tokens[0] + "".join(rnd.choice([" ", "\t", "   ", " \t "]) + t for t in tokens[1:])
+        return rnd.choice(["", " ", "\t"]) + text + rnd.choice(["", " ", "\t ", "  "])
+
+    lines = [f"conflicts {m}"]
+    for line in conflicts.splitlines():
+        while rnd.random() < 0.2:
+            lines.append(rnd.choice(filler))
+        lines.append(respell(line) if rnd.random() < 0.7 else line)
+    lines += rnd.sample(filler, rnd.randint(0, len(filler)))
+    return inst, (head + "\n".join(lines) + "\n").replace("\n", "\r\n")
+
+
+@given(_respelled_documents())
+@settings(max_examples=40, deadline=None)
+def test_respelled_conflict_lines_parse_as_the_canonical_document(case):
+    inst, doc = case
+    parsed = parse_instance(doc)
+    assert parsed == inst and parsed.name == inst.name
 
 
 @st.composite
