@@ -244,6 +244,22 @@ def test_emit_table_average_of_gaps():
     assert text.splitlines()[-1].split()[1] == "2.00"
 
 
+def test_emit_table_text_is_pinned():
+    records = [
+        make_record("8/50", 8, 50, "heuristic", 1.25, None, opt=101.4),
+        make_record("8/50", 8, 50, "exact", None, 0.5, opt=101.4),
+        make_record("10/200", 10, 200, "heuristic", None, None, opt=98.0),
+        make_record("10/200", 10, 200, "exact", None, 12.5, opt=98.0),
+    ]
+    assert emit_table(records) == (
+        "Instances             Opt         heuristic    exact\n"
+        "     n      |C|             Gap %  Sec Best  Sec Opt\n"
+        "     8       50     101.4    1.25       0.0      0.5\n"
+        "    10      200      98.0       -       0.0     12.5\n"
+        "Averages                     1.25       0.0      6.5\n"
+    )
+
+
 def test_emit_table_empty():
     with pytest.raises(EmptyReportError):
         emit_table([])

@@ -71,8 +71,35 @@ def test_parse_reads_stream():
 
 _HEAD_2 = "APC 1\nn 2\ncosts\n1 2\n3 4\n"
 
-# the full message of each conflict-block error, as the parser reports it
-CONFLICT_BLOCK_MESSAGES = {
+# the full message of each header, cost-block and conflict-block error, as the
+# parser reports it
+PARSE_ERROR_MESSAGES = {
+    "": "unexpected end of document, expected magic line 'APC 1'",
+    "APX 1\nn 1\ncosts\n7\nconflicts 0\n": "line 1: expected 'APC 1', got 'APX 1'",
+    "APC 2\nn 1\ncosts\n7\nconflicts 0\n": "line 1: expected 'APC 1', got 'APC 2'",
+    "APC 1\n": "unexpected end of document, expected size line 'n <N>'",
+    "APC 1\nn 0\ncosts\nconflicts 0\n": "line 2: n must be positive, got 0",
+    "APC 1\nn x\ncosts\n7\nconflicts 0\n": "line 2: expected 'n <N>', got 'n x'",
+    "APC 1\nn 1\n": "unexpected end of document, expected 'costs' keyword",
+    "APC 1\nn 1\ncost\n7\nconflicts 0\n": "line 3: expected 'costs', got 'cost'",
+    "APC 1\nn 2\ncosts\n1 2\n": "cost block has 1 rows, expected 2",
+    "APC 1\nn 2\ncosts\n1 2\nconflicts 0\n":
+        "line 5: cost row 1 must hold exactly 2 integers, got 'conflicts 0'",
+    "APC 1\nn 2\ncosts\n1 2 3\n4 5\nconflicts 0\n":
+        "line 4: cost row 0 must hold exactly 2 integers, got '1 2 3'",
+    "APC 1\nn 2\ncosts\n1 x\n3 4\nconflicts 0\n":
+        "line 4: cost row 0 must hold exactly 2 integers, got '1 x'",
+    "APC 1\nn 1\ncosts\n-7\nconflicts 0\n": "line 4: cost[0][0] = -7 < 0",
+    "APC 1\nn 2\ncosts\n1 2\n3 4\n5 6\nconflicts 0\n":
+        "line 6: more than 2x2 cost entries (extra row '5 6')",
+    "APC 1\nn 1\ncosts\n7\n":
+        "unexpected end of document, expected conflict count line 'conflicts <M>'",
+    "APC 1\nn 1\ncosts\n7\nconflicts x\n":
+        "line 5: expected 'conflicts <M>', got 'conflicts x'",
+    "APC 1\nn 1\ncosts\n7\nconflicts -1\n":
+        "line 5: expected 'conflicts <M>', got 'conflicts -1'",
+    "APC 1\nn 1\ncosts\n7\nconflicts 0\ntrailing junk\n":
+        "line 6: unexpected trailing content 'trailing junk'",
     _HEAD_2 + "conflicts 1\n0 0 1\n":
         "line 7: conflict line must hold 4 integers, got '0 0 1'",
     _HEAD_2 + "conflicts 1\n0 0 1 1 0\n":
@@ -105,6 +132,10 @@ CONFLICT_BLOCK_MESSAGES = {
 @pytest.mark.parametrize(
     "doc,error",
     [
+        ("", MalformedHeaderError),
+        ("APC 1\n", MalformedHeaderError),  # missing size line
+        ("APC 1\nn 1\n", MalformedHeaderError),  # missing 'costs'
+        ("APC 1\nn 1\ncost\n7\nconflicts 0\n", MalformedHeaderError),
         ("APX 1\nn 1\ncosts\n7\nconflicts 0\n", MalformedHeaderError),
         ("APC 2\nn 1\ncosts\n7\nconflicts 0\n", MalformedHeaderError),
         ("APC 1\nn 0\ncosts\nconflicts 0\n", MalformedHeaderError),
@@ -148,7 +179,7 @@ CONFLICT_BLOCK_MESSAGES = {
     ],
 )
 def test_parse_errors(doc, error):
-    message = CONFLICT_BLOCK_MESSAGES.get(doc)
+    message = PARSE_ERROR_MESSAGES.get(doc)
     with pytest.raises(error, match=None if message is None else f"^{re.escape(message)}$"):
         parse_instance(doc)
 
