@@ -16,7 +16,7 @@ import contextlib
 import csv
 import os
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -32,51 +32,41 @@ from .oracle import BRUTE_FORCE_MAX_N, brute_force
 from .solution import Solution, SolveStatus
 
 KNOWN_METHODS = ("oracle", "exact", "heuristic")
-CSV_COLUMNS = (
-    "group",
-    "n",
-    "conflicts",
-    "method",
-    "seed",
-    "value",
-    "status",
-    "gap_percent",
-    "sec_best",
-    "sec_total",
-)
 
-# Group parameters of the full-scale preset: 26 (n, conflict count) rows,
-# n from 15 to 500 and conflict counts from 5000 to 700000. Desk-scale runs
-# should prefer the "small" preset.
-TABLE1_PARAMS = (
-    (15, 5000),
-    (20, 10000),
-    (30, 20000),
-    (30, 30000),
-    (40, 40000),
-    (50, 50000),
-    (50, 60000),
-    (60, 80000),
-    (70, 100000),
-    (70, 150000),
-    (80, 200000),
-    (90, 250000),
-    (100, 100000),
-    (100, 250000),
-    (100, 350000),
-    (150, 200000),
-    (150, 350000),
-    (150, 500000),
-    (200, 200000),
-    (200, 400000),
-    (250, 500000),
-    (250, 700000),
-    (300, 100000),
-    (300, 300000),
-    (400, 200000),
-    (500, 200000),
-)
-SMALL_PARAMS = tuple((n, m) for n in (8, 10, 12) for m in (50, 200))
+# The (n, conflict count) rows of each preset. "table1" is the full-scale
+# preset: 26 rows, n from 15 to 500 and conflict counts from 5000 to 700000.
+# Desk-scale runs should prefer "small".
+PRESETS = {
+    "small": tuple((n, m) for n in (8, 10, 12) for m in (50, 200)),
+    "table1": (
+        (15, 5000),
+        (20, 10000),
+        (30, 20000),
+        (30, 30000),
+        (40, 40000),
+        (50, 50000),
+        (50, 60000),
+        (60, 80000),
+        (70, 100000),
+        (70, 150000),
+        (80, 200000),
+        (90, 250000),
+        (100, 100000),
+        (100, 250000),
+        (100, 350000),
+        (150, 200000),
+        (150, 350000),
+        (150, 500000),
+        (200, 200000),
+        (200, 400000),
+        (250, 500000),
+        (250, 700000),
+        (300, 100000),
+        (300, 300000),
+        (400, 200000),
+        (500, 200000),
+    ),
+}
 
 
 # Every benchmark instance draws its costs from [COST_LO, COST_HI], and every
@@ -111,6 +101,11 @@ class InstanceResult:
     sec_total: float | None
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(InstanceResult))
+# the printed decimals of the float columns; None prints as an empty cell
+_CSV_DECIMALS = {"gap_percent": 2, "sec_best": 1, "sec_total": 1}
+
+
 @dataclass(frozen=True)
 class BenchRecord:
     """Per-(group, method) aggregate mirroring one table cell cluster."""
@@ -139,11 +134,9 @@ def make_group(n: int, conflict_count: int, replicate_count: int = 5) -> BenchGr
 
 
 def preset_groups(name: str) -> list[BenchGroup]:
-    if name == "small":
-        return [make_group(n, m) for n, m in SMALL_PARAMS]
-    if name == "table1":
-        return [make_group(n, m) for n, m in TABLE1_PARAMS]
-    raise ValueError(f"unknown preset {name!r}, expected 'small' or 'table1'")
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}, expected one of {tuple(PRESETS)}")
+    return [make_group(n, m) for n, m in PRESETS[name]]
 
 
 def _run_unit(args: tuple) -> tuple[list[InstanceResult], int | None]:
@@ -193,18 +186,13 @@ def _run_unit(args: tuple) -> tuple[list[InstanceResult], int | None]:
 
 
 def _format_csv_row(r: InstanceResult) -> list[str]:
-    return [
-        r.group,
-        str(r.n),
-        str(r.conflicts),
-        r.method,
-        str(r.seed),
-        "" if r.value is None else str(r.value),
-        r.status.value,
-        "" if r.gap_percent is None else f"{r.gap_percent:.2f}",
-        f"{r.sec_best:.1f}",
-        "" if r.sec_total is None else f"{r.sec_total:.1f}",
-    ]
+    cells = []
+    for column in CSV_COLUMNS:
+        value = getattr(r, column)
+        if value is not None and column in _CSV_DECIMALS:
+            value = f"{value:.{_CSV_DECIMALS[column]}f}"
+        cells.append("" if value is None else str(value))
+    return cells
 
 
 def _mean(values: Iterable[float | None]) -> float | None:
@@ -324,6 +312,16 @@ def run_benchmark(
     return records
 
 
+# The text table's columns for a heuristic and for an exact method, as
+# (header, record field, decimals, width); the method's name heads a cluster
+# as wide as its columns together.
+_HEURISTIC_COLUMNS = (
+    ("Gap %", "avg_gap_percent", 2, 8),
+    ("Sec Best", "avg_sec_best", 1, 10),
+)
+_EXACT_COLUMNS = (("Sec Opt", "avg_sec_total", 1, 9),)
+
+
 def _fmt(value: float | None, decimals: int) -> str:
     return "-" if value is None else f"{value:.{decimals}f}"
 
@@ -338,50 +336,32 @@ def emit_table(records: Sequence[BenchRecord]) -> str:
     if not records:
         raise EmptyReportError("no benchmark records to report")
 
-    group_order: list[str] = []
-    method_order: list[str] = []
-    by_cell: dict[tuple[str, str], BenchRecord] = {}
-    meta: dict[str, tuple[int, int]] = {}
-    for rec in records:
-        if rec.group not in group_order:
-            group_order.append(rec.group)
-            meta[rec.group] = (rec.n, rec.conflicts)
-        if rec.method not in method_order:
-            method_order.append(rec.method)
-        by_cell[(rec.group, rec.method)] = rec
+    groups = list(dict.fromkeys(rec.group for rec in records))
+    methods = list(dict.fromkeys(rec.method for rec in records))
+    by_cell = {(rec.group, rec.method): rec for rec in records}
+    clusters = [
+        (m, _HEURISTIC_COLUMNS if m == "heuristic" else _EXACT_COLUMNS) for m in methods
+    ]
+    columns = [(m, *c) for m, cluster in clusters for c in cluster]
 
-    # Per-method column clusters; getters drive both data and averages rows.
-    getters: list[tuple[str, str, int, int]] = []  # method, attr, decimals, width
-    clusters: list[tuple[str, int]] = []
-    for method in method_order:
-        if method == "heuristic":
-            getters.append((method, "avg_gap_percent", 2, 8))
-            getters.append((method, "avg_sec_best", 1, 10))
-            clusters.append((method, 18))
-        else:
-            getters.append((method, "avg_sec_total", 1, 9))
-            clusters.append((method, 9))
-    sub_headers = {"avg_gap_percent": "Gap %", "avg_sec_best": "Sec Best",
-                   "avg_sec_total": "Sec Opt"}
+    def cells(values: Iterable[float | None]) -> str:
+        return "".join(
+            f"{_fmt(value, decimals):>{width}}"
+            for value, (*_, decimals, width) in zip(values, columns)
+        )
 
     top = f"{'Instances':<15}{'Opt':>10}" + "".join(
-        f"{name:>{width}}" for name, width in clusters
+        f"{m:>{sum(c[-1] for c in cluster)}}" for m, cluster in clusters
     )
     bottom = f"{'n':>6}{'|C|':>9}{'':>10}" + "".join(
-        f"{sub_headers[attr]:>{width}}" for _, attr, _, width in getters
+        f"{header:>{width}}" for _, header, _, _, width in columns
     )
     lines = [top, bottom]
-    for group in group_order:
-        n, conflicts = meta[group]
-        opt = by_cell[(group, method_order[0])].avg_opt
-        cells = [f"{n:>6}", f"{conflicts:>9}", f"{_fmt(opt, 1):>10}"]
-        for method, attr, decimals, width in getters:
-            rec = by_cell[(group, method)]
-            cells.append(f"{_fmt(getattr(rec, attr), decimals):>{width}}")
-        lines.append("".join(cells))
-    avg_cells = [f"{'Averages':<25}"]
-    for method, attr, decimals, width in getters:
-        avg = _mean(getattr(by_cell[(g, method)], attr) for g in group_order)
-        avg_cells.append(f"{_fmt(avg, decimals):>{width}}")
-    lines.append("".join(avg_cells))
+    rows = []
+    for group in groups:
+        rec = by_cell[(group, methods[0])]
+        rows.append([getattr(by_cell[(group, m)], field) for m, _, field, *_ in columns])
+        head = f"{rec.n:>6}{rec.conflicts:>9}{_fmt(rec.avg_opt, 1):>10}"
+        lines.append(head + cells(rows[-1]))
+    lines.append(f"{'Averages':<25}" + cells(map(_mean, zip(*rows))))
     return "\n".join(lines) + "\n"

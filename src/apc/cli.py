@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import emit_table, preset_groups, run_benchmark
+from .bench import KNOWN_METHODS, PRESETS, emit_table, preset_groups, run_benchmark
 from .errors import ApcError
 from .exact import solve_exact
 from .heuristic import LSConfig, run_heuristic
@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="solve one instance")
     s.add_argument("instance", type=Path)
-    s.add_argument("--method", choices=("oracle", "exact", "heuristic"), default="exact")
+    s.add_argument("--method", choices=KNOWN_METHODS, default="exact")
     s.add_argument("--time-limit", type=float, default=3600.0)
     s.add_argument("--node-limit", type=int, default=None)
     s.add_argument("--seed", type=int, default=0)
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_check)
 
     b = sub.add_parser("bench", help="run a benchmark preset")
-    b.add_argument("--preset", choices=("small", "table1"), default="small")
+    b.add_argument("--preset", choices=tuple(PRESETS), default="small")
     b.add_argument("--methods", default="exact,heuristic", help="comma-separated")
     b.add_argument("--time-limit", type=float, default=3600.0)
     b.add_argument("--out-csv", type=Path, default=None)

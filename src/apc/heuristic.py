@@ -44,59 +44,52 @@ def construct_greedy(inst: Instance, rng_seed: int) -> Solution | None:
     with a different seed.
     """
     n = inst.n
-    rng = random.Random(rng_seed)
-    order = list(range(n))
-    rng.shuffle(order)
     partners = inst.partners
+    order = list(range(n))
+    random.Random(rng_seed).shuffle(order)
     start = time.perf_counter()
 
-    assigned: dict[int, int] = {}
-    selected: set[int] = set()  # ids i*n + j of the assigned edges
-    occupant: dict[int, int] = {}
-    col_free = [True] * n
-    evictions_left = [1] * n
+    col_of: list[int | None] = [None] * n
+    row_of: list[int | None] = [None] * n
+    selected: set[int] = set()  # ids i*n + j of the seated edges
+    evicted: set[int] = set()  # rows that may not be evicted again
     queue = deque(order)
+
+    def seat(i: int, j: int) -> None:
+        col_of[i], row_of[j] = j, i
+        selected.add(i * n + j)
+
     while queue:
         i = queue.popleft()
-        choices = sorted((inst.costs[i][j], j) for j in range(n) if col_free[j])
-        picked = False
-        for _, j in choices:
+        row = inst.costs[i]
+        for _, j in sorted((row[j], j) for j in range(n) if row_of[j] is None):
             if selected.isdisjoint(partners[i * n + j]):
-                assigned[i] = j
-                selected.add(i * n + j)
-                occupant[j] = i
-                col_free[j] = False
-                picked = True
+                seat(i, j)
                 break
-        if picked:
-            continue
-        candidates = []
-        for j in range(n):
-            conflicted = {p // n for p in partners[i * n + j] if p in selected}
-            blockers = set(conflicted)
-            if not col_free[j]:
-                blockers.add(occupant[j])
-            candidates.append((bool(conflicted), inst.costs[i][j], j, blockers))
-        candidates.sort(key=lambda c: c[:3])
-        for _, _, j, blockers in candidates:
-            if blockers and all(evictions_left[b] for b in blockers):
-                for b in blockers:
-                    evictions_left[b] -= 1
-                    freed = assigned.pop(b)
-                    selected.remove(b * n + freed)
-                    del occupant[freed]
-                    col_free[freed] = True
-                    queue.append(b)
-                assigned[i] = j
-                selected.add(i * n + j)
-                occupant[j] = i
-                col_free[j] = False
-                picked = True
-                break
-        if not picked:
-            return None
+        else:
+            # every free column conflicts, so every candidate has a blocker
+            candidates = []
+            for j in range(n):
+                conflicted = {p // n for p in partners[i * n + j] if p in selected}
+                blockers = set(conflicted)
+                if row_of[j] is not None:
+                    blockers.add(row_of[j])
+                candidates.append((bool(conflicted), row[j], j, blockers))
+            candidates.sort()
+            for _, _, j, blockers in candidates:
+                if evicted.isdisjoint(blockers):
+                    for b in blockers:
+                        evicted.add(b)
+                        freed = col_of[b]
+                        col_of[b] = row_of[freed] = None
+                        selected.remove(b * n + freed)
+                        queue.append(b)
+                    seat(i, j)
+                    break
+            else:
+                return None
 
-    perm = tuple(assigned[i] for i in range(n))
+    perm = tuple(col_of)
     elapsed = time.perf_counter() - start
     return Solution(
         assignment=perm,

@@ -4,8 +4,8 @@ An instance couples an n x n matrix of non-negative integer assignment costs
 with a set of conflict pairs: unordered pairs of distinct edges that must not
 both appear in a solution.
 
-Text format (UTF-8, line oriented, '#' starts a comment line, blank lines are
-skipped)::
+Text format (UTF-8, line oriented, '#' starts a comment line, blank lines and
+one leading byte-order mark are skipped)::
 
     APC 1
     # name: example
@@ -33,6 +33,7 @@ from .errors import (
     DegenerateConflictError,
     DimensionMismatchError,
     DuplicateConflictError,
+    FormatError,
     IndexOutOfRangeError,
     MalformedHeaderError,
     NegativeCostError,
@@ -159,9 +160,6 @@ class ConflictSet(Set):
     def __hash__(self) -> int:
         return self._hash()
 
-    def __reduce__(self):
-        return type(self), (self.n, self.keys)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({sorted(self)!r})"
 
@@ -248,7 +246,7 @@ def parse_instance(source: str | IO[str]) -> Instance:
     """
     text = source.read() if hasattr(source, "read") else source
     name = ""
-    numbered = enumerate(text.splitlines(), start=1)
+    numbered = enumerate(text.removeprefix("\ufeff").splitlines(), start=1)
 
     def is_data(line: str) -> bool:
         # false for a blank or comment line; the first non-empty '# name:'
@@ -261,20 +259,14 @@ def parse_instance(source: str | IO[str]) -> Instance:
             return False
         return line != ""
 
-    def logical_lines():
-        # (line number, stripped line) of every non-blank, non-comment line
+    def take(missing: str, error: type[FormatError] = MalformedHeaderError):
+        # (line number, stripped line) of the next non-blank, non-comment
+        # line; error(missing) when the document ends first
         for lineno, raw in numbered:
             line = raw.strip()
             if is_data(line):
-                yield lineno, line
-
-    lines = logical_lines()
-
-    def take(what: str) -> tuple[int, str]:
-        item = next(lines, None)
-        if item is None:
-            raise MalformedHeaderError(f"unexpected end of document, expected {what}")
-        return item
+                return lineno, line
+        raise error(missing)
 
     def ints(tokens: list[str]) -> tuple[int, ...] | None:
         try:
@@ -282,11 +274,12 @@ def parse_instance(source: str | IO[str]) -> Instance:
         except ValueError:
             return None
 
-    lineno, line = take("magic line 'APC 1'")
+    at_end = "unexpected end of document, expected"
+    lineno, line = take(f"{at_end} magic line 'APC 1'")
     if line.split() != ["APC", "1"]:
         raise MalformedHeaderError(f"line {lineno}: expected 'APC 1', got {line!r}")
 
-    lineno, line = take("size line 'n <N>'")
+    lineno, line = take(f"{at_end} size line 'n <N>'")
     tokens = line.split()
     size = ints(tokens[1:]) if tokens[0] == "n" else None
     if size is None or len(size) != 1:
@@ -295,16 +288,15 @@ def parse_instance(source: str | IO[str]) -> Instance:
     if n < 1:
         raise MalformedHeaderError(f"line {lineno}: n must be positive, got {n}")
 
-    lineno, line = take("'costs' keyword")
+    lineno, line = take(f"{at_end} 'costs' keyword")
     if line.split() != ["costs"]:
         raise MalformedHeaderError(f"line {lineno}: expected 'costs', got {line!r}")
 
     costs: list[tuple[int, ...]] = []
     for i in range(n):
-        item = next(lines, None)
-        if item is None:
-            raise DimensionMismatchError(f"cost block has {i} rows, expected {n}")
-        lineno, line = item
+        lineno, line = take(
+            f"cost block has {i} rows, expected {n}", DimensionMismatchError
+        )
         row = ints(line.split())
         if row is None or len(row) != n:
             raise DimensionMismatchError(
@@ -315,7 +307,7 @@ def parse_instance(source: str | IO[str]) -> Instance:
             raise NegativeCostError(f"line {lineno}: cost[{i}][{j}] = {row[j]} < 0")
         costs.append(row)
 
-    lineno, line = take("conflict count line 'conflicts <M>'")
+    lineno, line = take(f"{at_end} conflict count line 'conflicts <M>'")
     tokens = line.split()
     count = ints(tokens[1:]) if tokens[0] == "conflicts" else None
     if count is None and ints(tokens) is not None:
@@ -370,7 +362,7 @@ def parse_instance(source: str | IO[str]) -> Instance:
         if len(keys) == found:
             raise DuplicateConflictError(f"line {lineno}: duplicate conflict {raw.strip()!r}")
     if len(keys) < m:  # the lines ran out, so take() raises
-        take(f"conflict line {len(keys) + 1} of {m}")
+        take(f"{at_end} conflict line {len(keys) + 1} of {m}")
 
     return Instance(tuple(costs), ConflictSet(n, frozenset(keys)), name)
 

@@ -42,8 +42,6 @@ def _wrap_expression(prefix: str, terms: Sequence[str], suffix: str = "") -> lis
     for k in range(0, len(terms), per_line):
         chunk = " + ".join(terms[k : k + per_line])
         lines.append(prefix + chunk if k == 0 else "   + " + chunk)
-    if not lines:
-        lines = [prefix]
     lines[-1] += suffix
     return lines
 

@@ -7,6 +7,7 @@ import io
 import pytest
 
 from apc.bench import (
+    BenchGroup,
     BenchRecord,
     InstanceResult,
     emit_table,
@@ -137,6 +138,14 @@ def test_repeated_method_is_rejected(tmp_path):
     out = tmp_path / "runs.csv"
     with pytest.raises(UnknownMethodError):
         run_benchmark(small_groups(), ("exact", "exact"), 10.0, csv_path=out)
+    assert not out.exists()
+
+
+def test_repeated_group_label_is_rejected(tmp_path):
+    out = tmp_path / "runs.csv"
+    groups = [make_group(4, 0), BenchGroup("4/0", 5, 10, (1,))]
+    with pytest.raises(ValueError, match="^group labels must be unique"):
+        run_benchmark(groups, ("exact",), 10.0, csv_path=out)
     assert not out.exists()
 
 

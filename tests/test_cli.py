@@ -156,6 +156,20 @@ def test_check_rejects_conflicting_solution(diag_file, tmp_path, capsys):
     assert "conflict 0 0 1 1 violated" in capsys.readouterr().out
 
 
+def test_check_reports_out_of_range_entry_and_repeated_column(tmp_path, capsys):
+    path = tmp_path / "three.apc"
+    path.write_text("APC 1\nn 3\ncosts\n1 2 3\n4 5 6\n7 8 9\nconflicts 0\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 0 7\n")
+    assert main(["check", str(path), str(bad)]) == 1
+    assert capsys.readouterr().out == (
+        "row 2 has no valid assignment\n"
+        "column 0 is not covered exactly once\n"
+        "column 1 is not covered exactly once\n"
+        "column 2 is not covered exactly once\n"
+    )
+
+
 def test_check_rejects_garbage_solution(diag_file, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("zero one\n")

@@ -125,6 +125,22 @@ def test_run_heuristic_is_deterministic():
     assert a.assignment == b.assignment and a.value == b.value
 
 
+def test_run_heuristic_stops_restarting_at_the_deadline(monkeypatch):
+    class Clock:
+        # every reading is 10 s after the one before
+        now = 0.0
+
+        def perf_counter(self):
+            self.now += 10.0
+            return self.now
+
+    monkeypatch.setattr("apc.heuristic.time", Clock())
+    sol = run_heuristic(DIAG, LSConfig(time_limit=1.0, restarts=5))
+    # start, the spent budget seen before the first restart, the end
+    assert sol.status is SolveStatus.NO_SOLUTION and sol.assignment is None
+    assert sol.sec_total == 20.0
+
+
 def test_restart_dominance():
     inst = generate_instance(8, 150, 1, 90, seed=15)
     values = []

@@ -69,6 +69,14 @@ def test_parse_reads_stream():
     assert inst.n == 1
 
 
+def test_parse_ignores_one_leading_byte_order_mark():
+    doc = "APC 1\r\n# name: b\r\nn 2\r\ncosts\r\n1 2\r\n3 4\r\nconflicts 1\r\n0 0 1 1\r\n"
+    assert parse_instance("\ufeff" + doc) == parse_instance(doc)
+    message = "line 1: expected 'APC 1', got '\\ufeffAPC 1'"  # the repr of the line
+    with pytest.raises(MalformedHeaderError, match=f"^{re.escape(message)}$"):
+        parse_instance("\ufeff\ufeff" + doc)
+
+
 _HEAD_2 = "APC 1\nn 2\ncosts\n1 2\n3 4\n"
 
 # the full message of each header, cost-block and conflict-block error, as the
@@ -259,14 +267,19 @@ def test_instance_and_pair_survive_pickling():
     assert pair == (Edge(0, 0), Edge(1, 1))
     inst = generate_instance(5, 40, 1, 100, 3)
     assert pickle.loads(pickle.dumps(pair)) == pair
-    again = pickle.loads(pickle.dumps(inst))
-    assert again == inst
-    assert all(type(p) is ConflictPair for p in again.conflicts)
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(inst, protocol))
+        assert again == inst
+        assert again.conflicts.n == inst.n and again.conflicts.keys == inst.conflicts.keys
+        assert all(type(p) is ConflictPair for p in again.conflicts)
 
 
 def test_conflict_pair_rejects_equal_edges():
     with pytest.raises(DegenerateConflictError):
         ConflictPair(Edge(1, 1), Edge(1, 1))
+    message = "conflict pair needs two distinct edges, got Edge(a=1, b=1) twice"
+    with pytest.raises(DegenerateConflictError, match=f"^{re.escape(message)}$"):
+        Instance([[1, 2], [3, 4]], [((0, 0), (1, 0)), ((1, 1), (1, 1))])
 
 
 @given(
@@ -502,6 +515,8 @@ def test_generate_rejects_bad_params():
         generate_instance(2, 0, -1, 1, seed=0)
     with pytest.raises(ValueError):
         generate_instance(2, 0, 5, 4, seed=0)
+    with pytest.raises(ValueError, match="^conflict count must be >= 0, got -1$"):
+        generate_instance(2, -1, 0, 1, seed=0)
 
 
 def test_instance_derives_n_and_coerces_costs():
