@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     EmptyReportError,
+    IncompleteReportError,
     InstanceTooLargeError,
     MissingReferenceOptimumError,
     UnknownMethodError,
@@ -331,7 +332,9 @@ def emit_table(records: Sequence[BenchRecord]) -> str:
 
     One row per group with method column clusters (Gap % and Sec Best for
     heuristics, Sec Opt for exact methods) and a trailing Averages row. The
-    per-instance CSV is the file `run_benchmark` writes to `csv_path`.
+    per-instance CSV is the file `run_benchmark` writes to `csv_path`. Raises
+    EmptyReportError for no records and IncompleteReportError when some group
+    lacks a record for some method.
     """
     if not records:
         raise EmptyReportError("no benchmark records to report")
@@ -339,6 +342,10 @@ def emit_table(records: Sequence[BenchRecord]) -> str:
     groups = list(dict.fromkeys(rec.group for rec in records))
     methods = list(dict.fromkeys(rec.method for rec in records))
     by_cell = {(rec.group, rec.method): rec for rec in records}
+    missing = [(g, m) for g in groups for m in methods if (g, m) not in by_cell]
+    if missing:
+        group, method = missing[0]
+        raise IncompleteReportError(f"group {group!r} has no {method!r} record")
     clusters = [
         (m, _HEURISTIC_COLUMNS if m == "heuristic" else _EXACT_COLUMNS) for m in methods
     ]

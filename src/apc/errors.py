@@ -63,3 +63,7 @@ class MissingReferenceOptimumError(ApcError, ValueError):
 
 class EmptyReportError(ApcError, ValueError):
     """Table emission needs at least one benchmark record."""
+
+
+class IncompleteReportError(ApcError, ValueError):
+    """Table emission needs a record for every (group, method) cell."""

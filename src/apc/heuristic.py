@@ -9,11 +9,15 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, replace
+from operator import add, getitem, itemgetter, sub
 
 from .errors import InfeasibleStartError, NonpositiveOptError
 from .instance import Instance
 from .model import check_feasible, evaluate
 from .solution import Solution, SolveStatus
+
+# the cached delta of a pair that is not a candidate swap
+_MASKED = float("inf")
 
 
 @dataclass(frozen=True)
@@ -118,9 +122,20 @@ def _swap_clear(i: int, k: int, perm: list[int], selected: set[int], partners) -
 def local_search(inst: Instance, start: Solution, cfg: LSConfig) -> Solution:
     """Steepest descent over column swaps between row pairs.
 
-    Each pass applies the single best strictly-improving admissible swap;
-    the loop stops at a local optimum or at the time limit.
-    The result is never worse than the start and stays conflict-feasible.
+    Each pass applies the single best strictly-improving admissible swap, the
+    first pair (i, k) in row order among equal deltas; the loop stops at a
+    local optimum or at the time limit. The result is never worse than the
+    start and stays conflict-feasible.
+
+    The deltas are cached. ``delta[p][q]`` is the cost change of swapping
+    the columns of rows p and q, built once per call with C-level maps;
+    ``low[p]`` is the minimum of row p. The diagonal and every pair that
+    `_swap_clear` rejected hold ``_MASKED``. A swap changes only the deltas of
+    the pairs that touch its two rows, so a pass costs O(n) interpreted work
+    plus C-level row minima, and a visit to the conflict partners of the two
+    edges that leave the selection. A rejected pair stays masked until one of
+    its rows moves or one of those leaving edges conflicts with an edge the
+    pair would seat, since that edge may have been its only blocker.
     """
     report = check_feasible(inst, start.assignment)
     if not report.feasible:
@@ -131,32 +146,80 @@ def local_search(inst: Instance, start: Solution, cfg: LSConfig) -> Solution:
     costs = inst.costs
     partners = inst.partners
     perm = list(start.assignment)
+    row_of = [0] * n
+    for i, j in enumerate(perm):
+        row_of[j] = i
     selected = {i * n + j for i, j in enumerate(perm)}
     value = evaluate(inst, perm)
     t0 = time.perf_counter()
     deadline = t0 + cfg.time_limit
     improved_at = 0.0
+    cur = list(map(getitem, costs, perm))  # each row's own cost
 
+    # delta[p][q] = h[p][q] + h[q][p] with h[p][q] = costs[p][perm[q]] - cur[q];
+    # an itemgetter of one index returns the item, not a 1-tuple
+    pick = itemgetter(*perm) if n > 1 else lambda row: row
+    h = [list(map(sub, pick(row), cur)) for row in costs]
+    delta = [list(map(add, row, col)) for row, col in zip(h, zip(*h))]
+    for p, row in enumerate(delta):
+        row[p] = _MASKED
+
+    def delta_row(p: int) -> list:
+        # h[p][q] + h[q][p] for every q, under the current perm
+        row = list(
+            map(
+                add,
+                map(sub, map(costs[p].__getitem__, perm), cur),
+                map((-cur[p]).__add__, map(itemgetter(perm[p]), costs)),
+            )
+        )
+        row[p] = _MASKED
+        return row
+
+    low = list(map(min, delta))
     while time.perf_counter() <= deadline:
-        best_delta = 0
-        best_move = None
-        for i in range(n):
-            ci = costs[i]
-            for k in range(i + 1, n):
-                delta = (
-                    ci[perm[k]] + costs[k][perm[i]] - ci[perm[i]] - costs[k][perm[k]]
-                )
-                if delta < best_delta and _swap_clear(i, k, perm, selected, partners):
-                    best_delta = delta
-                    best_move = (i, k)
-        if best_move is None:
+        best = min(low)
+        if best >= 0:
             break
-        i, k = best_move
-        selected -= {i * n + perm[i], k * n + perm[k]}
-        perm[i], perm[k] = perm[k], perm[i]
-        selected |= {i * n + perm[i], k * n + perm[k]}
-        value += best_delta
+        i = low.index(best)
+        row = delta[i]
+        k = row.index(best)  # > i, since no earlier row holds `best`
+        if not _swap_clear(i, k, perm, selected, partners):
+            row[k] = delta[k][i] = _MASKED
+            low[i], low[k] = min(row), min(delta[k])
+            continue
+        ci, ck = perm[i], perm[k]
+        leaving = (i * n + ci, k * n + ck)
+        selected.difference_update(leaving)
+        perm[i], perm[k], row_of[ci], row_of[ck] = ck, ci, k, i
+        selected.update((i * n + ck, k * n + ci))
+        cur[i], cur[k] = costs[i][ck], costs[k][ci]
+        value += best
         improved_at = time.perf_counter() - t0
+
+        di = delta[i] = delta_row(i)
+        dk = delta[k] = delta_row(k)
+        for p, row, a, b in zip(range(n), delta, di, dk):
+            lo = low[p]
+            left = row[i] == lo < a or row[k] == lo < b  # the minimum may leave
+            row[i], row[k] = a, b
+            if left:
+                low[p] = min(row)
+            elif a < lo or b < lo:
+                low[p] = a if a < b else b
+        low[i], low[k] = min(di), min(dk)
+        # unmask each pair whose swap would seat a partner of a leaving edge
+        for e in leaving:
+            for f in partners[e]:
+                p, c = divmod(f, n)
+                q = row_of[c]
+                if delta[p][q] is _MASKED and p != q:
+                    d = costs[p][perm[q]] + costs[q][perm[p]] - cur[p] - cur[q]
+                    delta[p][q] = delta[q][p] = d
+                    if d < low[p]:
+                        low[p] = d
+                    if d < low[q]:
+                        low[q] = d
 
     elapsed = time.perf_counter() - t0
     return Solution(

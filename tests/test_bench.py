@@ -17,6 +17,7 @@ from apc.bench import (
 )
 from apc.errors import (
     EmptyReportError,
+    IncompleteReportError,
     InstanceTooLargeError,
     MissingReferenceOptimumError,
     UnknownMethodError,
@@ -272,6 +273,15 @@ def test_emit_table_text_is_pinned():
 def test_emit_table_empty():
     with pytest.raises(EmptyReportError):
         emit_table([])
+
+
+def test_emit_table_names_a_missing_group_method_cell():
+    records = [
+        make_record("a", 4, 0, "exact", None, 1.0),
+        make_record("b", 5, 0, "heuristic", 2.0, None),
+    ]
+    with pytest.raises(IncompleteReportError, match="group 'a' has no 'heuristic' record"):
+        emit_table(records)
 
 
 def test_csv_round_trip_at_printed_precision(tmp_path):

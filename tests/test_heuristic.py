@@ -1,19 +1,21 @@
 """Greedy construction, local search and the gap formula."""
 
 import hashlib
+import random
 
 import pytest
 
 from apc.errors import InfeasibleStartError, NonpositiveOptError
 from apc.heuristic import (
     LSConfig,
+    _swap_clear,
     construct_greedy,
     gap_percent,
     local_search,
     run_heuristic,
 )
-from apc.instance import ConflictPair, Edge, Instance, generate_instance
-from apc.model import check_feasible
+from apc.instance import ConflictPair, Edge, Instance, generate_instance, max_conflict_pairs
+from apc.model import check_feasible, evaluate
 from apc.oracle import brute_force
 from apc.solution import Solution, SolveStatus
 
@@ -24,8 +26,6 @@ BOTH_BLOCKED = Instance(
 
 
 def feasible_solution(inst, assignment):
-    from apc.model import evaluate
-
     return Solution(
         assignment=tuple(assignment),
         value=evaluate(inst, assignment),
@@ -100,6 +100,106 @@ def test_local_search_never_worse_and_stays_feasible():
         out = local_search(inst, start, LSConfig())
         assert out.value <= start.value
         assert check_feasible(inst, out.assignment).feasible
+
+
+def reference_descent(inst, assignment):
+    """The steepest descent as a plain O(n^2) scan per pass: the strictly
+    best admissible swap, the first in (i, k) order among equal deltas."""
+    n, costs, partners = inst.n, inst.costs, inst.partners
+    perm = list(assignment)
+    selected = {i * n + j for i, j in enumerate(perm)}
+    value = evaluate(inst, perm)
+    while True:
+        best_delta = 0
+        best_move = None
+        for i in range(n):
+            ci = costs[i]
+            for k in range(i + 1, n):
+                delta = (
+                    ci[perm[k]] + costs[k][perm[i]] - ci[perm[i]] - costs[k][perm[k]]
+                )
+                if delta < best_delta and _swap_clear(i, k, perm, selected, partners):
+                    best_delta = delta
+                    best_move = (i, k)
+        if best_move is None:
+            return tuple(perm), value
+        i, k = best_move
+        selected -= {i * n + perm[i], k * n + perm[k]}
+        perm[i], perm[k] = perm[k], perm[i]
+        selected |= {i * n + perm[i], k * n + perm[k]}
+        value += best_delta
+
+
+def descent_starts(inst, seed):
+    # a greedy start, which is near a local optimum, and a random feasible
+    # permutation, which makes a long descent
+    starts = []
+    greedy = construct_greedy(inst, rng_seed=seed)
+    if greedy is not None:
+        starts.append(greedy.assignment)
+    rng = random.Random(seed)
+    for _ in range(5):
+        perm = list(range(inst.n))
+        rng.shuffle(perm)
+        if check_feasible(inst, perm).feasible:
+            starts.append(tuple(perm))
+            break
+    return starts
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 15, 20, 30, 40])
+@pytest.mark.parametrize("lo,hi", [(0, 2), (1, 100)])
+def test_local_search_matches_the_reference_descent(n, lo, hi):
+    # densities up to the dense 15/5000 regime, about a fifth of all pairs
+    fractions = (0.0, 0.002, 0.01, 0.05, 0.2) if n <= 20 else (0.0, 0.002, 0.01, 0.05)
+    runs = 0
+    for fraction in fractions:
+        m = round(fraction * max_conflict_pairs(n))
+        for seed in range(3):
+            inst = generate_instance(n, m, lo, hi, seed)
+            for perm in descent_starts(inst, seed):
+                start = feasible_solution(inst, perm)
+                out = local_search(inst, start, LSConfig())
+                assert (out.assignment, out.value) == reference_descent(inst, perm), (
+                    n, m, lo, hi, seed, perm,
+                )
+                runs += 1
+    assert runs >= 2 * len(fractions)
+
+
+def test_local_search_retries_a_rejected_swap_when_its_blocker_leaves(monkeypatch):
+    # Swapping rows 0 and 5 is the best move but seats (0, 0), which
+    # conflicts with the selected (1, 5). Once swapping rows 1 and 4 moves
+    # (1, 5) out, the swap of rows 0 and 5 is admissible and taken, though
+    # neither of its rows moved in between.
+    costs = [
+        [0, 2, 2, 2, 2, 0],
+        [1, 2, 1, 1, 2, 0],
+        [2, 1, 1, 1, 2, 1],
+        [1, 0, 1, 0, 1, 1],
+        [1, 1, 2, 2, 2, 0],
+        [0, 2, 2, 2, 1, 0],
+    ]
+    inst = Instance(costs, [((0, 0), (1, 5))])
+    perm = (4, 5, 1, 3, 2, 0)
+    checks = []
+
+    def recording_swap_clear(i, k, *args):
+        clear = _swap_clear(i, k, *args)
+        checks.append((i, k, clear))
+        return clear
+
+    monkeypatch.setattr("apc.heuristic._swap_clear", recording_swap_clear)
+    out = local_search(inst, feasible_solution(inst, perm), LSConfig())
+    assert checks == [(0, 5, False), (1, 4, True), (0, 5, True)]
+    assert (out.assignment, out.value) == ((0, 2, 1, 3, 5, 4), 3)
+    assert (out.assignment, out.value) == reference_descent(inst, perm)
+
+
+def test_local_search_on_one_row_returns_the_start():
+    inst = Instance([[5]])
+    out = local_search(inst, feasible_solution(inst, [0]), LSConfig())
+    assert (out.assignment, out.value) == ((0,), 5)
 
 
 def test_heuristic_never_beats_the_oracle():
