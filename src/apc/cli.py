@@ -9,7 +9,16 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import KNOWN_METHODS, PRESETS, emit_table, preset_groups, run_benchmark
+from .bench import (
+    COST_HI,
+    COST_LO,
+    HEURISTIC_RESTARTS,
+    KNOWN_METHODS,
+    PRESETS,
+    emit_table,
+    preset_groups,
+    run_benchmark,
+)
 from .errors import ApcError
 from .exact import solve_exact
 from .heuristic import LSConfig, run_heuristic
@@ -122,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="write a random instance")
     g.add_argument("--n", type=int, required=True, help="nodes per side")
     g.add_argument("--conflicts", type=int, required=True, help="conflict pair count")
-    g.add_argument("--cost-lo", type=int, default=1)
-    g.add_argument("--cost-hi", type=int, default=100)
+    g.add_argument("--cost-lo", type=int, default=COST_LO)
+    g.add_argument("--cost-hi", type=int, default=COST_HI)
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--name", default=None)
     g.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
@@ -135,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--time-limit", type=float, default=3600.0)
     s.add_argument("--node-limit", type=int, default=None)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--restarts", type=int, default=5)
+    s.add_argument("--restarts", type=int, default=HEURISTIC_RESTARTS)
     s.add_argument(
         "--seed-incumbent",
         action=argparse.BooleanOptionalAction,

@@ -1,14 +1,16 @@
 """Fast feasible solutions: conflict-aware greedy construction with repair,
 then steepest-descent improvement over the pairwise column-swap neighborhood.
 
-Both stages preserve conflict feasibility at all times; every solution that
-leaves this module passes the feasibility checker.
+The stages pass bare assignments (the column of each row); only
+`run_heuristic` builds a `Solution`. Every assignment that leaves this module
+passes the feasibility checker.
 """
 
+import math
 import random
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import add, getitem, itemgetter, sub
 
 from .errors import InfeasibleStartError, NonpositiveOptError
@@ -34,8 +36,8 @@ class LSConfig:
             raise ValueError(f"all limits must be positive, got {self}")
 
 
-def construct_greedy(inst: Instance, rng_seed: int) -> Solution | None:
-    """Build a conflict-feasible solution greedily, evicting on dead ends.
+def construct_greedy(inst: Instance, rng_seed: int) -> tuple[int, ...] | None:
+    """Build a conflict-feasible assignment greedily, evicting on dead ends.
 
     Left nodes are processed in random order; each takes the cheapest free
     column that activates no conflict. A stuck node repairs by claiming a
@@ -45,13 +47,13 @@ def construct_greedy(inst: Instance, rng_seed: int) -> Solution | None:
     two nodes cannot steal the same cheap seat from each other forever. Each
     node may be evicted at most once; when a repair would need a second
     eviction, construction fails and returns None so the caller can restart
-    with a different seed.
+    with a different seed. Otherwise the result is the assignment tuple: the
+    column of each row.
     """
     n = inst.n
     partners = inst.partners
     order = list(range(n))
     random.Random(rng_seed).shuffle(order)
-    start = time.perf_counter()
 
     col_of: list[int | None] = [None] * n
     row_of: list[int | None] = [None] * n
@@ -93,15 +95,7 @@ def construct_greedy(inst: Instance, rng_seed: int) -> Solution | None:
             else:
                 return None
 
-    perm = tuple(col_of)
-    elapsed = time.perf_counter() - start
-    return Solution(
-        assignment=perm,
-        value=evaluate(inst, perm),
-        status=SolveStatus.FEASIBLE,
-        sec_best=elapsed,
-        sec_total=elapsed,
-    )
+    return tuple(col_of)
 
 
 def _swap_clear(i: int, k: int, perm: list[int], selected: set[int], partners) -> bool:
@@ -119,13 +113,17 @@ def _swap_clear(i: int, k: int, perm: list[int], selected: set[int], partners) -
     )
 
 
-def local_search(inst: Instance, start: Solution, cfg: LSConfig) -> Solution:
-    """Steepest descent over column swaps between row pairs.
+def local_search(
+    inst: Instance, assignment, deadline: float = math.inf
+) -> tuple[tuple[int, ...], int]:
+    """Steepest descent over column swaps between row pairs from a feasible
+    `assignment`; returns the ``(assignment, value)`` it stops at.
 
     Each pass applies the single best strictly-improving admissible swap, the
-    first pair (i, k) in row order among equal deltas; the loop stops at a
-    local optimum or at the time limit. The result is never worse than the
-    start and stays conflict-feasible.
+    first pair (i, k) in row order among equal deltas. The loop stops at a
+    local optimum, or before a pass once ``time.perf_counter()`` has passed
+    `deadline`, so a past deadline returns the start. The result is never
+    worse than the start and stays conflict-feasible.
 
     The deltas are cached. ``delta[p][q]`` is the cost change of swapping
     the columns of rows p and q, built once per call with C-level maps;
@@ -137,7 +135,7 @@ def local_search(inst: Instance, start: Solution, cfg: LSConfig) -> Solution:
     its rows moves or one of those leaving edges conflicts with an edge the
     pair would seat, since that edge may have been its only blocker.
     """
-    report = check_feasible(inst, start.assignment)
+    report = check_feasible(inst, assignment)
     if not report.feasible:
         raise InfeasibleStartError(
             f"local search needs a feasible start, got violations {report}"
@@ -145,15 +143,12 @@ def local_search(inst: Instance, start: Solution, cfg: LSConfig) -> Solution:
     n = inst.n
     costs = inst.costs
     partners = inst.partners
-    perm = list(start.assignment)
+    perm = list(assignment)
     row_of = [0] * n
     for i, j in enumerate(perm):
         row_of[j] = i
     selected = {i * n + j for i, j in enumerate(perm)}
     value = evaluate(inst, perm)
-    t0 = time.perf_counter()
-    deadline = t0 + cfg.time_limit
-    improved_at = 0.0
     cur = list(map(getitem, costs, perm))  # each row's own cost
 
     # delta[p][q] = h[p][q] + h[q][p] with h[p][q] = costs[p][perm[q]] - cur[q];
@@ -195,7 +190,6 @@ def local_search(inst: Instance, start: Solution, cfg: LSConfig) -> Solution:
         selected.update((i * n + ck, k * n + ci))
         cur[i], cur[k] = costs[i][ck], costs[k][ci]
         value += best
-        improved_at = time.perf_counter() - t0
 
         di = delta[i] = delta_row(i)
         dk = delta[k] = delta_row(k)
@@ -221,29 +215,23 @@ def local_search(inst: Instance, start: Solution, cfg: LSConfig) -> Solution:
                     if d < low[q]:
                         low[q] = d
 
-    elapsed = time.perf_counter() - t0
-    return Solution(
-        assignment=tuple(perm),
-        value=value,
-        status=SolveStatus.FEASIBLE,
-        sec_best=improved_at,
-        sec_total=elapsed,
-    )
+    return tuple(perm), value
 
 
 def run_heuristic(inst: Instance, cfg: LSConfig) -> Solution:
     """Best of `cfg.restarts` greedy+descent runs under one time budget.
 
     Restart seeds are drawn sequentially from cfg.rng_seed, so the best value
-    over k restarts is non-increasing in k for a fixed seed. When no restart
-    produces a feasible solution the result has status NoSolution and no
-    assignment; that is not a proof of infeasibility.
+    over k restarts is non-increasing in k for a fixed seed. No restart starts
+    after the deadline, start + `cfg.time_limit`, and each descent stops there.
+    ``sec_best`` is when the best descent returned. When no restart produces a
+    feasible assignment the result has status NoSolution and no assignment;
+    that is not a proof of infeasibility.
     """
     start = time.perf_counter()
     deadline = start + cfg.time_limit
     master = random.Random(cfg.rng_seed)
-    best: Solution | None = None
-    best_at = 0.0
+    best_perm, best_value, best_at = None, None, 0.0
     for _ in range(cfg.restarts):
         seed = master.getrandbits(63)
         if time.perf_counter() >= deadline:
@@ -251,15 +239,16 @@ def run_heuristic(inst: Instance, cfg: LSConfig) -> Solution:
         built = construct_greedy(inst, seed)
         if built is None:
             continue
-        remaining = max(deadline - time.perf_counter(), 1e-3)
-        improved = local_search(inst, built, replace(cfg, time_limit=remaining))
-        if best is None or improved.value < best.value:
-            best = improved
+        perm, value = local_search(inst, built, deadline)
+        if best_value is None or value < best_value:
+            best_perm, best_value = perm, value
             best_at = time.perf_counter() - start
     total = time.perf_counter() - start
-    if best is None:
+    if best_value is None:
         return Solution(None, None, SolveStatus.NO_SOLUTION, sec_total=total)
-    return replace(best, sec_best=best_at, sec_total=total)
+    return Solution(
+        best_perm, best_value, SolveStatus.FEASIBLE, sec_best=best_at, sec_total=total
+    )
 
 
 def gap_percent(val: int, opt: int) -> float:

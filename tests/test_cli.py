@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from apc.bench import COST_HI, COST_LO
+from apc.bench import COST_HI, COST_LO, HEURISTIC_RESTARTS
 from apc.cli import main
+from apc.heuristic import LSConfig, run_heuristic
 from apc.instance import generate_instance, parse_instance, write_instance
+from apc.model import export_lp
 
 DIAG_DOC = """\
 APC 1
@@ -92,6 +94,13 @@ def test_generate_then_export_lp(tmp_path, capsys):
     assert len(variables) == 15 * 15
 
 
+def test_export_writes_the_lp_to_stdout(tmp_path, capsys):
+    path = tmp_path / "g.apc"
+    path.write_text(write_instance(generate_instance(5, 20, COST_LO, COST_HI, 2)))
+    assert main(["export", str(path)]) == 0
+    assert capsys.readouterr().out == export_lp(parse_instance(path.read_text()))
+
+
 def test_solve_oracle(diag_file, capsys):
     code = main(["solve", str(diag_file), "--method", "oracle"])
     assert code == 0
@@ -115,6 +124,16 @@ def test_solve_heuristic(diag_file, capsys):
     ])
     assert code == 0
     assert "value 20" in capsys.readouterr().out
+
+
+def test_solve_heuristic_defaults_to_the_bench_restart_count(tmp_path, capsys):
+    # with seed 6 this instance reaches 195, 191 and 180 in 4, 5 and 6 restarts
+    inst = generate_instance(12, 400, COST_LO, COST_HI, 3)
+    path = tmp_path / "g.apc"
+    path.write_text(write_instance(inst))
+    expected = run_heuristic(inst, LSConfig(restarts=HEURISTIC_RESTARTS, rng_seed=6))
+    assert main(["solve", str(path), "--method", "heuristic", "--seed", "6"]) == 0
+    assert f"value {expected.value}\n" in capsys.readouterr().out
 
 
 def test_solve_infeasible_exits_1(tmp_path, capsys):

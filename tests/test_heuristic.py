@@ -17,7 +17,7 @@ from apc.heuristic import (
 from apc.instance import ConflictPair, Edge, Instance, generate_instance, max_conflict_pairs
 from apc.model import check_feasible, evaluate
 from apc.oracle import brute_force
-from apc.solution import Solution, SolveStatus
+from apc.solution import SolveStatus
 
 DIAG = Instance([[1, 10], [10, 1]], [((0, 0), (1, 1))])
 BOTH_BLOCKED = Instance(
@@ -25,27 +25,19 @@ BOTH_BLOCKED = Instance(
 )
 
 
-def feasible_solution(inst, assignment):
-    return Solution(
-        assignment=tuple(assignment),
-        value=evaluate(inst, assignment),
-        status=SolveStatus.FEASIBLE,
-    )
-
-
 def test_greedy_without_conflicts_hits_cheap_diagonal():
     inst = Instance([[1, 10], [10, 1]])
-    sol = construct_greedy(inst, rng_seed=0)
-    assert sol.assignment == (0, 1)
-    assert sol.value == 2
+    perm = construct_greedy(inst, rng_seed=0)
+    assert perm == (0, 1)
+    assert evaluate(inst, perm) == 2
 
 
 def test_greedy_respects_conflicts():
     # the only feasible matching is the expensive anti-diagonal
-    sol = construct_greedy(DIAG, rng_seed=0)
-    assert sol is not None
-    assert sol.value == 20
-    assert check_feasible(DIAG, sol.assignment).feasible
+    perm = construct_greedy(DIAG, rng_seed=0)
+    assert perm == (1, 0)
+    assert evaluate(DIAG, perm) == 20
+    assert check_feasible(DIAG, perm).feasible
 
 
 def test_greedy_gives_up_when_nothing_is_feasible():
@@ -56,39 +48,31 @@ def test_greedy_gives_up_when_nothing_is_feasible():
 def test_greedy_feasibility_sweep():
     for seed in range(40):
         inst = generate_instance(6, 80, 1, 60, seed=seed)
-        sol = construct_greedy(inst, rng_seed=seed)
-        if sol is not None:
-            assert check_feasible(inst, sol.assignment).feasible
-            assert sol.status is SolveStatus.FEASIBLE
+        perm = construct_greedy(inst, rng_seed=seed)
+        if perm is not None:
+            assert type(perm) is tuple
+            assert check_feasible(inst, perm).feasible
 
 
 def test_greedy_is_deterministic():
     inst = generate_instance(7, 150, 1, 90, seed=5)
     a = construct_greedy(inst, rng_seed=17)
-    b = construct_greedy(inst, rng_seed=17)
-    assert a.assignment == b.assignment
+    assert a is not None and a == construct_greedy(inst, rng_seed=17)
 
 
 def test_local_search_fixpoint_is_returned_unchanged():
     inst = Instance([[1, 10], [10, 1]])
-    start = feasible_solution(inst, [0, 1])  # already optimal
-    out = local_search(inst, start, LSConfig())
-    assert out.assignment == (0, 1)
-    assert out.value == start.value
+    assert local_search(inst, [0, 1]) == ((0, 1), 2)  # already optimal
 
 
 def test_local_search_single_swap_reaches_optimum():
     inst = Instance([[1, 10], [10, 1]])
-    start = feasible_solution(inst, [1, 0])  # value 20
-    out = local_search(inst, start, LSConfig())
-    assert out.assignment == (0, 1)
-    assert out.value == 2
+    assert local_search(inst, [1, 0]) == ((0, 1), 2)  # from value 20
 
 
 def test_local_search_rejects_infeasible_start():
-    bad = feasible_solution(DIAG, [0, 1])  # violates the conflict
     with pytest.raises(InfeasibleStartError):
-        local_search(DIAG, bad, LSConfig())
+        local_search(DIAG, (0, 1))  # violates the conflict
 
 
 def test_local_search_never_worse_and_stays_feasible():
@@ -97,9 +81,9 @@ def test_local_search_never_worse_and_stays_feasible():
         start = construct_greedy(inst, rng_seed=seed)
         if start is None:
             continue
-        out = local_search(inst, start, LSConfig())
-        assert out.value <= start.value
-        assert check_feasible(inst, out.assignment).feasible
+        perm, value = local_search(inst, start)
+        assert value == evaluate(inst, perm) <= evaluate(inst, start)
+        assert check_feasible(inst, perm).feasible
 
 
 def reference_descent(inst, assignment):
@@ -136,7 +120,7 @@ def descent_starts(inst, seed):
     starts = []
     greedy = construct_greedy(inst, rng_seed=seed)
     if greedy is not None:
-        starts.append(greedy.assignment)
+        starts.append(greedy)
     rng = random.Random(seed)
     for _ in range(5):
         perm = list(range(inst.n))
@@ -158,9 +142,7 @@ def test_local_search_matches_the_reference_descent(n, lo, hi):
         for seed in range(3):
             inst = generate_instance(n, m, lo, hi, seed)
             for perm in descent_starts(inst, seed):
-                start = feasible_solution(inst, perm)
-                out = local_search(inst, start, LSConfig())
-                assert (out.assignment, out.value) == reference_descent(inst, perm), (
+                assert local_search(inst, perm) == reference_descent(inst, perm), (
                     n, m, lo, hi, seed, perm,
                 )
                 runs += 1
@@ -190,16 +172,22 @@ def test_local_search_retries_a_rejected_swap_when_its_blocker_leaves(monkeypatc
         return clear
 
     monkeypatch.setattr("apc.heuristic._swap_clear", recording_swap_clear)
-    out = local_search(inst, feasible_solution(inst, perm), LSConfig())
+    out = local_search(inst, perm)
     assert checks == [(0, 5, False), (1, 4, True), (0, 5, True)]
-    assert (out.assignment, out.value) == ((0, 2, 1, 3, 5, 4), 3)
-    assert (out.assignment, out.value) == reference_descent(inst, perm)
+    assert out == ((0, 2, 1, 3, 5, 4), 3)
+    assert out == reference_descent(inst, perm)
+
+
+def test_local_search_past_its_deadline_returns_the_start():
+    inst = generate_instance(30, 400, 1, 100, 0)
+    perm = list(construct_greedy(inst, rng_seed=0))
+    assert local_search(inst, perm)[1] < evaluate(inst, perm)
+    assert local_search(inst, perm, deadline=0.0) == (tuple(perm), evaluate(inst, perm))
 
 
 def test_local_search_on_one_row_returns_the_start():
     inst = Instance([[5]])
-    out = local_search(inst, feasible_solution(inst, [0]), LSConfig())
-    assert (out.assignment, out.value) == ((0,), 5)
+    assert local_search(inst, [0]) == ((0,), 5)
 
 
 def test_heuristic_never_beats_the_oracle():
@@ -241,6 +229,29 @@ def test_run_heuristic_stops_restarting_at_the_deadline(monkeypatch):
     assert sol.sec_total == 20.0
 
 
+def test_run_heuristic_descends_no_further_past_the_deadline(monkeypatch):
+    inst = generate_instance(30, 400, 1, 100, 0)
+    cfg = LSConfig(time_limit=1.0, restarts=1, rng_seed=0)
+    greedy = construct_greedy(inst, random.Random(0).getrandbits(63))  # restart 1
+    assert evaluate(inst, greedy) == 337
+    assert run_heuristic(inst, cfg).value == 193  # with time to descend
+
+    class Clock:
+        # 0 for the start and the first restart check, then frozen past the
+        # 1 s budget, so the greedy's start is all the descent may return
+        reads = 0
+
+        def perf_counter(self):
+            self.reads += 1
+            return 0.0 if self.reads <= 2 else 10.0
+
+    monkeypatch.setattr("apc.heuristic.time", Clock())
+    sol = run_heuristic(inst, cfg)
+    assert (sol.assignment, sol.value) == (greedy, 337)
+    assert sol.status is SolveStatus.FEASIBLE
+    assert sol.sec_best == sol.sec_total == 10.0
+
+
 def test_restart_dominance():
     inst = generate_instance(8, 150, 1, 90, seed=15)
     values = []
@@ -276,10 +287,9 @@ def test_greedy_repair_can_recover():
     conflicts = {ConflictPair(Edge(0, 0), Edge(1, 1))}
     inst = Instance([[1, 50], [50, 1]], conflicts)
     for seed in range(10):
-        sol = construct_greedy(inst, rng_seed=seed)
-        assert sol is not None
-        assert sol.assignment == (1, 0)
-        assert sol.value == 100
+        perm = construct_greedy(inst, rng_seed=seed)
+        assert perm == (1, 0)
+        assert evaluate(inst, perm) == 100
 
 
 def test_heuristic_output_is_pinned():

@@ -261,6 +261,13 @@ def test_conflict_pair_is_unordered():
     assert p1.e1 == Edge(0, 0)
 
 
+def test_conflict_set_repr_lists_its_pairs():
+    conflicts = Instance([[1, 10], [10, 1]], [((1, 1), (0, 0))]).conflicts
+    assert repr(conflicts) == (
+        "ConflictSet([ConflictPair(e1=Edge(a=0, b=0), e2=Edge(a=1, b=1))])"
+    )
+
+
 def test_instance_and_pair_survive_pickling():
     pair = ConflictPair((1, 1), (0, 0))
     assert type(pair.e1) is Edge and type(pair.e2) is Edge
