@@ -185,9 +185,9 @@ def test_incremental_csv(tmp_path):
 # sha256 of all that the seeds determine in a bench run: the CSV columns
 # group .. gap_percent, and each record's averages and statuses.
 GOLDEN = {
-    "all": "e334c8f0f1824097110e24e0f9068516a8c2e2f9747ae8c6553ee96f84409b94",
-    "reversed-parallel": "b9dee5977975deb348b6b8f841067cdcc74d9fe312be0fec88b86586eea2e6bd",
-    "reference": "38c95f07a4c4a42f45ad05efc39a326de7e2ece7fa16dbcd9185dccf4c1e9ca8",
+    "all": "8232400d691b88d67eface5508a291a78ab63af80080552f5b0cf5c96cb44706",
+    "reversed-parallel": "6907d2edbaebd747d2846127f0ef030085ac8ad282a634be8d194b0c9315d927",
+    "reference": "b7c362fd3c83d9bc344b06667549474d75977179f3843b5beb713896166fcd02",
 }
 
 
@@ -204,7 +204,7 @@ def test_bench_output_is_pinned(tmp_path, case, methods, jobs, reference_optima)
     groups = [
         make_group(6, 20, replicate_count=3),
         make_group(8, 200, replicate_count=3),
-        make_group(3, max_conflict_pairs(3), replicate_count=2),
+        make_group(3, max_conflict_pairs(3), replicate_count=3),
     ]
     out = tmp_path / "golden.csv"
     records = run_benchmark(
