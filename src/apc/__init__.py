@@ -8,15 +8,7 @@ branch-and-bound solver, a greedy + local-search heuristic, an exhaustive
 oracle for small sizes, and a benchmark harness.
 """
 
-from .bench import (
-    BenchGroup,
-    BenchRecord,
-    InstanceResult,
-    emit_table,
-    make_group,
-    preset_groups,
-    run_benchmark,
-)
+from .bench import InstanceResult, emit_table, run_benchmark
 from .exact import branch, find_violated_conflict, solve_exact
 from .heuristic import (
     LSConfig,
@@ -47,8 +39,6 @@ from .solution import Solution, SolveStatus
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchGroup",
-    "BenchRecord",
     "ConflictPair",
     "Edge",
     "FeasibilityReport",
@@ -70,10 +60,8 @@ __all__ = [
     "gap_percent",
     "generate_instance",
     "local_search",
-    "make_group",
     "max_conflict_pairs",
     "parse_instance",
-    "preset_groups",
     "run_benchmark",
     "run_heuristic",
     "solve_ap",

@@ -1,11 +1,13 @@
-"""Benchmark harness: grouped seeded instances, method runs, result tables.
+"""Benchmark harness: seeded instances per row, method runs, result tables.
 
-Groups follow the convention of five same-sized random instances per
-parameter pair (n, conflict count). The text table reports, per group, the
-average optimum plus Gap % / Sec Best columns for heuristic methods and a
-Sec Opt column for exact methods, with a final Averages row. The CSV holds
-one row per instance and method with a fixed column order and fixed printed
-precision (2 decimals for gaps, 1 for seconds), so files are machine-stable.
+Each (n, conflict count) row is one group of same-sized random instances, one
+per seed in SEEDS (five per row, the convention of the source campaign).
+`run_benchmark` returns one InstanceResult per instance and method, and the
+CSV holds one row per result with a fixed column order and fixed printed
+precision (2 decimals for gaps, 1 for seconds and the optimum), so files are
+machine-stable. The text table reports, per group, the mean over the seeds
+of the optimum plus Gap % / Sec Best columns for heuristic methods and a
+Sec Opt column for exact methods, with a final Averages row.
 
 Timings are wall-clock and reported but never part of any correctness
 contract; values and statuses are reproducible from the seeds alone.
@@ -70,25 +72,21 @@ PRESETS = {
 }
 
 
-# Every benchmark instance draws its costs from [COST_LO, COST_HI], and every
-# heuristic run gets HEURISTIC_RESTARTS restarts.
+# Every benchmark row solves one instance per seed in SEEDS, each instance
+# draws its costs from [COST_LO, COST_HI], and every heuristic run gets
+# HEURISTIC_RESTARTS restarts.
+SEEDS = (1, 2, 3, 4, 5)
 COST_LO, COST_HI = 1, 100
 HEURISTIC_RESTARTS = 5
 
 
 @dataclass(frozen=True)
-class BenchGroup:
-    """One benchmark row: one seeded instance of one shape per seed."""
-
-    label: str
-    n: int
-    conflict_count: int
-    seeds: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class InstanceResult:
-    """One (instance, method) outcome; the unit the CSV is made of."""
+    """One (instance, method) outcome; the unit the CSV is made of.
+
+    `sec_best` is None when the method returned no assignment, and `opt` is
+    the optimum the instance's gaps use: proven in the run or supplied.
+    """
 
     group: str
     n: int
@@ -98,58 +96,27 @@ class InstanceResult:
     value: int | None
     status: SolveStatus
     gap_percent: float | None
-    sec_best: float
+    sec_best: float | None
     sec_total: float | None
+    opt: int | None
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(InstanceResult))
-# the printed decimals of the float columns; None prints as an empty cell
-_CSV_DECIMALS = {"gap_percent": 2, "sec_best": 1, "sec_total": 1}
+# the printed decimals of the columns the table averages, in the CSV and the
+# table alike
+_CSV_DECIMALS = {"gap_percent": 2, "sec_best": 1, "sec_total": 1, "opt": 1}
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    """Per-(group, method) aggregate mirroring one table cell cluster."""
-
-    group: str
-    n: int
-    conflicts: int
-    method: str
-    results: tuple[InstanceResult, ...]
-    avg_opt: float | None
-    avg_value: float | None
-    avg_gap_percent: float | None  # heuristic methods only
-    avg_sec_best: float
-    avg_sec_total: float | None  # exact methods only
-    statuses: tuple[SolveStatus, ...]
-
-
-def make_group(n: int, conflict_count: int, replicate_count: int = 5) -> BenchGroup:
-    """The group labelled ``n/conflict_count`` with seeds 1..replicate_count."""
-    return BenchGroup(
-        label=f"{n}/{conflict_count}",
-        n=n,
-        conflict_count=conflict_count,
-        seeds=tuple(range(1, replicate_count + 1)),
-    )
-
-
-def preset_groups(name: str) -> list[BenchGroup]:
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}, expected one of {tuple(PRESETS)}")
-    return [make_group(n, m) for n, m in PRESETS[name]]
-
-
-def _run_unit(args: tuple) -> tuple[list[InstanceResult], int | None]:
+def _run_unit(args: tuple) -> list[InstanceResult]:
     """Solve all requested methods on one seeded instance.
 
     Top-level so process pools can pickle it. Returns one result per method,
-    in the order of `methods`, plus the instance's proven or supplied optimum.
+    in the order of `methods`.
     """
-    group, seed, methods, time_limit, reference_opt = args
-    inst = generate_instance(group.n, group.conflict_count, COST_LO, COST_HI, seed)
+    n, m, seed, methods, time_limit, reference_opt = args
+    inst = generate_instance(n, m, COST_LO, COST_HI, seed)
     solutions: dict[str, Solution] = {}
-    for method in (m for m in KNOWN_METHODS if m in methods):
+    for method in (k for k in KNOWN_METHODS if k in methods):
         if method == "oracle":
             sol = brute_force(inst)
         elif method == "exact":
@@ -167,7 +134,7 @@ def _run_unit(args: tuple) -> tuple[list[InstanceResult], int | None]:
         for method, sol in solutions.items()
         if method != "heuristic" and sol.status is SolveStatus.OPTIMAL
     ]
-    opt_value = proven[0] if proven else reference_opt
+    opt = proven[0] if proven else reference_opt
 
     results = []
     for method in methods:
@@ -175,25 +142,25 @@ def _run_unit(args: tuple) -> tuple[list[InstanceResult], int | None]:
         gap = sec_total = None
         if method != "heuristic":
             sec_total = sol.sec_total
-        elif sol.value is not None and opt_value is not None and opt_value > 0:
-            gap = gap_percent(sol.value, opt_value)
+        elif sol.value is not None and opt is not None and opt > 0:
+            gap = gap_percent(sol.value, opt)
+        sec_best = None if sol.value is None else sol.sec_best
         results.append(
             InstanceResult(
-                group.label, group.n, group.conflict_count, method, seed,
-                sol.value, sol.status, gap, sol.sec_best, sec_total,
+                f"{n}/{m}", n, m, method, seed,
+                sol.value, sol.status, gap, sec_best, sec_total, opt,
             )
         )
-    return results, opt_value
+    return results
 
 
-def _format_csv_row(r: InstanceResult) -> list[str]:
-    cells = []
-    for column in CSV_COLUMNS:
-        value = getattr(r, column)
-        if value is not None and column in _CSV_DECIMALS:
-            value = f"{value:.{_CSV_DECIMALS[column]}f}"
-        cells.append("" if value is None else str(value))
-    return cells
+def _cell(column: str, value: object) -> str:
+    """The printed text of one value of `column`; None prints as ''."""
+    if value is None:
+        return ""
+    if column in _CSV_DECIMALS:
+        return f"{value:.{_CSV_DECIMALS[column]}f}"
+    return str(value)
 
 
 def _mean(values: Iterable[float | None]) -> float | None:
@@ -203,23 +170,26 @@ def _mean(values: Iterable[float | None]) -> float | None:
 
 
 def run_benchmark(
-    groups: Sequence[BenchGroup],
+    rows: Sequence[tuple[int, int]],
     methods: Sequence[str],
     time_limit: float,
     *,
+    seeds: Sequence[int] = SEEDS,
     jobs: int = 1,
     csv_path: str | os.PathLike | None = None,
     reference_optima: Mapping[tuple[str, int], int] | None = None,
-) -> list[BenchRecord]:
-    """Generate each seeded instance, run each method on it, aggregate.
+) -> list[InstanceResult]:
+    """Generate each seeded instance of each (n, m) row, run each method on it.
 
-    Instance `seed` of group ``n/m`` is ``generate_instance(n, m, COST_LO,
-    COST_HI, seed)``. Methods must not repeat; results and records follow
-    their order. Per-instance CSV rows are flushed to `csv_path` as soon as
-    each instance finishes, so an interrupted run keeps everything already
-    solved. `reference_optima` maps (group label, seed) to a known optimum
-    for heuristic gaps when no exact method proves one. With jobs > 1 a
-    process pool solves the instances; parallelism never changes the output.
+    Instance `seed` of row (n, m), the group labelled ``n/m``, is
+    ``generate_instance(n, m, COST_LO, COST_HI, seed)``. Rows and methods must
+    not repeat. The results come in CSV order: rows, then seeds, then
+    methods in the given order. Per-instance CSV rows are flushed to
+    `csv_path` as soon as each instance finishes, so an interrupted run keeps
+    everything already solved. `reference_optima` maps (group label, seed) to
+    a known optimum for heuristic gaps when no exact method proves one. With
+    jobs > 1 a process pool solves the instances; parallelism never changes
+    the output.
     """
     methods = tuple(methods)
     if not methods:
@@ -235,14 +205,13 @@ def run_benchmark(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if not time_limit > 0:  # also rejects NaN
         raise ValueError(f"time_limit must be positive, got {time_limit}")
-    labels = [g.label for g in groups]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"group labels must be unique, got {labels}")
+    if len(set(rows)) != len(rows):
+        raise ValueError(f"rows must not repeat, got {rows}")
     if "oracle" in methods:
-        for g in groups:
-            if g.n > BRUTE_FORCE_MAX_N:
+        for n, m in rows:
+            if n > BRUTE_FORCE_MAX_N:
                 raise InstanceTooLargeError(
-                    f"group {g.label!r} has n = {g.n} > {BRUTE_FORCE_MAX_N}, "
+                    f"group '{n}/{m}' has n = {n} > {BRUTE_FORCE_MAX_N}, "
                     "too large for the oracle method"
                 )
     if (
@@ -257,12 +226,12 @@ def run_benchmark(
 
     refs = reference_optima or {}
     units = [
-        (group, seed, methods, time_limit, refs.get((group.label, seed)))
-        for group in groups
-        for seed in group.seeds
+        (n, m, seed, methods, time_limit, refs.get((f"{n}/{m}", seed)))
+        for n, m in rows
+        for seed in seeds
     ]
 
-    unit_outputs: list[tuple[list[InstanceResult], int | None]] = []
+    results: list[InstanceResult] = []
     with contextlib.ExitStack() as stack:
         writer = None
         if csv_path is not None:
@@ -280,68 +249,44 @@ def run_benchmark(
             pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
             solve_all = stack.enter_context(pool).map
         # Both maps yield in submission order, so the file content and order
-        # are independent of worker scheduling, and the outputs of each group
-        # follow one another in seed order.
-        for output in solve_all(_run_unit, units):
-            unit_outputs.append(output)
+        # are independent of worker scheduling.
+        for unit_results in solve_all(_run_unit, units):
+            results.extend(unit_results)
             if writer is not None:
-                writer.writerows(_format_csv_row(r) for r in output[0])
-                csv_file.flush()
-
-    outputs = iter(unit_outputs)
-    records: list[BenchRecord] = []
-    for group in groups:
-        group_outputs = [next(outputs) for _ in group.seeds]
-        avg_opt = _mean(opt for _, opt in group_outputs)
-        for k, method in enumerate(methods):
-            rs = tuple(results[k] for results, _ in group_outputs)
-            records.append(
-                BenchRecord(
-                    group=group.label,
-                    n=group.n,
-                    conflicts=group.conflict_count,
-                    method=method,
-                    results=rs,
-                    avg_opt=avg_opt,
-                    avg_value=_mean(r.value for r in rs),
-                    avg_gap_percent=_mean(r.gap_percent for r in rs),
-                    avg_sec_best=_mean(r.sec_best for r in rs) or 0.0,
-                    avg_sec_total=_mean(r.sec_total for r in rs),
-                    statuses=tuple(r.status for r in rs),
+                writer.writerows(
+                    [_cell(c, getattr(r, c)) for c in CSV_COLUMNS]
+                    for r in unit_results
                 )
-            )
-    return records
+                csv_file.flush()
+    return results
 
 
 # The text table's columns for a heuristic and for an exact method, as
-# (header, record field, decimals, width); the method's name heads a cluster
-# as wide as its columns together.
-_HEURISTIC_COLUMNS = (
-    ("Gap %", "avg_gap_percent", 2, 8),
-    ("Sec Best", "avg_sec_best", 1, 10),
-)
-_EXACT_COLUMNS = (("Sec Opt", "avg_sec_total", 1, 9),)
+# (header, InstanceResult field, width); each cell is the field's mean over
+# the group's seeds, printed with the CSV's decimals. The method's name heads
+# a cluster as wide as its columns together.
+_HEURISTIC_COLUMNS = (("Gap %", "gap_percent", 8), ("Sec Best", "sec_best", 10))
+_EXACT_COLUMNS = (("Sec Opt", "sec_total", 9),)
 
 
-def _fmt(value: float | None, decimals: int) -> str:
-    return "-" if value is None else f"{value:.{decimals}f}"
+def emit_table(results: Sequence[InstanceResult]) -> str:
+    """Render results as an aligned text table.
 
-
-def emit_table(records: Sequence[BenchRecord]) -> str:
-    """Render records as an aligned text table.
-
-    One row per group with method column clusters (Gap % and Sec Best for
-    heuristics, Sec Opt for exact methods) and a trailing Averages row. The
-    per-instance CSV is the file `run_benchmark` writes to `csv_path`. Raises
-    EmptyReportError for no records and IncompleteReportError when some group
-    lacks a record for some method.
+    One row per group with the mean optimum (Opt) and method column clusters
+    (Gap % and Sec Best for heuristics, Sec Opt for exact methods), and a
+    trailing Averages row. Each cell is the mean of one result field over
+    the group's seeds, leaving out those where it is None; a cell with no
+    value prints as '-'. Raises EmptyReportError for no results and
+    IncompleteReportError when some group lacks a result for some method.
     """
-    if not records:
+    if not results:
         raise EmptyReportError("no benchmark records to report")
 
-    groups = list(dict.fromkeys(rec.group for rec in records))
-    methods = list(dict.fromkeys(rec.method for rec in records))
-    by_cell = {(rec.group, rec.method): rec for rec in records}
+    by_cell: dict[tuple[str, str], list[InstanceResult]] = {}
+    for r in results:
+        by_cell.setdefault((r.group, r.method), []).append(r)
+    groups = list(dict.fromkeys(r.group for r in results))
+    methods = list(dict.fromkeys(r.method for r in results))
     missing = [(g, m) for g in groups for m in methods if (g, m) not in by_cell]
     if missing:
         group, method = missing[0]
@@ -353,22 +298,26 @@ def emit_table(records: Sequence[BenchRecord]) -> str:
 
     def cells(values: Iterable[float | None]) -> str:
         return "".join(
-            f"{_fmt(value, decimals):>{width}}"
-            for value, (*_, decimals, width) in zip(values, columns)
+            f"{_cell(field, value) or '-':>{width}}"
+            for value, (_, _, field, width) in zip(values, columns)
         )
 
     top = f"{'Instances':<15}{'Opt':>10}" + "".join(
         f"{m:>{sum(c[-1] for c in cluster)}}" for m, cluster in clusters
     )
     bottom = f"{'n':>6}{'|C|':>9}{'':>10}" + "".join(
-        f"{header:>{width}}" for _, header, _, _, width in columns
+        f"{header:>{width}}" for _, header, _, width in columns
     )
     lines = [top, bottom]
     rows = []
     for group in groups:
-        rec = by_cell[(group, methods[0])]
-        rows.append([getattr(by_cell[(group, m)], field) for m, _, field, *_ in columns])
-        head = f"{rec.n:>6}{rec.conflicts:>9}{_fmt(rec.avg_opt, 1):>10}"
+        # every method's results of a group share its instances and optima
+        first = by_cell[(group, methods[0])]
+        rows.append(
+            [_mean(getattr(r, f) for r in by_cell[(group, m)]) for m, _, f, _ in columns]
+        )
+        opt = _cell("opt", _mean(r.opt for r in first)) or "-"
+        head = f"{first[0].n:>6}{first[0].conflicts:>9}{opt:>10}"
         lines.append(head + cells(rows[-1]))
     lines.append(f"{'Averages':<25}" + cells(map(_mean, zip(*rows))))
     return "\n".join(lines) + "\n"

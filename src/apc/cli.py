@@ -16,7 +16,6 @@ from .bench import (
     KNOWN_METHODS,
     PRESETS,
     emit_table,
-    preset_groups,
     run_benchmark,
 )
 from .errors import ApcError
@@ -108,16 +107,15 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    groups = preset_groups(args.preset)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    records = run_benchmark(
-        groups,
+    results = run_benchmark(
+        PRESETS[args.preset],
         methods,
         args.time_limit,
         jobs=args.jobs,
         csv_path=args.out_csv,
     )
-    sys.stdout.write(emit_table(records))
+    sys.stdout.write(emit_table(results))
     return 0
 
 

@@ -14,7 +14,7 @@ import random
 import statistics
 import time
 
-from apc.bench import emit_table, make_group, preset_groups, run_benchmark
+from apc.bench import PRESETS, emit_table, run_benchmark
 from apc.heuristic import LSConfig, gap_percent, run_heuristic
 from apc.hungarian import MaskedCosts, solve_ap
 from apc.instance import (
@@ -180,20 +180,12 @@ def test_criterion_5_conflict_monotonicity():
 
 def test_criterion_6_scaled_benchmark_methodology():
     t0 = time.perf_counter()
-    groups = preset_groups("small")
-    records = run_benchmark(groups, ("exact", "heuristic"), 60.0)
-    text = emit_table(records)
+    results = run_benchmark(PRESETS["small"], ("exact", "heuristic"), 60.0)
+    text = emit_table(results)
     elapsed = time.perf_counter() - t0
 
-    exact_statuses = [
-        s for r in records if r.method == "exact" for s in r.statuses
-    ]
-    gaps = [
-        res.gap_percent
-        for r in records
-        if r.method == "heuristic"
-        for res in r.results
-    ]
+    exact_statuses = [r.status for r in results if r.method == "exact"]
+    gaps = [r.gap_percent for r in results if r.method == "heuristic"]
     structure_ok = (
         "Gap %" in text
         and "Sec Best" in text
@@ -201,9 +193,9 @@ def test_criterion_6_scaled_benchmark_methodology():
         and text.rstrip().splitlines()[-1].startswith("Averages")
     )
     discipline_ok = all(
-        (r.avg_gap_percent is None) == (r.method != "heuristic")
-        and (r.avg_sec_total is None) == (r.method == "heuristic")
-        for r in records
+        (r.gap_percent is None) == (r.method != "heuristic")
+        and (r.sec_total is None) == (r.method == "heuristic")
+        for r in results
     )
     all_optimal = (
         len(exact_statuses) == 30
@@ -270,9 +262,11 @@ def test_criterion_8_format_round_trips(tmp_path):
         if parse_instance(write_instance(inst)) != inst:
             failures.append(inst.name)
 
-    groups = [make_group(4, 0, replicate_count=3), make_group(5, 12, replicate_count=3)]
     out_csv = tmp_path / "runs.csv"
-    run_benchmark(groups, ("exact", "heuristic"), 30.0, csv_path=out_csv)
+    run_benchmark(
+        [(4, 0), (5, 12)], ("exact", "heuristic"), 30.0, seeds=(1, 2, 3),
+        csv_path=out_csv,
+    )
     csv_text = out_csv.read_text(encoding="utf-8")
     parsed = list(csv.reader(io.StringIO(csv_text)))
     buf = io.StringIO()

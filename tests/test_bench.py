@@ -1,20 +1,14 @@
-"""Benchmark harness: records, column discipline, tables, CSV stability."""
+"""Benchmark harness: results, column discipline, tables, CSV stability."""
 
 import csv
+import dataclasses
 import hashlib
 import io
+import statistics
 
 import pytest
 
-from apc.bench import (
-    BenchGroup,
-    BenchRecord,
-    InstanceResult,
-    emit_table,
-    make_group,
-    preset_groups,
-    run_benchmark,
-)
+from apc.bench import PRESETS, SEEDS, InstanceResult, emit_table, run_benchmark
 from apc.errors import (
     EmptyReportError,
     IncompleteReportError,
@@ -22,71 +16,77 @@ from apc.errors import (
     MissingReferenceOptimumError,
     UnknownMethodError,
 )
+from apc.heuristic import gap_percent
 from apc.instance import max_conflict_pairs
 from apc.solution import SolveStatus
 
+SMALL_ROWS = ((4, 0), (6, 20))
+THREE_SEEDS = (1, 2, 3)
 
-def small_groups():
-    return [make_group(4, 0, replicate_count=3), make_group(6, 20, replicate_count=3)]
+
+def seeded(results):
+    """All that the seeds determine of each result: everything but timings."""
+    return [
+        (r.group, r.method, r.seed, r.value, r.status, r.gap_percent, r.opt)
+        for r in results
+    ]
 
 
 def test_presets():
-    small = preset_groups("small")
-    assert [(g.n, g.conflict_count) for g in small] == [
+    assert PRESETS["small"] == (
         (8, 50), (8, 200), (10, 50), (10, 200), (12, 50), (12, 200)
-    ]
-    assert all(len(g.seeds) == 5 for g in small)
-    table1 = preset_groups("table1")
+    )
+    assert SEEDS == (1, 2, 3, 4, 5)
+    table1 = PRESETS["table1"]
     assert len(table1) == 26
-    assert (table1[0].n, table1[0].conflict_count) == (15, 5000)
-    assert (table1[-1].n, table1[-1].conflict_count) == (500, 200000)
-    with pytest.raises(ValueError):
-        preset_groups("huge")
+    assert table1[0] == (15, 5000)
+    assert table1[-1] == (500, 200000)
 
 
 def test_oracle_and_exact_agree_per_instance():
-    groups = [make_group(4, 0), make_group(6, 20)]  # five seeds each
-    records = run_benchmark(groups, ("oracle", "exact"), 30.0)
-    by = {(r.group, r.method): r for r in records}
-    for group in ("4/0", "6/20"):
-        oracle_vals = [x.value for x in by[(group, "oracle")].results]
-        exact_vals = [x.value for x in by[(group, "exact")].results]
-        assert len(oracle_vals) == 5
-        assert oracle_vals == exact_vals
+    results = run_benchmark(SMALL_ROWS, ("oracle", "exact"), 30.0)  # five seeds each
+    by_method = {
+        method: [(r.group, r.seed, r.value) for r in results if r.method == method]
+        for method in ("oracle", "exact")
+    }
+    assert len(by_method["oracle"]) == 10
+    assert by_method["oracle"] == by_method["exact"]
 
 
 def test_column_discipline():
-    records = run_benchmark(small_groups(), ("exact", "heuristic"), 30.0)
-    for r in records:
+    results = run_benchmark(SMALL_ROWS, ("exact", "heuristic"), 30.0, seeds=THREE_SEEDS)
+    for r in results:
         if r.method == "heuristic":
-            assert r.avg_sec_total is None
-            assert r.avg_gap_percent is not None and r.avg_gap_percent >= 0
-            assert all(x.sec_total is None for x in r.results)
+            assert r.sec_total is None
+            assert r.gap_percent is not None and r.gap_percent >= 0
         else:
-            assert r.avg_gap_percent is None
-            assert r.avg_sec_total is not None
-            assert all(x.gap_percent is None for x in r.results)
+            assert r.gap_percent is None
+            assert r.sec_total is not None
+
+
+def test_sec_best_is_empty_exactly_where_no_solution_was_found():
+    # the heuristic finds nothing on seeds 1 and 4 of this dense row
+    results = run_benchmark([(8, 500)], ("exact", "heuristic"), 30.0)
+    assert [r.seed for r in results if r.value is None] == [1, 4]
+    for r in results:
+        assert (r.sec_best is None) == (r.value is None)
 
 
 def test_results_are_reproducible():
-    a = run_benchmark(small_groups(), ("exact", "heuristic"), 30.0)
-    b = run_benchmark(small_groups(), ("exact", "heuristic"), 30.0)
-    for ra, rb in zip(a, b):
-        assert ra.avg_value == rb.avg_value
-        assert ra.avg_gap_percent == rb.avg_gap_percent
-        assert ra.statuses == rb.statuses
-        assert [x.value for x in ra.results] == [x.value for x in rb.results]
+    a = run_benchmark(SMALL_ROWS, ("exact", "heuristic"), 30.0, seeds=THREE_SEEDS)
+    b = run_benchmark(SMALL_ROWS, ("exact", "heuristic"), 30.0, seeds=THREE_SEEDS)
+    assert seeded(a) == seeded(b)
 
 
 def test_parallel_matches_serial(tmp_path):
     serial_csv, parallel_csv = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    serial = run_benchmark(small_groups(), ("exact",), 30.0, jobs=1, csv_path=serial_csv)
-    parallel = run_benchmark(
-        small_groups(), ("exact",), 30.0, jobs=2, csv_path=parallel_csv
+    serial = run_benchmark(
+        SMALL_ROWS, ("exact",), 30.0, seeds=THREE_SEEDS, jobs=1, csv_path=serial_csv
     )
-    assert [(r.group, r.method, r.avg_value, r.statuses) for r in serial] == [
-        (r.group, r.method, r.avg_value, r.statuses) for r in parallel
-    ]
+    parallel = run_benchmark(
+        SMALL_ROWS, ("exact",), 30.0, seeds=THREE_SEEDS, jobs=2, csv_path=parallel_csv
+    )
+    assert seeded(serial) == seeded(parallel)
     assert serial_csv.read_bytes() == parallel_csv.read_bytes()
     assert len(serial_csv.read_text().splitlines()) == 1 + 6
 
@@ -112,78 +112,83 @@ def test_pool_has_no_more_workers_than_instances(monkeypatch):
     monkeypatch.setattr(
         "apc.bench.concurrent.futures.ProcessPoolExecutor", InProcessPool
     )
-    two = run_benchmark([make_group(4, 0, replicate_count=2)], ("exact",), 30.0, jobs=8)
-    assert made == [2] and len(two[0].results) == 2
-    run_benchmark([make_group(4, 0, replicate_count=1)], ("exact",), 30.0, jobs=8)
+    two = run_benchmark([(4, 0)], ("exact",), 30.0, seeds=(1, 2), jobs=8)
+    assert made == [2] and len(two) == 2
+    run_benchmark([(4, 0)], ("exact",), 30.0, seeds=(1,), jobs=8)
     assert made == [2]
 
 
 def test_empty_heuristic_is_no_solution_not_infeasible():
     # every edge pair conflicts: exact proves infeasibility, the heuristic
     # only fails to find a solution
-    groups = [make_group(3, max_conflict_pairs(3), replicate_count=2)]
-    records = run_benchmark(groups, ("exact", "heuristic"), 10.0)
-    by = {r.method: r.statuses for r in records}
-    assert by["exact"] == (SolveStatus.INFEASIBLE,) * 2
-    assert by["heuristic"] == (SolveStatus.NO_SOLUTION,) * 2
+    rows = [(3, max_conflict_pairs(3))]
+    results = run_benchmark(rows, ("exact", "heuristic"), 10.0, seeds=(1, 2))
+    assert [(r.method, r.status) for r in results] == [
+        ("exact", SolveStatus.INFEASIBLE), ("heuristic", SolveStatus.NO_SOLUTION)
+    ] * 2
 
 
 def test_unknown_method():
     with pytest.raises(UnknownMethodError):
-        run_benchmark(small_groups(), ("simplex",), 10.0)
+        run_benchmark(SMALL_ROWS, ("simplex",), 10.0)
     with pytest.raises(UnknownMethodError):
-        run_benchmark(small_groups(), (), 10.0)
+        run_benchmark(SMALL_ROWS, (), 10.0)
 
 
 def test_repeated_method_is_rejected(tmp_path):
     out = tmp_path / "runs.csv"
     with pytest.raises(UnknownMethodError):
-        run_benchmark(small_groups(), ("exact", "exact"), 10.0, csv_path=out)
+        run_benchmark(SMALL_ROWS, ("exact", "exact"), 10.0, csv_path=out)
     assert not out.exists()
 
 
 def test_repeated_group_label_is_rejected(tmp_path):
     out = tmp_path / "runs.csv"
-    groups = [make_group(4, 0), BenchGroup("4/0", 5, 10, (1,))]
-    with pytest.raises(ValueError, match="^group labels must be unique"):
-        run_benchmark(groups, ("exact",), 10.0, csv_path=out)
+    # the label n/m names the row, so a repeated row repeats its label
+    with pytest.raises(ValueError, match="^rows must not repeat"):
+        run_benchmark([(4, 0), (5, 10), (4, 0)], ("exact",), 10.0, csv_path=out)
     assert not out.exists()
 
 
 def test_oracle_size_guard():
     with pytest.raises(InstanceTooLargeError):
-        run_benchmark([make_group(12, 0)], ("oracle",), 10.0)
+        run_benchmark([(12, 0)], ("oracle",), 10.0)
 
 
 def test_heuristic_alone_needs_reference():
     with pytest.raises(MissingReferenceOptimumError):
-        run_benchmark(small_groups(), ("heuristic",), 10.0)
+        run_benchmark(SMALL_ROWS, ("heuristic",), 10.0)
 
 
 def test_heuristic_with_reference_optima():
-    groups = [make_group(4, 0, replicate_count=2)]
-    base = run_benchmark(groups, ("exact",), 10.0)
-    refs = {
-        ("4/0", res.seed): res.value for r in base for res in r.results
-    }
-    records = run_benchmark(groups, ("heuristic",), 10.0, reference_optima=refs)
-    (rec,) = records
-    assert rec.avg_gap_percent is not None and rec.avg_gap_percent >= 0
+    base = run_benchmark([(4, 0)], ("exact",), 10.0, seeds=(1, 2))
+    refs = {("4/0", r.seed): r.value for r in base}
+    results = run_benchmark(
+        [(4, 0)], ("heuristic",), 10.0, seeds=(1, 2), reference_optima=refs
+    )
+    assert [r.opt for r in results] == [r.value for r in base]
+    assert all(r.gap_percent is not None and r.gap_percent >= 0 for r in results)
 
 
 def test_incremental_csv(tmp_path):
     out = tmp_path / "runs.csv"
-    run_benchmark(small_groups(), ("exact",), 30.0, csv_path=out)
+    run_benchmark(SMALL_ROWS, ("exact",), 30.0, seeds=THREE_SEEDS, csv_path=out)
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == [
         "group", "n", "conflicts", "method", "seed", "value",
-        "status", "gap_percent", "sec_best", "sec_total",
+        "status", "gap_percent", "sec_best", "sec_total", "opt",
     ]
     assert len(rows) == 1 + 6  # 2 groups x 3 seeds
 
 
+def mean(values):
+    present = [v for v in values if v is not None]
+    return statistics.fmean(present) if present else None
+
+
 # sha256 of all that the seeds determine in a bench run: the CSV columns
-# group .. gap_percent, and each record's averages and statuses.
+# group .. gap_percent, and per group and method the means of opt, value and
+# gap over the seeds and the statuses.
 GOLDEN = {
     "all": "8232400d691b88d67eface5508a291a78ab63af80080552f5b0cf5c96cb44706",
     "reversed-parallel": "6907d2edbaebd747d2846127f0ef030085ac8ad282a634be8d194b0c9315d927",
@@ -201,43 +206,53 @@ GOLDEN = {
 )
 def test_bench_output_is_pinned(tmp_path, case, methods, jobs, reference_optima):
     # the infeasible 3/36 group has every edge pair in conflict
-    groups = [
-        make_group(6, 20, replicate_count=3),
-        make_group(8, 200, replicate_count=3),
-        make_group(3, max_conflict_pairs(3), replicate_count=3),
-    ]
+    rows = [(6, 20), (8, 200), (3, max_conflict_pairs(3))]
     out = tmp_path / "golden.csv"
-    records = run_benchmark(
-        groups, methods, 30.0, jobs=jobs, csv_path=out,
+    results = run_benchmark(
+        rows, methods, 30.0, seeds=THREE_SEEDS, jobs=jobs, csv_path=out,
         reference_optima=reference_optima,
     )
     # columns group .. gap_percent; the timing columns are left out
-    rows = [row[:8] for row in csv.reader(out.read_text(encoding="utf-8").splitlines())]
-    cells = [
-        (r.group, r.method, r.avg_opt, r.avg_value, r.avg_gap_percent,
-         tuple(s.value for s in r.statuses))
-        for r in records
+    csv_rows = [
+        row[:8] for row in csv.reader(out.read_text(encoding="utf-8").splitlines())
     ]
-    digest = hashlib.sha256(repr((rows, cells)).encode()).hexdigest()
+    cells = []
+    for group in ("6/20", "8/200", "3/36"):
+        for method in methods:
+            rs = [r for r in results if (r.group, r.method) == (group, method)]
+            cells.append((
+                group, method, mean(r.opt for r in rs), mean(r.value for r in rs),
+                mean(r.gap_percent for r in rs), tuple(r.status.value for r in rs),
+            ))
+    digest = hashlib.sha256(repr((csv_rows, cells)).encode()).hexdigest()
     assert digest == GOLDEN[case]
 
+    # opt is the instance's proven optimum, else the supplied reference
+    for r in results:
+        proven = [
+            x.value for x in results
+            if (x.group, x.seed) == (r.group, r.seed)
+            and x.method in ("oracle", "exact") and x.status is SolveStatus.OPTIMAL
+        ]
+        expected = proven[0] if proven else (reference_optima or {}).get(
+            (r.group, r.seed)
+        )
+        assert r.opt == expected
+        if r.method == "heuristic":
+            has_gap = r.value is not None and r.opt is not None
+            assert r.gap_percent == (gap_percent(r.value, r.opt) if has_gap else None)
 
-def make_record(group, n, m, method, gap, sec_total, opt=100.0):
-    result = InstanceResult(
+
+def make_result(group, n, m, method, gap, sec_total, opt=100.0):
+    return InstanceResult(
         group, n, m, method, 1,
         100, SolveStatus.OPTIMAL,
-        gap, 0.0, sec_total,
-    )
-    return BenchRecord(
-        group=group, n=n, conflicts=m, method=method, results=(result,),
-        avg_opt=opt, avg_value=100.0, avg_gap_percent=gap,
-        avg_sec_best=0.0, avg_sec_total=sec_total,
-        statuses=(SolveStatus.OPTIMAL,),
+        gap, 0.0, sec_total, opt,
     )
 
 
 def test_emit_table_single_record():
-    text = emit_table([make_record("4/0", 4, 0, "exact", None, 1.0)])
+    text = emit_table([make_result("4/0", 4, 0, "exact", None, 1.0)])
     lines = text.splitlines()
     assert "Sec Opt" in lines[1]
     assert lines[-1].startswith("Averages")
@@ -246,22 +261,32 @@ def test_emit_table_single_record():
 
 
 def test_emit_table_average_of_gaps():
-    records = [
-        make_record("a", 4, 0, "heuristic", 1.0, None),
-        make_record("b", 5, 0, "heuristic", 3.0, None),
+    results = [
+        make_result("a", 4, 0, "heuristic", 1.0, None),
+        make_result("b", 5, 0, "heuristic", 3.0, None),
     ]
-    text = emit_table(records)
+    text = emit_table(results)
     assert text.splitlines()[-1].split()[1] == "2.00"
 
 
+def test_emit_table_sec_best_leaves_out_seeds_without_a_solution():
+    found = make_result("a", 4, 0, "heuristic", 1.0, None)
+    found = dataclasses.replace(found, sec_best=0.3)
+    none = dataclasses.replace(
+        found, seed=2, value=None, status=SolveStatus.NO_SOLUTION,
+        gap_percent=None, sec_best=None,
+    )
+    assert emit_table([found, none]).splitlines()[2].split()[-1] == "0.3"
+
+
 def test_emit_table_text_is_pinned():
-    records = [
-        make_record("8/50", 8, 50, "heuristic", 1.25, None, opt=101.4),
-        make_record("8/50", 8, 50, "exact", None, 0.5, opt=101.4),
-        make_record("10/200", 10, 200, "heuristic", None, None, opt=98.0),
-        make_record("10/200", 10, 200, "exact", None, 12.5, opt=98.0),
+    results = [
+        make_result("8/50", 8, 50, "heuristic", 1.25, None, opt=101.4),
+        make_result("8/50", 8, 50, "exact", None, 0.5, opt=101.4),
+        make_result("10/200", 10, 200, "heuristic", None, None, opt=98.0),
+        make_result("10/200", 10, 200, "exact", None, 12.5, opt=98.0),
     ]
-    assert emit_table(records) == (
+    assert emit_table(results) == (
         "Instances             Opt         heuristic    exact\n"
         "     n      |C|             Gap %  Sec Best  Sec Opt\n"
         "     8       50     101.4    1.25       0.0      0.5\n"
@@ -276,17 +301,19 @@ def test_emit_table_empty():
 
 
 def test_emit_table_names_a_missing_group_method_cell():
-    records = [
-        make_record("a", 4, 0, "exact", None, 1.0),
-        make_record("b", 5, 0, "heuristic", 2.0, None),
+    results = [
+        make_result("a", 4, 0, "exact", None, 1.0),
+        make_result("b", 5, 0, "heuristic", 2.0, None),
     ]
     with pytest.raises(IncompleteReportError, match="group 'a' has no 'heuristic' record"):
-        emit_table(records)
+        emit_table(results)
 
 
 def test_csv_round_trip_at_printed_precision(tmp_path):
     out_csv = tmp_path / "runs.csv"
-    run_benchmark(small_groups(), ("exact", "heuristic"), 30.0, csv_path=out_csv)
+    run_benchmark(
+        SMALL_ROWS, ("exact", "heuristic"), 30.0, seeds=THREE_SEEDS, csv_path=out_csv
+    )
     csv_text = out_csv.read_text(encoding="utf-8")
     parsed = list(csv.reader(io.StringIO(csv_text)))
     out = io.StringIO()

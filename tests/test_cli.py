@@ -234,10 +234,13 @@ def test_bad_parameter_values_exit_2(diag_file, tmp_path, capsys):
         ["--method", "exact", "--node-limit", "-5"],
     ):
         assert main(["solve", str(diag_file), *limit]) == 2
-    # a bench run that would run serially or solve a method twice is refused
-    # before the CSV is opened
+    # a bench run that would run serially, solve a method twice or read an
+    # unknown preset is refused before the CSV is opened
     out_csv = tmp_path / "bench.csv"
-    for bad in (["--jobs", "0"], ["--jobs", "-3"], ["--methods", "exact,exact"]):
+    for bad in (
+        ["--jobs", "0"], ["--jobs", "-3"], ["--methods", "exact,exact"],
+        ["--preset", "huge"],
+    ):
         assert main(["bench", "--out-csv", str(out_csv), *bad]) == 2
         assert not out_csv.exists()
     # a bad time limit is refused before an earlier CSV at that path is opened
