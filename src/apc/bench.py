@@ -182,9 +182,9 @@ def run_benchmark(
     """Generate each seeded instance of each (n, m) row, run each method on it.
 
     Instance `seed` of row (n, m), the group labelled ``n/m``, is
-    ``generate_instance(n, m, COST_LO, COST_HI, seed)``. Rows and methods must
-    not repeat. The results come in CSV order: rows, then seeds, then
-    methods in the given order. Per-instance CSV rows are flushed to
+    ``generate_instance(n, m, COST_LO, COST_HI, seed)``. Rows, seeds and
+    methods must not repeat. The results come in CSV order: rows, then seeds,
+    then methods in the given order. Per-instance CSV rows are flushed to
     `csv_path` as soon as each instance finishes, so an interrupted run keeps
     everything already solved. `reference_optima` maps (group label, seed) to
     a known optimum for heuristic gaps when no exact method proves one. With
@@ -207,6 +207,8 @@ def run_benchmark(
         raise ValueError(f"time_limit must be positive, got {time_limit}")
     if len(set(rows)) != len(rows):
         raise ValueError(f"rows must not repeat, got {rows}")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must not repeat, got {seeds}")
     if "oracle" in methods:
         for n, m in rows:
             if n > BRUTE_FORCE_MAX_N:

@@ -122,8 +122,9 @@ def local_search(
     Each pass applies the single best strictly-improving admissible swap, the
     first pair (i, k) in row order among equal deltas. The loop stops at a
     local optimum, or before a pass once ``time.perf_counter()`` has passed
-    `deadline`, so a past deadline returns the start. The result is never
-    worse than the start and stays conflict-feasible.
+    `deadline`; a deadline already past when the start has been checked
+    returns the start before any delta is built. The result is never worse
+    than the start and stays conflict-feasible.
 
     The deltas are cached. ``delta[p][q]`` is the cost change of swapping
     the columns of rows p and q, built once per call with C-level maps;
@@ -140,6 +141,9 @@ def local_search(
         raise InfeasibleStartError(
             f"local search needs a feasible start, got violations {report}"
         )
+    value = evaluate(inst, assignment)
+    if time.perf_counter() > deadline:
+        return tuple(assignment), value  # before the O(n^2) delta matrix
     n = inst.n
     costs = inst.costs
     partners = inst.partners
@@ -148,7 +152,6 @@ def local_search(
     for i, j in enumerate(perm):
         row_of[j] = i
     selected = {i * n + j for i, j in enumerate(perm)}
-    value = evaluate(inst, perm)
     cur = list(map(getitem, costs, perm))  # each row's own cost
 
     # delta[p][q] = h[p][q] + h[q][p] with h[p][q] = costs[p][perm[q]] - cur[q];

@@ -150,6 +150,14 @@ def test_repeated_group_label_is_rejected(tmp_path):
     assert not out.exists()
 
 
+def test_repeated_seed_is_rejected(tmp_path):
+    out = tmp_path / "runs.csv"
+    # a repeated seed would solve one instance twice and weigh it twice
+    with pytest.raises(ValueError, match="^seeds must not repeat"):
+        run_benchmark([(6, 20)], ("exact",), 5.0, seeds=(1, 1, 2), csv_path=out)
+    assert not out.exists()
+
+
 def test_oracle_size_guard():
     with pytest.raises(InstanceTooLargeError):
         run_benchmark([(12, 0)], ("oracle",), 10.0)

@@ -111,10 +111,12 @@ def test_find_violated_agrees_with_feasibility_checker():
 
 def test_branch_children():
     root = MaskedCosts(DIAG.costs)
-    avoid, commit = branch(root, 0, DIAG.partners[0])
+    avoid, commit = branch(root, 0, DIAG.partners)
     assert DIAG.partners[0] == (3,)  # edge (0, 0) conflicts with (1, 1)
     assert avoid.base is commit.base is DIAG.costs
-    assert avoid.forbidden == frozenset({0}) and not avoid.forced
+    # forbidding (0, 0) leaves row 0 one edge, (0, 1), and forcing it leaves
+    # row 1 one edge, (1, 0)
+    assert avoid.forbidden == frozenset({0}) and avoid.forced == frozenset({1, 2})
     assert commit.forced == frozenset({0})
     assert commit.forbidden == frozenset({3})
 
@@ -129,7 +131,91 @@ def test_branch_rejects_contradictory_split():
     ]:
         node = MaskedCosts(DIAG.costs, frozenset(forbidden), frozenset(forced))
         with pytest.raises(ValueError):
-            branch(node, 0, DIAG.partners[0])
+            branch(node, 0, DIAG.partners)
+
+
+def test_emptied_avoid_line_gets_no_masks_and_no_ap_solve(monkeypatch):
+    # In BOTH_BLOCKED, forbidding (0, 0) forces (0, 1), whose partner (1, 0)
+    # is then forbidden, which empties row 1: the avoid child is dropped
+    # before any MaskedCosts or solve_ap call.
+    built, solved = [], []
+    masks_cls, ap = apc.exact.MaskedCosts, apc.exact.solve_ap
+
+    def masks_spy(base, forbidden=frozenset(), forced=frozenset()):
+        built.append((set(forbidden), set(forced)))
+        return masks_cls(base, forbidden, forced)
+
+    def ap_spy(mc, start=None):
+        solved.append((set(mc.forbidden), set(mc.forced)))
+        return ap(mc, start)
+
+    monkeypatch.setattr("apc.exact.MaskedCosts", masks_spy)
+    monkeypatch.setattr("apc.exact.solve_ap", ap_spy)
+    avoid, commit = branch(masks_cls(BOTH_BLOCKED.costs), 0, BOTH_BLOCKED.partners)
+    assert avoid is None and commit.forced == {0} and commit.forbidden == {3}
+    assert built == [({3}, {0})] and not solved
+    # with (0, 1) already forbidden, avoiding (0, 0) empties row 0 at once
+    built.clear()
+    avoid, _ = branch(masks_cls(DIAG.costs, frozenset({1})), 0, DIAG.partners)
+    assert avoid is None and built == [({1, 3}, {0})] and not solved
+
+    built.clear()
+    sol = solve_exact(BOTH_BLOCKED, seed_incumbent=False)
+    assert sol.status is SolveStatus.INFEASIBLE and sol.nodes == 1
+    # the root and the commit child only, each built once and solved once
+    assert built == solved == [(set(), set()), ({3}, {0})]
+
+
+def test_lone_edges_are_forced_in_a_chain():
+    # Rows 0 and 1 start with two and three allowed edges. Avoiding (0, 0)
+    # forces (0, 1); its partner (1, 2) and column 1 leave row 1 only (1, 3);
+    # that edge's partner (2, 0) leaves row 2 only (2, 2); row 3 keeps (3, 0).
+    inst = Instance(
+        [[1, 4, 9, 9], [9, 2, 3, 6], [2, 9, 5, 9], [7, 9, 9, 3]],
+        [((0, 1), (1, 2)), ((1, 3), (2, 0))],
+    )
+    node = MaskedCosts(inst.costs, frozenset({2, 3, 4}))  # (0,2) (0,3) (1,0)
+    avoid, commit = branch(node, 0, inst.partners)
+    assert avoid.forced == frozenset({1, 7, 10, 12})
+    assert avoid.forbidden == frozenset({0, 2, 3, 4, 6, 8})
+    assert commit.forced == frozenset({0}) and commit.forbidden == node.forbidden
+    # the child keeps exactly the node's feasible solutions that avoid (0, 0)
+    kept = [
+        (p, v)
+        for p, v in enumerate_feasible(inst)
+        if _obeys(p, node) and p[0] != 0
+    ]
+    assert kept == [((1, 3, 2, 0), 4 + 6 + 5 + 7)]
+    assert solve_ap(avoid)[:2] == kept[0]
+    assert solve_ap(avoid, solve_ap(node))[:2] == kept[0]
+    sol, bf = solve_exact(inst), brute_force(inst)
+    assert (sol.status, sol.value) == (bf.status, bf.value)
+
+
+def test_lone_edge_closure_agrees_with_brute_force_on_dense_instances(monkeypatch):
+    # Dense conflicts leave lines with one allowed edge or none, so the
+    # closure runs, both dropping avoid children and forcing edges.
+    closure = apc.exact._force_lone_edges
+    outcomes = []
+
+    def spy(n, forbidden, forced, partners):
+        before = len(forced)
+        kept = closure(n, forbidden, forced, partners)
+        outcomes.append((kept, len(forced) - before))
+        return kept
+
+    monkeypatch.setattr("apc.exact._force_lone_edges", spy)
+    statuses = set()
+    for idx in range(60):
+        n = 3 + idx % 6
+        m = int((0.15 + 0.05 * (idx % 7)) * max_conflict_pairs(n))
+        inst = generate_instance(n, m, 1, 100, seed=8100 + idx)
+        sol, bf = solve_exact(inst), brute_force(inst)
+        assert (sol.status, sol.value) == (bf.status, bf.value), (idx, n, m)
+        statuses.add(bf.status)
+    assert statuses == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}
+    assert sum(not kept for kept, _ in outcomes) >= 20
+    assert sum(kept and forced >= 2 for kept, forced in outcomes) >= 5
 
 
 def _obeys(perm, masks):
@@ -142,7 +228,7 @@ def _obeys(perm, masks):
 def test_branch_is_a_dichotomy():
     # Follow solve_exact's split a few levels deep: every feasible solution
     # inside a node lies in exactly one child, and child bounds never drop.
-    splits = 0
+    splits = dropped = 0
     for seed in range(16):
         n = 4 + seed % 4
         inst = generate_instance(n, max_conflict_pairs(n) // 8, 1, 50, seed=700 + seed)
@@ -156,27 +242,36 @@ def test_branch_is_a_dichotomy():
                 edge = find_violated_conflict(relaxed, inst)
                 if edge is None:
                     continue
-                children = branch(masks, edge, inst.partners[edge])
+                children = branch(masks, edge, inst.partners)
                 assert len(children) == 2
                 splits += 1
                 for perm in feasible:
                     if _obeys(perm, masks):
-                        hits = [c for c in children if _obeys(perm, c)]
+                        hits = [c for c in children if c is not None and _obeys(perm, c)]
                         assert len(hits) == 1, (seed, perm, masks)
                 for child in children:
+                    if child is None:
+                        # the avoid child was dropped: no feasible solution of
+                        # the node avoids the edge
+                        dropped += 1
+                        assert not any(
+                            _obeys(p, masks) and p[edge // n] != edge % n
+                            for p in feasible
+                        ), (seed, masks, edge)
+                        continue
                     res = solve_ap(child)
                     if res is None:
                         continue
                     assert res[1] >= bound
                     deeper.append((child, res[1], res[0]))
             frontier = deeper
-    assert splits >= 50
+    assert splits >= 50 and dropped >= 1
 
 
 def test_warm_child_solves_match_cold_solves():
     # Follow solve_exact's split 6 levels deep on tie-heavy costs, each child
     # re-optimized from its parent's result as the solver does.
-    warm_solves = 0
+    warm_solves = dropped = 0
     for seed in range(12):
         n = 4 + seed % 9
         inst = generate_instance(n, max_conflict_pairs(n) // 10, 0, 2, seed=900 + seed)
@@ -188,7 +283,19 @@ def test_warm_child_solves_match_cold_solves():
                 edge = find_violated_conflict(res[0], inst)
                 if edge is None:
                     continue
-                for child in branch(masks, edge, inst.partners[edge]):
+                for child in branch(masks, edge, inst.partners):
+                    if child is None:
+                        # a dropped avoid child holds no feasible solution of
+                        # the node
+                        dropped += 1
+                        if n <= 7:
+                            assert not any(
+                                _obeys(p, masks)
+                                and p[edge // n] != edge % n
+                                and check_feasible(inst, p).feasible
+                                for p in itertools.permutations(range(n))
+                            ), (seed, masks, edge)
+                        continue
                     warm, cold = solve_ap(child, res), solve_ap(child)
                     assert (warm is None) == (cold is None), (seed, child)
                     warm_solves += 1
@@ -204,7 +311,7 @@ def test_warm_child_solves_match_cold_solves():
                         )
                     deeper.append((child, warm))
             frontier = deeper
-    assert warm_solves >= 400
+    assert warm_solves >= 400 and dropped >= 1
 
 
 def test_solve_exact_branches_on_the_scanned_edge(monkeypatch):
@@ -234,7 +341,7 @@ def test_solve_exact_branches_on_the_scanned_edge(monkeypatch):
             if event[0] == "branch":
                 _, edge, partners = event
                 assert before == ("scan", edge) and edge is not None
-                assert partners is inst.partners[edge]
+                assert partners is inst.partners
                 splits += 1
         assert sum(e[0] == "branch" for e in events) == sum(
             e[0] == "scan" and e[1] is not None for e in events
@@ -346,13 +453,13 @@ def test_search_end_states_are_pinned():
     )
     cases = [
         (DIAG, {}, (opt, 20, 20, 1)),
-        (BOTH_BLOCKED, {}, (infeas, None, None, 2)),
+        (BOTH_BLOCKED, {}, (infeas, None, None, 1)),
         (mid, {"node_limit": 1}, (nosol, None, 198, 1)),
         (mid, {"node_limit": 1, "heuristic_seed": 18}, (feas, 435, 198, 1)),
-        (mid, {}, (opt, 375, 375, 30)),
-        (mid, {"seed_incumbent": False}, (opt, 375, 375, 30)),
+        (mid, {}, (opt, 375, 375, 27)),
+        (mid, {"seed_incumbent": False}, (opt, 375, 375, 27)),
         (generate_instance(3, 4, 1, 100, 1), {"node_limit": 0}, (opt, 109, 109, 0)),
-        (generate_instance(12, 3000, 1, 100, 1), {}, (infeas, None, None, 2996)),
+        (generate_instance(12, 3000, 1, 100, 1), {}, (infeas, None, None, 1724)),
         (
             generate_instance(15, 5000, 1, 100, 1),
             {"node_limit": 200},

@@ -178,11 +178,20 @@ def test_local_search_retries_a_rejected_swap_when_its_blocker_leaves(monkeypatc
     assert out == reference_descent(inst, perm)
 
 
-def test_local_search_past_its_deadline_returns_the_start():
+def test_local_search_past_its_deadline_returns_the_start(monkeypatch):
     inst = generate_instance(30, 400, 1, 100, 0)
     perm = list(construct_greedy(inst, rng_seed=0))
     assert local_search(inst, perm)[1] < evaluate(inst, perm)
+
+    def no_deltas(*items):
+        raise AssertionError("the delta matrix was built")
+
+    # the start comes back after the feasibility check and before the delta
+    # matrix, which is built through itemgetter
+    monkeypatch.setattr("apc.heuristic.itemgetter", no_deltas)
     assert local_search(inst, perm, deadline=0.0) == (tuple(perm), evaluate(inst, perm))
+    with pytest.raises(InfeasibleStartError):
+        local_search(DIAG, (0, 1), deadline=0.0)
 
 
 def test_local_search_on_one_row_returns_the_start():
