@@ -8,18 +8,18 @@ pairs: one child forbids that edge, the other commits to it, which forbids
 every edge it conflicts with. The children are disjoint, and together they
 keep every conflict-feasible solution of the node. When the avoid child
 leaves the edge's row or column with fewer than two allowed edges, its masks
-are propagated: every row or column left with one allowed edge is forced to
-it, and that edge's conflict partners are forbidden, until none is left. An
-avoid child with a line that has no allowed edge is dropped before any AP
-work. A child only tightens its parent's masks, so its assignment problem is
-re-optimized from the parent's potentials instead of solved from scratch.
+are propagated by a worklist of lines: every row or column left with one
+allowed edge is forced to it, and that edge's conflict partners are
+forbidden, as in a commit, until none is left. An avoid child with a line
+that has no allowed edge is dropped before any AP work. A child only
+tightens its parent's masks, so its assignment problem is re-optimized from
+the parent's potentials instead of solved from scratch.
 Inside the search an edge (a, b) is the int id ``a*n + b``.
 """
 
 import heapq
 import itertools
 import time
-from collections import Counter
 
 from .heuristic import LSConfig, run_heuristic
 from .hungarian import MaskedCosts, solve_ap
@@ -50,79 +50,6 @@ def find_violated_conflict(assignment, inst: Instance) -> int | None:
     return None if best is None else best[2]
 
 
-def _fewest_allowed(forbidden, forced, n: int, edge: int) -> int:
-    # The allowed edges left on the free row and column of `edge`: the fewer
-    # count, or 2 when both keep two or more. A free line has n - len(forced)
-    # cells off the forced lines; less all its forbidden cells, that bounds
-    # its count from below, and adding back the forbidden cells on forced
-    # lines makes it exact.
-    a, b = divmod(edge, n)
-    free = n - len(forced)
-    row = free - len(forbidden.intersection(range(a * n, a * n + n)))
-    col = free - len(forbidden.intersection(range(b, n * n, n)))
-    if row >= 2 and col >= 2:
-        return 2
-    row += len(forbidden.intersection([a * n + f % n for f in forced]))
-    col += len(forbidden.intersection([f - f % n + b for f in forced]))
-    return min(2, row, col)
-
-
-def _line(n: int, k: int) -> range:
-    # the edge ids of line k: row k when k < n, else column k - n
-    return range(k * n, k * n + n) if k < n else range(k - n, n * n, n)
-
-
-def _force_lone_edges(n: int, forbidden: set, forced: set, partners) -> bool:
-    """Close masks under the lone-edge rule, in place; False if a line empties.
-
-    A free line (a row or column that no forced edge holds) whose only
-    allowed edge is e must take e in every perfect matching: force e and
-    forbid its allowed conflict partners, which may leave other lines with
-    one edge or none. An edge is allowed when it is not forbidden and lies
-    on a free row and a free column. Repeats until no free line has exactly
-    one allowed edge, and returns False as soon as one has none, since then
-    no conflict-feasible solution obeys the masks.
-    """
-    allowed = set(range(n * n)).difference(forbidden)
-    # allowed edges per free line (line k < n is row k, line n + j column j);
-    # -1 on a forced line
-    left = [0] * (2 * n)
-    for e in forced:
-        i, j = divmod(e, n)
-        allowed.difference_update(_line(n, i), _line(n, n + j))
-        left[i] = left[n + j] = -1
-    for i, c in Counter(map(n.__rfloordiv__, allowed)).items():
-        left[i] = c
-    for j, c in Counter(map(n.__rmod__, allowed)).items():
-        left[n + j] = c
-    todo = [k for k, c in enumerate(left) if 0 <= c < 2]
-    while todo:
-        k = todo.pop()
-        if left[k] < 0:  # forced since it was queued
-            continue
-        if left[k] == 0:
-            return False
-        e = next(filter(allowed.__contains__, _line(n, k)))
-        i, j = divmod(e, n)
-        forced.add(e)
-        left[i] = left[n + j] = -1
-        gone = allowed.intersection(partners[e])
-        forbidden.update(gone)
-        gone.update(
-            allowed.intersection(_line(n, i)), allowed.intersection(_line(n, n + j))
-        )
-        allowed.difference_update(gone)
-        # each edge leaving the allowed set leaves its free lines too
-        for f in gone:
-            for k in (f // n, n + f % n):
-                c = left[k]
-                if c > 0:
-                    left[k] = c - 1
-                    if c <= 2:
-                        todo.append(k)
-    return True
-
-
 def branch(
     masks: MaskedCosts, edge: int, partners: tuple[tuple[int, ...], ...]
 ) -> tuple[MaskedCosts | None, MaskedCosts]:
@@ -130,30 +57,70 @@ def branch(
 
     `partners` is the instance's whole conflict index (`Instance.partners`).
     The commit child forces `edge` and forbids its conflict partners. The
-    avoid child forbids `edge`; when that leaves the edge's row or column with
-    fewer than two allowed edges, the avoid child's masks are closed under
-    the lone-edge rule (`_force_lone_edges`): every free line with one
-    allowed edge is forced to it and that edge's partners are forbidden,
-    until none is left. The avoid child is None when a line ends up with no
-    allowed edge, so it holds no conflict-feasible solution and needs no AP
-    solve. Every conflict-feasible solution within the node's masks lies in
-    exactly one child. A split that contradicts the node's masks raises
-    ValueError from MaskedCosts; the solver never asks for one, because it
-    branches on a violated edge of the node's own relaxation, which no mask
-    excludes.
+    avoid child forbids `edge` and is closed under the lone-edge rule: a free
+    line (a row or column that no forced edge holds) whose only allowed edge
+    is e must take e in every perfect matching, so e is forced and its
+    partners forbidden, as in a commit. An edge is allowed when it is not
+    forbidden and lies on a free row and a free column. A worklist of lines
+    starts with the edge's row and column, and only when forbidding `edge`
+    may leave one of them under two allowed edges; the first lone edge
+    queues every free line, so the closure covers the whole node. The avoid
+    child is None when a line ends up with no allowed edge, so it holds no
+    conflict-feasible solution and needs no AP solve. Every
+    conflict-feasible solution within the node's masks lies in exactly one
+    child. A split that contradicts the node's masks raises ValueError from
+    MaskedCosts; the solver never asks for one, because it branches on a
+    violated edge of the node's own relaxation, which no mask excludes.
     """
     base, forbidden, forced = masks.base, masks.forbidden, masks.forced
     n = len(base)
     commit = MaskedCosts(base, forbidden.union(partners[edge]), forced | {edge})
     avoid = forbidden | {edge}
-    # after the commit child's checks, `edge` is forced or on two free lines
-    lone = 2 if edge in forced else _fewest_allowed(avoid, forced, n, edge)
-    if lone == 0:
-        return None, commit
-    if lone == 1:
-        avoid, forced = set(avoid), set(forced)
-        if not _force_lone_edges(n, avoid, forced, partners):
+    # Line k is row k when k < n, else column k - n. A free line has
+    # n - len(forced) cells off the forced lines; less all its forbidden
+    # cells, that bounds its allowed edges from below, so a line whose bound
+    # is two or more needs no count.
+    a, b = divmod(edge, n)
+    free = n - len(forced)
+    todo = set()
+    if free - len(avoid.intersection(range(a * n, a * n + n))) < 2:
+        todo.add(a)
+    if free - len(avoid.intersection(range(b, n * n, n))) < 2:
+        todo.add(n + b)
+    if not todo:
+        return MaskedCosts(base, avoid, forced), commit
+    avoid, forced = set(avoid), set(forced)
+    taken = {f // n for f in forced} | {n + f % n for f in forced}
+
+    def allowed(edges):
+        return [
+            f
+            for f in edges
+            if f not in avoid and f // n not in taken and n + f % n not in taken
+        ]
+
+    while todo:
+        k = todo.pop()
+        if k in taken:
+            continue
+        left = allowed(range(k * n, k * n + n) if k < n else range(k - n, n * n, n))
+        if len(left) > 1:
+            continue
+        if not left:
             return None, commit
+        e = left[0]
+        i, j = divmod(e, n)
+        if len(forced) == len(masks.forced):  # the first lone edge
+            todo.update(range(2 * n))
+        # e's row and column stop being free and its partners are forbidden:
+        # requeue every line that loses an allowed edge
+        row, col = range(i * n, i * n + n), range(j, n * n, n)
+        gone = allowed(itertools.chain(row, col, partners[e]))
+        todo.update(f // n for f in gone)
+        todo.update(n + f % n for f in gone)
+        forced.add(e)
+        taken.update((i, n + j))
+        avoid.update(partners[e])
     return MaskedCosts(base, avoid, forced), commit
 
 

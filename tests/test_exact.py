@@ -195,16 +195,16 @@ def test_lone_edges_are_forced_in_a_chain():
 def test_lone_edge_closure_agrees_with_brute_force_on_dense_instances(monkeypatch):
     # Dense conflicts leave lines with one allowed edge or none, so the
     # closure runs, both dropping avoid children and forcing edges.
-    closure = apc.exact._force_lone_edges
+    split = apc.exact.branch
     outcomes = []
 
-    def spy(n, forbidden, forced, partners):
-        before = len(forced)
-        kept = closure(n, forbidden, forced, partners)
-        outcomes.append((kept, len(forced) - before))
-        return kept
+    def spy(masks, edge, partners):
+        avoid, commit = split(masks, edge, partners)
+        added = None if avoid is None else len(avoid.forced) - len(masks.forced)
+        outcomes.append(added)
+        return avoid, commit
 
-    monkeypatch.setattr("apc.exact._force_lone_edges", spy)
+    monkeypatch.setattr("apc.exact.branch", spy)
     statuses = set()
     for idx in range(60):
         n = 3 + idx % 6
@@ -214,8 +214,78 @@ def test_lone_edge_closure_agrees_with_brute_force_on_dense_instances(monkeypatc
         assert (sol.status, sol.value) == (bf.status, bf.value), (idx, n, m)
         statuses.add(bf.status)
     assert statuses == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}
-    assert sum(not kept for kept, _ in outcomes) >= 20
-    assert sum(kept and forced >= 2 for kept, forced in outcomes) >= 5
+    assert outcomes.count(None) >= 20
+    assert sum(added is not None and added >= 2 for added in outcomes) >= 5
+
+
+def _closed_avoid(masks, edge, partners):
+    # The avoid child's masks by the naive closure: when the edge's row or
+    # column keeps under two allowed edges, sweep all 2n lines, recounting
+    # each from scratch, force any lone edge and forbid all of its partners,
+    # until a sweep changes nothing. None when a line has no allowed edge.
+    n = masks.n
+    forbidden, forced = set(masks.forbidden) | {edge}, set(masks.forced)
+    lines = [range(i * n, i * n + n) for i in range(n)]
+    lines += [range(j, n * n, n) for j in range(n)]
+
+    def allowed(cells):
+        rows, cols = {f // n for f in forced}, {f % n for f in forced}
+        return [
+            f
+            for f in cells
+            if f not in forbidden and f // n not in rows and f % n not in cols
+        ]
+
+    a, b = divmod(edge, n)
+    changed = min(len(allowed(lines[a])), len(allowed(lines[n + b]))) < 2
+    while changed:
+        changed = False
+        for cells in lines:
+            if forced.isdisjoint(cells):
+                left = allowed(cells)
+                if not left:
+                    return None
+                if len(left) == 1:
+                    forced.add(left[0])
+                    forbidden.update(partners[left[0]])
+                    changed = True
+    return forbidden, forced
+
+
+def test_avoid_child_matches_the_naive_closure(monkeypatch):
+    # At every split solve_exact makes on random instances, the avoid child
+    # is dropped exactly when the naive closure empties a line, and otherwise
+    # has its forced edges and the same forbidden cells on the free lines.
+    split = apc.exact.branch
+    checked, closed = [], []
+
+    def spy(masks, edge, partners):
+        avoid, commit = split(masks, edge, partners)
+        ref = _closed_avoid(masks, edge, partners)
+        assert (avoid is None) == (ref is None), (masks, edge)
+        if avoid is not None:
+            n = masks.n
+            forbidden, forced = ref
+            rows, cols = {f // n for f in forced}, {f % n for f in forced}
+
+            def on_free_lines(cells):
+                return {f for f in cells if f // n not in rows and f % n not in cols}
+
+            assert avoid.forced == forced, (masks, edge)
+            assert on_free_lines(avoid.forbidden) == on_free_lines(forbidden)
+        checked.append(edge)
+        if ref is None or len(ref[1]) > len(masks.forced):
+            closed.append(edge)
+        return avoid, commit
+
+    monkeypatch.setattr("apc.exact.branch", spy)
+    rng = random.Random(2020)
+    for _ in range(60):
+        n = rng.randint(3, 12)
+        m = int(rng.uniform(0.05, 0.40) * max_conflict_pairs(n))
+        inst = generate_instance(n, m, 1, 100, seed=rng.randrange(10**6))
+        solve_exact(inst, node_limit=400, seed_incumbent=False)
+    assert len(checked) >= 5000 and len(closed) >= 1000
 
 
 def _obeys(perm, masks):
