@@ -2,6 +2,7 @@
 
 Each (n, conflict count) row is one group of same-sized random instances, one
 per seed in SEEDS (five per row, the convention of the source campaign).
+`run_method` runs one method on one instance, for `apc solve` as for a row.
 `run_benchmark` returns one InstanceResult per instance and method, and the
 CSV holds one row per result with a fixed column order and fixed printed
 precision (2 decimals for gaps, 1 for seconds and the optimum), so files are
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .exact import solve_exact
 from .heuristic import LSConfig, gap_percent, run_heuristic
-from .instance import generate_instance
+from .instance import Instance, generate_instance
 from .oracle import BRUTE_FORCE_MAX_N, brute_force
 from .solution import Solution, SolveStatus
 
@@ -107,6 +108,33 @@ CSV_COLUMNS = tuple(f.name for f in fields(InstanceResult))
 _CSV_DECIMALS = {"gap_percent": 2, "sec_best": 1, "sec_total": 1, "opt": 1}
 
 
+def run_method(
+    inst: Instance,
+    method: str,
+    time_limit: float,
+    seed: int,
+    *,
+    restarts: int = HEURISTIC_RESTARTS,
+    node_limit: int | None = None,
+) -> Solution:
+    """Solve `inst` by one of KNOWN_METHODS, as `apc solve` and `apc bench` do.
+
+    `seed` and `restarts` reach only the heuristic, `node_limit` only exact,
+    and the oracle takes no limit. With the defaults this is the run that
+    `run_benchmark` makes for the instance of a row and seed.
+    """
+    if method == "oracle":
+        return brute_force(inst)
+    if method == "exact":
+        return solve_exact(inst, time_limit=time_limit, node_limit=node_limit)
+    if method == "heuristic":
+        cfg = LSConfig(time_limit=time_limit, restarts=restarts, rng_seed=seed)
+        return run_heuristic(inst, cfg)
+    raise UnknownMethodError(
+        f"unknown method {method!r}, expected one of {KNOWN_METHODS}"
+    )
+
+
 def _run_unit(args: tuple) -> list[InstanceResult]:
     """Solve all requested methods on one seeded instance.
 
@@ -115,20 +143,11 @@ def _run_unit(args: tuple) -> list[InstanceResult]:
     """
     n, m, seed, methods, time_limit, reference_opt = args
     inst = generate_instance(n, m, COST_LO, COST_HI, seed)
-    solutions: dict[str, Solution] = {}
-    for method in (k for k in KNOWN_METHODS if k in methods):
-        if method == "oracle":
-            sol = brute_force(inst)
-        elif method == "exact":
-            sol = solve_exact(inst, time_limit=time_limit)
-        else:
-            sol = run_heuristic(
-                inst,
-                LSConfig(
-                    time_limit=time_limit, restarts=HEURISTIC_RESTARTS, rng_seed=seed
-                ),
-            )
-        solutions[method] = sol
+    solutions = {
+        method: run_method(inst, method, time_limit, seed)
+        for method in KNOWN_METHODS
+        if method in methods
+    }
     proven = [
         sol.value
         for method, sol in solutions.items()

@@ -17,13 +17,11 @@ from .bench import (
     PRESETS,
     emit_table,
     run_benchmark,
+    run_method,
 )
 from .errors import ApcError
-from .exact import solve_exact
-from .heuristic import LSConfig, run_heuristic
 from .instance import generate_instance, parse_instance, write_instance
 from .model import check_feasible, evaluate, export_lp
-from .oracle import brute_force
 
 
 def _read_instance(path: Path):
@@ -45,22 +43,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
-    if args.method == "oracle":
-        sol = brute_force(inst)
-    elif args.method == "exact":
-        sol = solve_exact(
-            inst,
-            time_limit=args.time_limit,
-            node_limit=args.node_limit,
-            seed_incumbent=args.seed_incumbent,
-            heuristic_seed=args.seed,
-        )
-    else:
-        cfg = LSConfig(
-            time_limit=args.time_limit, restarts=args.restarts, rng_seed=args.seed
-        )
-        sol = run_heuristic(inst, cfg)
-
+    sol = run_method(
+        inst, args.method, args.time_limit, args.seed,
+        restarts=args.restarts, node_limit=args.node_limit,
+    )
     print(f"status {sol.status}")
     print(f"value {'-' if sol.value is None else sol.value}")
     print(f"lower_bound {'-' if sol.lower_bound is None else sol.lower_bound}")
@@ -143,12 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--node-limit", type=int, default=None)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--restarts", type=int, default=HEURISTIC_RESTARTS)
-    s.add_argument(
-        "--seed-incumbent",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="warm-start the exact search from the heuristic",
-    )
     s.add_argument("--out", type=Path, default=None, help="write the assignment file")
     s.set_defaults(func=_cmd_solve)
 

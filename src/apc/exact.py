@@ -13,7 +13,10 @@ allowed edge is forced to it, and that edge's conflict partners are
 forbidden, as in a commit, until none is left. An avoid child with a line
 that has no allowed edge is dropped before any AP work. A child only
 tightens its parent's masks, so its assignment problem is re-optimized from
-the parent's potentials instead of solved from scratch.
+the parent's potentials instead of solved from scratch. The search starts
+from the incumbent of a two-restart `run_heuristic`, bounded only by the
+solve's time limit, so a node or time limit that stops it early can still
+report a solution.
 Inside the search an edge (a, b) is the int id ``a*n + b``.
 """
 
@@ -129,21 +132,20 @@ def solve_exact(
     *,
     time_limit: float = 3600.0,
     node_limit: int | None = None,
-    seed_incumbent: bool = True,
-    heuristic_seed: int = 0,
 ) -> Solution:
     """Prove the optimal value (or infeasibility) by branch-and-bound.
 
     Node selection is best-first on the relaxation bound, tie-broken by depth
     (deeper first) then insertion order, so runs are deterministic whenever no
-    limit triggers. With `seed_incumbent` the root incumbent comes from a
-    short greedy+descent run; the only other incumbent is the first
-    conflict-free relaxation popped, which ends the search. The status is set
-    once, after the search: Optimal / Infeasible when the search completes or
-    a limit stops it with no open bound below the incumbent, TimeLimit /
-    Feasible (node limit) with the best incumbent and the best open bound
-    otherwise, NoSolution (with the best open bound) when a limit stops the
-    search before any incumbent is found.
+    limit triggers. When the instance has conflicts, the root incumbent comes
+    from `run_heuristic` with two restarts, rng seed 0 and the solve's own
+    time limit; the only other incumbent is the first conflict-free
+    relaxation popped, which ends the search. The status is set once, after
+    the search: Optimal / Infeasible when the search completes or a limit
+    stops it with no open bound below the incumbent, TimeLimit / Feasible
+    (node limit) with the best incumbent and the best open bound otherwise,
+    NoSolution (with the best open bound) when a limit stops the search
+    before any incumbent is found.
     """
     if not time_limit > 0:  # also rejects NaN
         raise ValueError(f"time_limit must be positive, got {time_limit}")
@@ -155,11 +157,8 @@ def solve_exact(
     inc_assignment: tuple[int, ...] | None = None
     inc_value: int | None = None
     sec_best = 0.0
-    if seed_incumbent and inst.conflicts:
-        budget = min(1.0, 0.05 * time_limit)
-        seeded = run_heuristic(
-            inst, LSConfig(time_limit=budget, restarts=2, rng_seed=heuristic_seed)
-        )
+    if inst.conflicts:
+        seeded = run_heuristic(inst, LSConfig(time_limit=time_limit, restarts=2))
         if seeded.value is not None:
             inc_assignment, inc_value = seeded.assignment, seeded.value
             sec_best = time.perf_counter() - start

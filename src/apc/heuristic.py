@@ -42,13 +42,13 @@ def construct_greedy(inst: Instance, rng_seed: int) -> tuple[int, ...] | None:
     Left nodes are processed in random order; each takes the cheapest free
     column that activates no conflict. A stuck node repairs by claiming a
     column after evicting whoever blocks it (the seat's occupant and any
-    assigned conflict partners); evicted nodes re-enter the queue. Repairs
-    that touch no conflict are preferred over conflict-adjacent ones so that
-    two nodes cannot steal the same cheap seat from each other forever. Each
-    node may be evicted at most once; when a repair would need a second
-    eviction, construction fails and returns None so the caller can restart
-    with a different seed. Otherwise the result is the assignment tuple: the
-    column of each row.
+    assigned conflict partners); evicted nodes re-enter the queue in row
+    order. Repairs that touch no conflict are preferred over conflict-adjacent
+    ones so that two nodes cannot steal the same cheap seat from each other
+    forever. Each node may be evicted at most once; when a repair would need a
+    second eviction, construction fails and returns None so the caller can
+    restart with a different seed. Otherwise the result is the assignment
+    tuple: the column of each row.
     """
     n = inst.n
     partners = inst.partners
@@ -84,7 +84,7 @@ def construct_greedy(inst: Instance, rng_seed: int) -> tuple[int, ...] | None:
             candidates.sort()
             for _, _, j, blockers in candidates:
                 if evicted.isdisjoint(blockers):
-                    for b in blockers:
+                    for b in sorted(blockers):
                         evicted.add(b)
                         freed = col_of[b]
                         col_of[b] = row_of[freed] = None

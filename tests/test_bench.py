@@ -8,7 +8,14 @@ import statistics
 
 import pytest
 
-from apc.bench import PRESETS, SEEDS, InstanceResult, emit_table, run_benchmark
+from apc.bench import (
+    PRESETS,
+    SEEDS,
+    InstanceResult,
+    emit_table,
+    run_benchmark,
+    run_method,
+)
 from apc.errors import (
     EmptyReportError,
     IncompleteReportError,
@@ -17,7 +24,7 @@ from apc.errors import (
     UnknownMethodError,
 )
 from apc.heuristic import gap_percent
-from apc.instance import max_conflict_pairs
+from apc.instance import generate_instance, max_conflict_pairs
 from apc.solution import SolveStatus
 
 SMALL_ROWS = ((4, 0), (6, 20))
@@ -131,6 +138,8 @@ def test_empty_heuristic_is_no_solution_not_infeasible():
 def test_unknown_method():
     with pytest.raises(UnknownMethodError):
         run_benchmark(SMALL_ROWS, ("simplex",), 10.0)
+    with pytest.raises(UnknownMethodError):
+        run_method(generate_instance(3, 2, 1, 100, 1), "simplex", 10.0, 1)
     with pytest.raises(UnknownMethodError):
         run_benchmark(SMALL_ROWS, (), 10.0)
 

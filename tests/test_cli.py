@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from apc.bench import COST_HI, COST_LO, HEURISTIC_RESTARTS
+from apc.bench import (
+    COST_HI,
+    COST_LO,
+    HEURISTIC_RESTARTS,
+    KNOWN_METHODS,
+    run_benchmark,
+)
 from apc.cli import main
 from apc.heuristic import LSConfig, run_heuristic
 from apc.instance import generate_instance, parse_instance, write_instance
@@ -134,6 +140,25 @@ def test_solve_heuristic_defaults_to_the_bench_restart_count(tmp_path, capsys):
     expected = run_heuristic(inst, LSConfig(restarts=HEURISTIC_RESTARTS, rng_seed=6))
     assert main(["solve", str(path), "--method", "heuristic", "--seed", "6"]) == 0
     assert f"value {expected.value}\n" in capsys.readouterr().out
+
+
+def test_solve_repeats_the_bench_run_of_a_row_and_seed(tmp_path, capsys):
+    # apc solve --seed S on the instance apc generate writes for row 8/50 and
+    # seed S prints what run_benchmark records for that row, seed and method
+    path = tmp_path / "g.apc"
+    generate = ["generate", "--n", "8", "--conflicts", "50", "--seed", "2"]
+    assert main([*generate, "--out", str(path)]) == 0
+    results = run_benchmark([(8, 50)], KNOWN_METHODS, 3600.0, seeds=(2,))
+    for r in results:
+        assert main(["solve", str(path), "--method", r.method, "--seed", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [f"status {r.status}", f"value {r.value}"], r.method
+
+
+def test_solve_rejects_the_removed_seed_option(diag_file, capsys):
+    for option in ("--seed-incumbent", "--no-seed-incumbent"):
+        assert main(["solve", str(diag_file), option]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_solve_infeasible_exits_1(tmp_path, capsys):

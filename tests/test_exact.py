@@ -8,6 +8,7 @@ import pytest
 import apc.exact
 from apc.errors import NotAPermutationError
 from apc.exact import branch, find_violated_conflict, solve_exact
+from apc.heuristic import LSConfig
 from apc.hungarian import MaskedCosts, solve_ap
 from apc.instance import (
     ConflictPair,
@@ -160,7 +161,7 @@ def test_emptied_avoid_line_gets_no_masks_and_no_ap_solve(monkeypatch):
     assert avoid is None and built == [({1, 3}, {0})] and not solved
 
     built.clear()
-    sol = solve_exact(BOTH_BLOCKED, seed_incumbent=False)
+    sol = solve_exact(BOTH_BLOCKED)
     assert sol.status is SolveStatus.INFEASIBLE and sol.nodes == 1
     # the root and the commit child only, each built once and solved once
     assert built == solved == [(set(), set()), ({3}, {0})]
@@ -284,7 +285,7 @@ def test_avoid_child_matches_the_naive_closure(monkeypatch):
         n = rng.randint(3, 12)
         m = int(rng.uniform(0.05, 0.40) * max_conflict_pairs(n))
         inst = generate_instance(n, m, 1, 100, seed=rng.randrange(10**6))
-        solve_exact(inst, node_limit=400, seed_incumbent=False)
+        solve_exact(inst, node_limit=400)
     assert len(checked) >= 5000 and len(closed) >= 1000
 
 
@@ -467,16 +468,18 @@ def test_node_limit_interrupts():
     assert sol.status is SolveStatus.NO_SOLUTION and _solution_iff_solved(sol)
     assert sol.nodes == 1
     assert sol.lower_bound is not None and sol.lower_bound <= full.value
-    # with heuristic_seed=18 the seed finds an incumbent the limit leaves unproven
-    seeded = solve_exact(inst, time_limit=30, node_limit=1, heuristic_seed=18)
+    # on 30/20000 s1 the seed finds an incumbent the limit leaves unproven;
+    # 257 is the optimum HiGHS proves
+    seeded = solve_exact(generate_instance(30, 20000, 1, 100, 1), node_limit=1)
     assert seeded.status is SolveStatus.FEASIBLE and _solution_iff_solved(seeded)
     assert seeded.nodes == 1
-    assert seeded.value == 435 and seeded.lower_bound == 198 <= full.value
+    assert seeded.value == 556 and seeded.lower_bound == 177 <= 257
 
 
 def test_time_limit_status():
     inst = generate_instance(7, 500, 1, 100, seed=9)
-    sol = solve_exact(inst, time_limit=1e-6, seed_incumbent=False)
+    # the seeding heuristic finds nothing here either
+    sol = solve_exact(inst, time_limit=1e-6)
     assert sol.status is SolveStatus.NO_SOLUTION and _solution_iff_solved(sol)
     assert sol.lower_bound is not None
 
@@ -498,15 +501,16 @@ def test_limited_run_that_proved_its_incumbent_is_optimal():
 
 
 def test_seeding_heuristic_stays_inside_a_short_time_limit(monkeypatch):
-    budgets = []
+    # two restarts from rng seed 0, bounded by the solve's own time limit
+    configs = []
 
     def spy(inst, cfg):
-        budgets.append(cfg.time_limit)
+        configs.append(cfg)
         return Solution(None, None, SolveStatus.NO_SOLUTION)
 
     monkeypatch.setattr("apc.exact.run_heuristic", spy)
     solve_exact(generate_instance(4, 10, 1, 100, seed=1), time_limit=0.01)
-    assert budgets and all(b <= 0.01 for b in budgets)
+    assert configs == [LSConfig(time_limit=0.01, restarts=2)]
 
 
 def test_search_end_states_are_pinned():
@@ -525,9 +529,7 @@ def test_search_end_states_are_pinned():
         (DIAG, {}, (opt, 20, 20, 1)),
         (BOTH_BLOCKED, {}, (infeas, None, None, 1)),
         (mid, {"node_limit": 1}, (nosol, None, 198, 1)),
-        (mid, {"node_limit": 1, "heuristic_seed": 18}, (feas, 435, 198, 1)),
         (mid, {}, (opt, 375, 375, 27)),
-        (mid, {"seed_incumbent": False}, (opt, 375, 375, 27)),
         (generate_instance(3, 4, 1, 100, 1), {"node_limit": 0}, (opt, 109, 109, 0)),
         (generate_instance(12, 3000, 1, 100, 1), {}, (infeas, None, None, 1724)),
         (

@@ -301,6 +301,16 @@ def test_greedy_repair_can_recover():
         assert evaluate(inst, perm) == 100
 
 
+def test_greedy_evicts_blockers_in_row_order():
+    # a repair here evicts several blockers at once, and the order they
+    # re-enter the queue in decides whether a later repair must evict one
+    # of them again; re-queued in row order, none is evicted twice
+    inst = generate_instance(14, 3220, 1, 100, 120956)
+    perm = construct_greedy(inst, rng_seed=1)
+    assert perm == (9, 8, 6, 13, 0, 12, 2, 4, 5, 10, 11, 3, 1, 7)
+    assert check_feasible(inst, perm).feasible and evaluate(inst, perm) == 408
+
+
 def test_heuristic_output_is_pinned():
     # The greedy's picks and evictions and the descent's swaps are fixed for a
     # seed: these results (the heur-large benchmark rows, then small seeded

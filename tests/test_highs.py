@@ -91,7 +91,7 @@ def test_time_limited_bounds_bracket_highs(n, m, seed):
     # some searches early, so an open bound is checked as well as a proof.
     inst, ref = row(n, m, seed)
     for limit in (0.001, 0.005, 0.02):
-        sol = solve_exact(inst, time_limit=limit, seed_incumbent=False)
+        sol = solve_exact(inst, time_limit=limit)
         assert sol.lower_bound <= ref
         if sol.value is not None:
             assert ref <= sol.value
