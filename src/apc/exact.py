@@ -158,10 +158,11 @@ def solve_exact(
     inc_value: int | None = None
     sec_best = 0.0
     if inst.conflicts:
+        seed_start = time.perf_counter() - start
         seeded = run_heuristic(inst, LSConfig(time_limit=time_limit, restarts=2))
         if seeded.value is not None:
             inc_assignment, inc_value = seeded.assignment, seeded.value
-            sec_best = time.perf_counter() - start
+            sec_best = seed_start + seeded.sec_best  # when the seed found it
 
     partners = inst.partners
     nodes = 0

@@ -24,7 +24,6 @@ write/parse round trip; parsers that discard comments read the same data.
 import math
 import operator
 import random
-from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -76,22 +75,19 @@ class ConflictPair(_EdgePair):
         return super().__new__(cls, e1, e2)
 
 
-class ConflictSet(Set):
-    """Read-only set of the :class:`ConflictPair` of an n x n instance.
+@dataclass(frozen=True)
+class ConflictSet:
+    """The :class:`ConflictPair` of an n x n instance, held as int keys.
 
-    It holds only int keys: the pair of edge ids ``u = a1*n + b1 < v =
-    a2*n + b2`` is the key ``u*n*n + v``, so sorted keys follow the pairs'
-    own order. Iterating builds each pair as it goes and keeps none, because
-    the cyclic GC walks every live tuple subclass on each collection and
-    never a plain int. ``len`` and ``in`` work on the keys; any set of the
-    same pairs compares equal and hashes alike.
+    The pair of edge ids ``u = a1*n + b1 < v = a2*n + b2`` is the key
+    ``u*n*n + v``, so sorted keys follow the pairs' own order. Iterating
+    builds each pair as it goes and keeps none, because the cyclic GC walks
+    every live tuple subclass on each collection and never a plain int.
+    Two conflict sets are equal when they have the same ``n`` and keys.
     """
 
-    __slots__ = ("n", "keys")
-
-    def __init__(self, n: int, keys: frozenset[int]):
-        self.n = n
-        self.keys = keys
+    n: int
+    keys: frozenset[int]
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable) -> "ConflictSet":
@@ -118,11 +114,6 @@ class ConflictSet(Set):
             keys.add(u * nn + v if u < v else v * nn + u)
         return cls(n, frozenset(keys))
 
-    @classmethod
-    def _from_iterable(cls, it) -> frozenset:
-        # the result of a set operator is a plain frozenset of pairs
-        return frozenset(it)
-
     def __len__(self) -> int:
         return len(self.keys)
 
@@ -139,26 +130,6 @@ class ConflictSet(Set):
         for key in self.keys:
             u, v = divmod(key, nn)
             yield pair((edge(divmod(u, n)), edge(divmod(v, n))))
-
-    def __contains__(self, pair) -> bool:
-        # true exactly for a tuple equal to a member, as in a frozenset of pairs
-        n = self.n
-        try:
-            (a1, b1), (a2, b2) = pair
-            if not (0 <= a1 < n and 0 <= b1 < n and 0 <= a2 < n and 0 <= b2 < n):
-                return False
-        except (TypeError, ValueError):
-            return False
-        u, v = a1 * n + b1, a2 * n + b2
-        return u < v and u * n * n + v in self.keys
-
-    def __eq__(self, other):
-        if isinstance(other, ConflictSet) and other.n == self.n:
-            return self.keys == other.keys
-        return super().__eq__(other)
-
-    def __hash__(self) -> int:
-        return self._hash()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({sorted(self)!r})"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import types
 
 import pytest
 
@@ -474,6 +475,22 @@ def test_node_limit_interrupts():
     assert seeded.status is SolveStatus.FEASIBLE and _solution_iff_solved(seeded)
     assert seeded.nodes == 1
     assert seeded.value == 556 and seeded.lower_bound == 177 <= 257
+
+
+def test_seeded_incumbent_reports_when_the_seed_found_it(monkeypatch):
+    # a seed that starts at once, returns after 1 s and found its solution
+    # at 0.25 s: sec_best is the 0.25 s, not the time the seed returned
+    clock = [5.0]
+
+    def seed(inst, config):
+        clock[0] += 1.0
+        return Solution((1, 0), 20, SolveStatus.FEASIBLE, sec_best=0.25, sec_total=1.0)
+
+    monkeypatch.setattr("apc.exact.time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr("apc.exact.run_heuristic", seed)
+    sol = solve_exact(DIAG, node_limit=0)
+    assert sol.value == 20 and sol.sec_total == 1.0
+    assert sol.sec_best == 0.25
 
 
 def test_time_limit_status():
