@@ -87,6 +87,10 @@ class InstanceResult:
 
     `sec_best` is None when the method returned no assignment, and `opt` is
     the optimum the instance's gaps use: proven in the run or supplied.
+    `lower_bound` and `nodes` are the method's `Solution` fields: the best
+    proven bound (None when the method proves none) and the search nodes
+    explored (0 where the notion does not apply). They come after `opt`, so
+    the earlier CSV columns keep their places.
     """
 
     group: str
@@ -100,6 +104,8 @@ class InstanceResult:
     sec_best: float | None
     sec_total: float | None
     opt: int | None
+    lower_bound: int | None
+    nodes: int
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(InstanceResult))
@@ -168,6 +174,7 @@ def _run_unit(args: tuple) -> list[InstanceResult]:
             InstanceResult(
                 f"{n}/{m}", n, m, method, seed,
                 sol.value, sol.status, gap, sec_best, sec_total, opt,
+                sol.lower_bound, sol.nodes,
             )
         )
     return results

@@ -1,7 +1,8 @@
 """Proven-optimal solving by branch-and-bound on the conflict-free relaxation.
 
-A node is its edge masks, one `MaskedCosts`; the assignment problem under
-them is the node's lower bound. Best-first node selection means the first
+A node is its edge masks, one `MaskedCosts`: a bitset of forbidden edge ids
+and a set of at most n forced ones; the assignment problem under them is the
+node's lower bound. Best-first node selection means the first
 conflict-feasible relaxation popped is globally optimal. The search branches
 fail-first on the selected edge that sits in the most violated conflict
 pairs: one child forbids that edge, the other commits to it, which forbids
@@ -12,17 +13,23 @@ are propagated by a worklist of lines: every row or column left with one
 allowed edge is forced to it, and that edge's conflict partners are
 forbidden, as in a commit, until none is left. An avoid child with a line
 that has no allowed edge is dropped before any AP work. A child only
-tightens its parent's masks, so its assignment problem is re-optimized from
-the parent's potentials instead of solved from scratch. The search starts
-from the incumbent of a two-restart `run_heuristic`, bounded only by the
-solve's time limit, so a node or time limit that stops it early can still
-report a solution.
+tightens its parent's masks: its forbidden bitset keeps every bit of the
+parent's set (``child & parent == parent``) and its forced set contains the
+parent's, so its assignment problem is re-optimized from the parent's
+potentials instead of solved from scratch. Conflicts are read as bitsets
+too: ``Instance.partner_masks[e]`` has bit f set for every partner f of edge
+e, so a commit forbids all of them with one ``|`` and the violation scan
+counts an edge's violated pairs with one ``&`` and a popcount. The search
+starts from the incumbent of a two-restart `run_heuristic`, bounded only by
+the solve's time limit, so a node or time limit that stops it early can
+still report a solution.
 Inside the search an edge (a, b) is the int id ``a*n + b``.
 """
 
 import heapq
 import itertools
 import time
+from typing import Mapping
 
 from .heuristic import LSConfig, run_heuristic
 from .hungarian import MaskedCosts, solve_ap
@@ -37,15 +44,17 @@ def find_violated_conflict(assignment, inst: Instance) -> int | None:
     Among the edges the assignment selects, picks the one in the most
     violated conflict pairs, breaking ties by higher cost, then by smaller
     id. Returns None exactly when the feasibility checker reports no violated
-    conflicts. Only the conflict partners of the n selected edges are read.
+    conflicts. The selected edges form one bitset, and each one's violated
+    pairs are the popcount of its AND with the edge's partner bitset
+    (`Instance.partner_masks`), so only the n selected edges' masks are read.
     """
     _require_permutation(inst.n, assignment)
-    n, costs, partners = inst.n, inst.costs, inst.partners
-    selected = {a * n + b for a, b in enumerate(assignment)}
+    n, costs, masks = inst.n, inst.costs, inst.partner_masks
+    selected = sum(1 << a * n + b for a, b in enumerate(assignment))
     best = None  # (-violated pairs, -cost, id): the minimum is the edge
     for a, b in enumerate(assignment):
         e = a * n + b
-        count = len(selected.intersection(partners[e]))
+        count = (selected & masks[e]).bit_count()
         if count:
             key = (-count, -costs[a][b], e)
             if best is None or key < best:
@@ -54,76 +63,84 @@ def find_violated_conflict(assignment, inst: Instance) -> int | None:
 
 
 def branch(
-    masks: MaskedCosts, edge: int, partners: tuple[tuple[int, ...], ...]
+    masks: MaskedCosts, edge: int, partner_masks: Mapping[int, int]
 ) -> tuple[MaskedCosts | None, MaskedCosts]:
     """Split a node's masks on `edge` into two disjoint children: (avoid, commit).
 
-    `partners` is the instance's whole conflict index (`Instance.partners`).
-    The commit child forces `edge` and forbids its conflict partners. The
-    avoid child forbids `edge` and is closed under the lone-edge rule: a free
-    line (a row or column that no forced edge holds) whose only allowed edge
-    is e must take e in every perfect matching, so e is forced and its
-    partners forbidden, as in a commit. An edge is allowed when it is not
-    forbidden and lies on a free row and a free column. A worklist of lines
-    starts with the edge's row and column, and only when forbidding `edge`
-    may leave one of them under two allowed edges; the first lone edge
-    queues every free line, so the closure covers the whole node. The avoid
-    child is None when a line ends up with no allowed edge, so it holds no
-    conflict-feasible solution and needs no AP solve. Every
-    conflict-feasible solution within the node's masks lies in exactly one
-    child. A split that contradicts the node's masks raises ValueError from
-    MaskedCosts; the solver never asks for one, because it branches on a
-    violated edge of the node's own relaxation, which no mask excludes.
+    `partner_masks` is the instance's conflict index as bitsets
+    (`Instance.partner_masks`). Each child's forbidden bitset is the parent's
+    with more bits set, so it only tightens the parent's masks. The commit
+    child forces `edge` and forbids its conflict partners, one ``|`` of the
+    edge's partner bitset. The avoid child sets `edge`'s own bit and is
+    closed under the lone-edge rule: a free line (a row or column that no
+    forced edge holds) whose only allowed edge is e must take e in every
+    perfect matching, so e is forced and its partners forbidden, as in a
+    commit. An edge is allowed when it is not forbidden and lies on a free
+    row and a free column. A worklist of lines starts with the edge's row
+    and column, and only when forbidding `edge` may leave one of them under
+    two allowed edges; the first lone edge queues every free line, so the
+    closure covers the whole node. A line's allowed edges are its cells in
+    a bitset of the node's allowed edges, counted with ``bit_count()``; a
+    lone edge is found by ``bit_length() - 1``. The avoid child is None when
+    a line ends up with no allowed edge, so it holds no conflict-feasible
+    solution and needs no AP solve. Every conflict-feasible solution within
+    the node's masks lies in exactly one child. A split that contradicts the
+    node's masks raises ValueError from MaskedCosts; the solver never asks
+    for one, because it branches on a violated edge of the node's own
+    relaxation, which no mask excludes.
     """
     base, forbidden, forced = masks.base, masks.forbidden, masks.forced
     n = len(base)
-    commit = MaskedCosts(base, forbidden.union(partners[edge]), forced | {edge})
-    avoid = forbidden | {edge}
-    # Line k is row k when k < n, else column k - n. A free line has
-    # n - len(forced) cells off the forced lines; less all its forbidden
-    # cells, that bounds its allowed edges from below, so a line whose bound
-    # is two or more needs no count.
+    commit = MaskedCosts(base, forbidden | partner_masks[edge], forced | {edge})
+    avoid = forbidden | 1 << edge
+    # Line k is row k when k < n, else column k - n: its cells are
+    # row << k*n or col << k - n. A free line has n - len(forced) cells off
+    # the forced lines; less all its forbidden cells, that bounds its
+    # allowed edges from below, so a line whose bound is two or more needs
+    # no count.
+    full, row = (1 << n * n) - 1, (1 << n) - 1
+    col = full // row  # bit 0 of every row
     a, b = divmod(edge, n)
     free = n - len(forced)
     todo = set()
-    if free - len(avoid.intersection(range(a * n, a * n + n))) < 2:
+    if free - (avoid >> a * n & row).bit_count() < 2:
         todo.add(a)
-    if free - len(avoid.intersection(range(b, n * n, n))) < 2:
+    if free - (avoid & col << b).bit_count() < 2:
         todo.add(n + b)
     if not todo:
         return MaskedCosts(base, avoid, forced), commit
-    avoid, forced = set(avoid), set(forced)
+    forced = set(forced)
     taken = {f // n for f in forced} | {n + f % n for f in forced}
-
-    def allowed(edges):
-        return [
-            f
-            for f in edges
-            if f not in avoid and f // n not in taken and n + f % n not in taken
-        ]
-
+    blocked = avoid
+    for k in taken:
+        blocked |= row << k * n if k < n else col << k - n
+    allowed = full ^ blocked
     while todo:
         k = todo.pop()
         if k in taken:
             continue
-        left = allowed(range(k * n, k * n + n) if k < n else range(k - n, n * n, n))
-        if len(left) > 1:
+        cells = allowed & (row << k * n if k < n else col << k - n)
+        count = cells.bit_count()
+        if count > 1:
             continue
-        if not left:
+        if not count:
             return None, commit
-        e = left[0]
+        e = cells.bit_length() - 1
         i, j = divmod(e, n)
         if len(forced) == len(masks.forced):  # the first lone edge
             todo.update(range(2 * n))
         # e's row and column stop being free and its partners are forbidden:
         # requeue every line that loses an allowed edge
-        row, col = range(i * n, i * n + n), range(j, n * n, n)
-        gone = allowed(itertools.chain(row, col, partners[e]))
-        todo.update(f // n for f in gone)
-        todo.update(n + f % n for f in gone)
+        pm = partner_masks[e]
+        gone = allowed & (row << i * n | col << j | pm)
+        allowed ^= gone
+        while gone:
+            f = gone.bit_length() - 1
+            gone ^= 1 << f
+            todo.update((f // n, n + f % n))
         forced.add(e)
         taken.update((i, n + j))
-        avoid.update(partners[e])
+        avoid |= pm
     return MaskedCosts(base, avoid, forced), commit
 
 
@@ -164,7 +181,7 @@ def solve_exact(
             inc_assignment, inc_value = seeded.assignment, seeded.value
             sec_best = seed_start + seeded.sec_best  # when the seed found it
 
-    partners = inst.partners
+    partner_masks = inst.partner_masks
     nodes = 0
     tiebreak = itertools.count()
     # (bound, -depth, tiebreak, masks, AP result): a child re-optimizes
@@ -199,7 +216,7 @@ def solve_exact(
         # entirely, or commit to it (which excludes every edge it conflicts
         # with). Committing prunes far harder than a second forbid on dense
         # conflict sets.
-        for child in branch(masks, edge, partners):
+        for child in branch(masks, edge, partner_masks):
             if child is None:
                 continue
             child_res = solve_ap(child, res)

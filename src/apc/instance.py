@@ -199,6 +199,33 @@ class Instance:
             adj[e] = tuple(lst)
         return tuple(adj)
 
+    @cached_property
+    def partner_masks(self) -> dict[int, int]:
+        """The conflict index as bitsets: ``partner_masks[e]`` is the int with
+        bit f set for every f in ``partners[e]``.
+
+        Empty until an edge is looked up; each edge's mask is built from
+        ``partners`` on its first lookup and kept. All n*n masks at once
+        would take up to n**4/8 bytes, so none is built ahead of use. Like
+        ``partners`` it is cached on the instance and ignored by equality
+        and hashing.
+        """
+        return _PartnerMasks(self.partners)
+
+
+class _PartnerMasks(dict):
+    """Edge id -> bitset of its conflict partners, filled on first lookup."""
+
+    def __init__(self, partners: tuple[tuple[int, ...], ...]):
+        super().__init__()
+        self.partners = partners
+
+    def __missing__(self, e: int) -> int:
+        if e < 0:  # a tuple index would wrap around
+            raise KeyError(e)
+        mask = self[e] = sum(map((1).__lshift__, self.partners[e]))
+        return mask
+
 
 def max_conflict_pairs(n: int) -> int:
     """Number of unordered pairs of distinct edges in a complete n x n graph."""

@@ -194,8 +194,26 @@ def test_incremental_csv(tmp_path):
     assert rows[0] == [
         "group", "n", "conflicts", "method", "seed", "value",
         "status", "gap_percent", "sec_best", "sec_total", "opt",
+        "lower_bound", "nodes",
     ]
     assert len(rows) == 1 + 6  # 2 groups x 3 seeds
+
+
+def test_csv_rows_carry_the_bound_and_the_node_count(tmp_path):
+    # the two columns after opt hold the Solution's lower_bound and nodes:
+    # exact proves 10/600 seed 1 optimal at 247 in 55 nodes, and the
+    # heuristic proves no bound and explores no search nodes
+    out = tmp_path / "runs.csv"
+    results = run_benchmark(
+        [(10, 600)], ("exact", "heuristic"), 30.0, seeds=(1,), csv_path=out
+    )
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    exact, heuristic = rows
+    assert exact["method"] == "exact" and exact["status"] == "Optimal"
+    assert (exact["value"], exact["lower_bound"], exact["nodes"]) == ("247", "247", "55")
+    assert heuristic["method"] == "heuristic"
+    assert (heuristic["lower_bound"], heuristic["nodes"]) == ("", "0")
+    assert [(r.lower_bound, r.nodes) for r in results] == [(247, 55), (None, 0)]
 
 
 def mean(values):
@@ -264,7 +282,7 @@ def make_result(group, n, m, method, gap, sec_total, opt=100.0):
     return InstanceResult(
         group, n, m, method, 1,
         100, SolveStatus.OPTIMAL,
-        gap, 0.0, sec_total, opt,
+        gap, 0.0, sec_total, opt, 100, 1,
     )
 
 

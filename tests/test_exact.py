@@ -21,6 +21,7 @@ from apc.instance import (
 from apc.model import check_feasible, evaluate
 from apc.oracle import brute_force, enumerate_feasible
 from apc.solution import Solution, SolveStatus
+from edge_bits import bits, ids
 
 DIAG = Instance([[1, 10], [10, 1]], [((0, 0), (1, 1))])
 BOTH_BLOCKED = Instance(
@@ -113,14 +114,14 @@ def test_find_violated_agrees_with_feasibility_checker():
 
 def test_branch_children():
     root = MaskedCosts(DIAG.costs)
-    avoid, commit = branch(root, 0, DIAG.partners)
+    avoid, commit = branch(root, 0, DIAG.partner_masks)
     assert DIAG.partners[0] == (3,)  # edge (0, 0) conflicts with (1, 1)
     assert avoid.base is commit.base is DIAG.costs
     # forbidding (0, 0) leaves row 0 one edge, (0, 1), and forcing it leaves
     # row 1 one edge, (1, 0)
-    assert avoid.forbidden == frozenset({0}) and avoid.forced == frozenset({1, 2})
+    assert ids(avoid.forbidden) == {0} and avoid.forced == frozenset({1, 2})
     assert commit.forced == frozenset({0})
-    assert commit.forbidden == frozenset({3})
+    assert ids(commit.forbidden) == {3}
 
 
 def test_branch_rejects_contradictory_split():
@@ -131,9 +132,9 @@ def test_branch_rejects_contradictory_split():
         (set(), {3}),  # a conflict partner, (1, 1), is forced
         (set(), {2}),  # a forced edge, (1, 0), holds its column
     ]:
-        node = MaskedCosts(DIAG.costs, frozenset(forbidden), frozenset(forced))
+        node = MaskedCosts(DIAG.costs, bits(forbidden), frozenset(forced))
         with pytest.raises(ValueError):
-            branch(node, 0, DIAG.partners)
+            branch(node, 0, DIAG.partner_masks)
 
 
 def test_emptied_avoid_line_gets_no_masks_and_no_ap_solve(monkeypatch):
@@ -143,22 +144,23 @@ def test_emptied_avoid_line_gets_no_masks_and_no_ap_solve(monkeypatch):
     built, solved = [], []
     masks_cls, ap = apc.exact.MaskedCosts, apc.exact.solve_ap
 
-    def masks_spy(base, forbidden=frozenset(), forced=frozenset()):
-        built.append((set(forbidden), set(forced)))
+    def masks_spy(base, forbidden=0, forced=frozenset()):
+        built.append((ids(forbidden), set(forced)))
         return masks_cls(base, forbidden, forced)
 
     def ap_spy(mc, start=None):
-        solved.append((set(mc.forbidden), set(mc.forced)))
+        solved.append((ids(mc.forbidden), set(mc.forced)))
         return ap(mc, start)
 
     monkeypatch.setattr("apc.exact.MaskedCosts", masks_spy)
     monkeypatch.setattr("apc.exact.solve_ap", ap_spy)
-    avoid, commit = branch(masks_cls(BOTH_BLOCKED.costs), 0, BOTH_BLOCKED.partners)
-    assert avoid is None and commit.forced == {0} and commit.forbidden == {3}
+    pm = BOTH_BLOCKED.partner_masks
+    avoid, commit = branch(masks_cls(BOTH_BLOCKED.costs), 0, pm)
+    assert avoid is None and commit.forced == {0} and ids(commit.forbidden) == {3}
     assert built == [({3}, {0})] and not solved
     # with (0, 1) already forbidden, avoiding (0, 0) empties row 0 at once
     built.clear()
-    avoid, _ = branch(masks_cls(DIAG.costs, frozenset({1})), 0, DIAG.partners)
+    avoid, _ = branch(masks_cls(DIAG.costs, bits({1})), 0, DIAG.partner_masks)
     assert avoid is None and built == [({1, 3}, {0})] and not solved
 
     built.clear()
@@ -176,10 +178,10 @@ def test_lone_edges_are_forced_in_a_chain():
         [[1, 4, 9, 9], [9, 2, 3, 6], [2, 9, 5, 9], [7, 9, 9, 3]],
         [((0, 1), (1, 2)), ((1, 3), (2, 0))],
     )
-    node = MaskedCosts(inst.costs, frozenset({2, 3, 4}))  # (0,2) (0,3) (1,0)
-    avoid, commit = branch(node, 0, inst.partners)
+    node = MaskedCosts(inst.costs, bits({2, 3, 4}))  # (0,2) (0,3) (1,0)
+    avoid, commit = branch(node, 0, inst.partner_masks)
     assert avoid.forced == frozenset({1, 7, 10, 12})
-    assert avoid.forbidden == frozenset({0, 2, 3, 4, 6, 8})
+    assert ids(avoid.forbidden) == {0, 2, 3, 4, 6, 8}
     assert commit.forced == frozenset({0}) and commit.forbidden == node.forbidden
     # the child keeps exactly the node's feasible solutions that avoid (0, 0)
     kept = [
@@ -200,8 +202,8 @@ def test_lone_edge_closure_agrees_with_brute_force_on_dense_instances(monkeypatc
     split = apc.exact.branch
     outcomes = []
 
-    def spy(masks, edge, partners):
-        avoid, commit = split(masks, edge, partners)
+    def spy(masks, edge, partner_masks):
+        avoid, commit = split(masks, edge, partner_masks)
         added = None if avoid is None else len(avoid.forced) - len(masks.forced)
         outcomes.append(added)
         return avoid, commit
@@ -221,12 +223,13 @@ def test_lone_edge_closure_agrees_with_brute_force_on_dense_instances(monkeypatc
 
 
 def _closed_avoid(masks, edge, partners):
-    # The avoid child's masks by the naive closure: when the edge's row or
-    # column keeps under two allowed edges, sweep all 2n lines, recounting
-    # each from scratch, force any lone edge and forbid all of its partners,
-    # until a sweep changes nothing. None when a line has no allowed edge.
+    # The avoid child's masks by the naive closure on sets of ids: when the
+    # edge's row or column keeps under two allowed edges, sweep all 2n lines,
+    # recounting each from scratch, force any lone edge and forbid all of its
+    # partners (`Instance.partners`), until a sweep changes nothing. None
+    # when a line has no allowed edge.
     n = masks.n
-    forbidden, forced = set(masks.forbidden) | {edge}, set(masks.forced)
+    forbidden, forced = ids(masks.forbidden) | {edge}, set(masks.forced)
     lines = [range(i * n, i * n + n) for i in range(n)]
     lines += [range(j, n * n, n) for j in range(n)]
 
@@ -260,9 +263,10 @@ def test_avoid_child_matches_the_naive_closure(monkeypatch):
     # has its forced edges and the same forbidden cells on the free lines.
     split = apc.exact.branch
     checked, closed = [], []
+    partners = None  # the conflict index of the instance being solved
 
-    def spy(masks, edge, partners):
-        avoid, commit = split(masks, edge, partners)
+    def spy(masks, edge, partner_masks):
+        avoid, commit = split(masks, edge, partner_masks)
         ref = _closed_avoid(masks, edge, partners)
         assert (avoid is None) == (ref is None), (masks, edge)
         if avoid is not None:
@@ -274,7 +278,7 @@ def test_avoid_child_matches_the_naive_closure(monkeypatch):
                 return {f for f in cells if f // n not in rows and f % n not in cols}
 
             assert avoid.forced == forced, (masks, edge)
-            assert on_free_lines(avoid.forbidden) == on_free_lines(forbidden)
+            assert on_free_lines(ids(avoid.forbidden)) == on_free_lines(forbidden)
         checked.append(edge)
         if ref is None or len(ref[1]) > len(masks.forced):
             closed.append(edge)
@@ -286,13 +290,14 @@ def test_avoid_child_matches_the_naive_closure(monkeypatch):
         n = rng.randint(3, 12)
         m = int(rng.uniform(0.05, 0.40) * max_conflict_pairs(n))
         inst = generate_instance(n, m, 1, 100, seed=rng.randrange(10**6))
+        partners = inst.partners
         solve_exact(inst, node_limit=400)
     assert len(checked) >= 5000 and len(closed) >= 1000
 
 
 def _obeys(perm, masks):
     n = len(perm)
-    return all(perm[e // n] != e % n for e in masks.forbidden) and all(
+    return all(perm[e // n] != e % n for e in ids(masks.forbidden)) and all(
         perm[e // n] == e % n for e in masks.forced
     )
 
@@ -314,7 +319,7 @@ def test_branch_is_a_dichotomy():
                 edge = find_violated_conflict(relaxed, inst)
                 if edge is None:
                     continue
-                children = branch(masks, edge, inst.partners)
+                children = branch(masks, edge, inst.partner_masks)
                 assert len(children) == 2
                 splits += 1
                 for perm in feasible:
@@ -355,7 +360,7 @@ def test_warm_child_solves_match_cold_solves():
                 edge = find_violated_conflict(res[0], inst)
                 if edge is None:
                     continue
-                for child in branch(masks, edge, inst.partners):
+                for child in branch(masks, edge, inst.partner_masks):
                     if child is None:
                         # a dropped avoid child holds no feasible solution of
                         # the node
@@ -388,7 +393,8 @@ def test_warm_child_solves_match_cold_solves():
 
 def test_solve_exact_branches_on_the_scanned_edge(monkeypatch):
     # The rule the scan tests pin is the one the search branches on: every
-    # split takes the edge the preceding scan returned, with its partners.
+    # split takes the edge the preceding scan returned, with the instance's
+    # partner bitsets.
     events = []
     scan, split = apc.exact.find_violated_conflict, apc.exact.branch
 
@@ -397,9 +403,9 @@ def test_solve_exact_branches_on_the_scanned_edge(monkeypatch):
         events.append(("scan", edge))
         return edge
 
-    def branch_spy(masks, edge, partners):
-        events.append(("branch", edge, partners))
-        return split(masks, edge, partners)
+    def branch_spy(masks, edge, partner_masks):
+        events.append(("branch", edge, partner_masks))
+        return split(masks, edge, partner_masks)
 
     monkeypatch.setattr("apc.exact.find_violated_conflict", scan_spy)
     monkeypatch.setattr("apc.exact.branch", branch_spy)
@@ -411,14 +417,25 @@ def test_solve_exact_branches_on_the_scanned_edge(monkeypatch):
         assert sol.status is SolveStatus.OPTIMAL
         for before, event in zip(events, events[1:]):
             if event[0] == "branch":
-                _, edge, partners = event
+                _, edge, partner_masks = event
                 assert before == ("scan", edge) and edge is not None
-                assert partners is inst.partners
+                assert partner_masks is inst.partner_masks
                 splits += 1
         assert sum(e[0] == "branch" for e in events) == sum(
             e[0] == "scan" and e[1] is not None for e in events
         )
     assert splits >= 20
+
+
+def test_search_builds_partner_masks_only_for_edges_it_reads():
+    # a partner bitset is built on an edge's first lookup: the root scan reads
+    # the n selected edges, and later nodes add only the edges they select
+    # or force, never all n*n masks at once
+    inst = generate_instance(30, 8000, 1, 100, 1)
+    solve_exact(inst, node_limit=1)
+    assert 30 <= len(inst.partner_masks) < 60
+    solve_exact(inst, node_limit=50)
+    assert len(inst.partner_masks) < 900 // 4
 
 
 def test_branch_completeness_on_dense_instance():

@@ -7,11 +7,12 @@ import random
 import pytest
 
 from apc.hungarian import MaskedCosts, solve_ap
+from edge_bits import bits, ids
 
 
 def min_over_permutations(costs, forbidden=frozenset(), forced=frozenset()):
     """Reference answer by scanning all permutations; None when infeasible.
-    Masks hold edge ids i*n + j."""
+    Masks are sets of edge ids i*n + j."""
     n = len(costs)
     best = None
     for perm in itertools.permutations(range(n)):
@@ -38,7 +39,7 @@ def random_masked(rng, n):
     forced = {i * n + perm[i] for i in rng.sample(range(n), rng.randint(0, n // 3))}
     free = [e for e in range(n * n) if e not in forced]
     forbidden = rng.sample(free, rng.randint(0, len(free) * 3 // 5))
-    return MaskedCosts(costs, frozenset(forbidden), frozenset(forced))
+    return MaskedCosts(costs, bits(forbidden), frozenset(forced))
 
 
 def certified_optimal(mc, result):
@@ -48,7 +49,7 @@ def certified_optimal(mc, result):
     columns and tight on the chosen ones, which is LP duality's certificate.
     """
     assignment, value, (u, v) = result
-    n = mc.n
+    n, forbidden = mc.n, ids(mc.forbidden)
     forced_rows, forced_cols = {e // n for e in mc.forced}, {e % n for e in mc.forced}
     if sorted(assignment) != list(range(n)) or value != sum(
         mc.base[i][assignment[i]] for i in range(n)
@@ -56,12 +57,12 @@ def certified_optimal(mc, result):
         return False
     if any(assignment[e // n] != e % n for e in mc.forced):
         return False
-    if any(i * n + j in mc.forbidden for i, j in enumerate(assignment)):
+    if any(i * n + j in forbidden for i, j in enumerate(assignment)):
         return False
     for i in set(range(n)) - forced_rows:
         for j in set(range(n)) - forced_cols:
             slack = mc.base[i][j] - u[i] - v[j]
-            if i * n + j not in mc.forbidden and slack < 0:
+            if i * n + j not in forbidden and slack < 0:
                 return False
             if assignment[i] == j and slack != 0:
                 return False
@@ -75,14 +76,14 @@ def test_diagonal_dominance():
 
 
 def test_forbidden_edge_forces_the_other_matching():
-    mc = MaskedCosts(((1, 10), (10, 1)), forbidden=frozenset({0}))
+    mc = MaskedCosts(((1, 10), (10, 1)), forbidden=bits({0}))
     assignment, value = solve_ap(mc)[:2]
     assert assignment == (1, 0)
     assert value == 20
 
 
 def test_fully_blocked_row_is_infeasible():
-    mc = MaskedCosts(((1, 10), (10, 1)), forbidden=frozenset({0, 1}))  # row 0
+    mc = MaskedCosts(((1, 10), (10, 1)), forbidden=bits({0, 1}))  # row 0
     assert solve_ap(mc) is None
 
 
@@ -110,7 +111,7 @@ def test_mask_soundness_sweep():
         n = rng.randint(2, 5)
         costs = random_costs(rng, n)
         forbidden = frozenset(rng.sample(range(n * n), rng.randint(0, n * n // 2)))
-        mc = MaskedCosts(costs, forbidden=forbidden)
+        mc = MaskedCosts(costs, forbidden=bits(forbidden))
         expect = min_over_permutations(costs, forbidden=forbidden)
         got = solve_ap(mc)
         if expect is None:
@@ -138,7 +139,7 @@ def test_forced_and_forbidden_must_not_overlap():
     with pytest.raises(ValueError):
         MaskedCosts(
             ((1, 2), (3, 4)),
-            forbidden=frozenset({0}),
+            forbidden=bits({0}),
             forced=frozenset({0}),
         )
 
@@ -151,11 +152,30 @@ def test_forced_edges_must_be_disjoint():
 
 
 def test_masked_edge_out_of_range():
-    for ids in ({4}, {-1}, {0, 4}):  # a 2x2 matrix has edge ids 0..3
+    # a 2x2 matrix has edge ids 0..3: bits 0..3 of the forbidden bitset
+    for mask in (bits({4}), -1, bits({0, 4})):
         with pytest.raises(ValueError):
-            MaskedCosts(((1, 2), (3, 4)), forbidden=frozenset(ids))
+            MaskedCosts(((1, 2), (3, 4)), forbidden=mask)
+    for edge_ids in ({4}, {-1}, {0, 4}):
         with pytest.raises(ValueError):
-            MaskedCosts(((1, 2), (3, 4)), forced=frozenset(ids))
+            MaskedCosts(((1, 2), (3, 4)), forced=frozenset(edge_ids))
+
+
+def test_forbidden_bitset_is_validated():
+    costs = ((1, 2, 3), (4, 5, 6), (7, 8, 9))  # edge ids 0..8
+    for mask in (-1, -bits({3}), bits({9}), bits({2, 40}), 1 << 200):
+        with pytest.raises(ValueError):
+            MaskedCosts(costs, forbidden=mask)
+    # a forced id whose bit is set, alone or among other forbidden bits
+    for mask, forced in [(bits({4}), {4}), (bits({1, 8}), {0, 8}), (bits({0, 5}), {5})]:
+        with pytest.raises(ValueError, match="both forced and forbidden"):
+            MaskedCosts(costs, forbidden=mask, forced=frozenset(forced))
+    # the highest edge id is a valid bit, and so is every bit below it
+    assert MaskedCosts(costs, forbidden=bits({8})).forbidden == 1 << 8
+    all_but_4 = bits(range(9)) ^ bits({4})
+    assert MaskedCosts(costs, forbidden=all_but_4, forced={4}).forced == {4}
+    with pytest.raises(TypeError):  # a set of ids is not a bitset
+        MaskedCosts(costs, forbidden=frozenset({0}))
 
 
 def test_scale_covariance():
@@ -228,7 +248,7 @@ def test_warm_solve_after_random_tightening_matches_cold():
         start = solve_ap(parent)
         if start is None:
             continue
-        forbidden, forced = set(parent.forbidden), set(parent.forced)
+        forbidden, forced = ids(parent.forbidden), set(parent.forced)
         for i in rng.sample(range(n), rng.randint(0, min(2, n))):
             if i * n + start[0][i] not in forced:
                 forbidden.add(i * n + start[0][i])
@@ -238,7 +258,7 @@ def test_warm_solve_after_random_tightening_matches_cold():
             edge = rng.choice(open_rows) * n + rng.choice(open_cols)
             if edge not in forbidden:
                 forced.add(edge)
-        child = MaskedCosts(parent.base, frozenset(forbidden), frozenset(forced))
+        child = MaskedCosts(parent.base, bits(forbidden), frozenset(forced))
         warm, cold = solve_ap(child, start), solve_ap(child)
         assert (warm is None) == (cold is None)
         if warm is None:
@@ -247,7 +267,9 @@ def test_warm_solve_after_random_tightening_matches_cold():
         assert warm[1] == cold[1]
         assert certified_optimal(child, warm)
         if n <= 6:
-            assert warm[1] == min_over_permutations(child.base, child.forbidden, child.forced)
+            assert warm[1] == min_over_permutations(
+                child.base, ids(child.forbidden), child.forced
+            )
         checked += 1
     assert checked >= 150 and infeasible >= 10
 
@@ -277,7 +299,7 @@ def test_solves_and_potentials_are_pinned():
         results.append(cold)
         if cold is None:
             continue
-        forbidden, forced = set(parent.forbidden), set(parent.forced)
+        forbidden, forced = ids(parent.forbidden), set(parent.forced)
         rows = [i for i in range(n) if i * n + cold[0][i] not in forced]
         if rows:
             i = rng.choice(rows)
@@ -287,7 +309,7 @@ def test_solves_and_potentials_are_pinned():
                    if i * n + j not in forbidden]
         if allowed:
             forced.add(rng.choice(allowed))
-        child = MaskedCosts(parent.base, frozenset(forbidden), frozenset(forced))
+        child = MaskedCosts(parent.base, bits(forbidden), frozenset(forced))
         results.append(solve_ap(child, cold))
     assert len(results) == 581 and sum(r is None for r in results) == 95  # 76 warm
     digest = "dd96c1082a14968cf557a7e6ca38ba9fb77cfe94e7ab7bd9bb05c2282a7b2aaf"

@@ -385,6 +385,37 @@ def test_partners_index_holds_each_pair_at_both_endpoints(n, m, seed):
     assert all(ids.setdefault(e, e) is e for p in inst.partners for e in p)
 
 
+@pytest.mark.parametrize(
+    "n,m,seed",
+    [(1, 0, 1), (3, 20, 2), (5, 150, 3), (7, 0, 4), (20, 600, 5), (30, 8000, 6)],
+)
+def test_partner_masks_are_the_bitsets_of_partners(n, m, seed):
+    inst = generate_instance(n, m, 1, 30, seed)
+    for e in range(n * n):
+        assert inst.partner_masks[e] == sum(1 << f for f in inst.partners[e]), e
+    assert len(inst.partner_masks) == n * n
+    assert sum(mask.bit_count() for mask in inst.partner_masks.values()) == 2 * m
+    with pytest.raises(IndexError):
+        inst.partner_masks[n * n]
+    with pytest.raises(KeyError):
+        inst.partner_masks[-1]
+
+
+def test_partner_masks_are_built_per_edge_on_first_lookup():
+    inst = generate_instance(30, 8000, 1, 100, 1)
+    masks = inst.partner_masks
+    assert masks is inst.partner_masks and len(masks) == 0
+    e = 12 * 30 + 7
+    mask = masks[e]
+    assert list(masks) == [e] and masks[e] is mask
+    assert masks[e + 1] == sum(1 << f for f in inst.partners[e + 1])
+    assert list(masks) == [e, e + 1]
+    # equality, hashing and pickling ignore the cache, as for partners
+    again = pickle.loads(pickle.dumps(inst))
+    assert again == inst and hash(again) == hash(inst)
+    assert again.partner_masks[e] == mask
+
+
 def _tracked_objects_kept_by(build):
     """GC-tracked objects that the instance ``build()`` returns keeps alive."""
     build()  # first-use caches fill outside the count
