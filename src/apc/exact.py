@@ -1,28 +1,28 @@
 """Proven-optimal solving by branch-and-bound on the conflict-free relaxation.
 
-A node is its edge masks, one `MaskedCosts`: a bitset of forbidden edge ids
-and a set of at most n forced ones; the assignment problem under them is the
-node's lower bound. Best-first node selection means the first
-conflict-feasible relaxation popped is globally optimal. The search branches
-fail-first on the selected edge that sits in the most violated conflict
-pairs: one child forbids that edge, the other commits to it, which forbids
-every edge it conflicts with. The children are disjoint, and together they
-keep every conflict-feasible solution of the node. When the avoid child
-leaves the edge's row or column with fewer than two allowed edges, its masks
-are propagated by a worklist of lines: every row or column left with one
-allowed edge is forced to it, and that edge's conflict partners are
-forbidden, as in a commit, until none is left. An avoid child with a line
-that has no allowed edge is dropped before any AP work. A child only
-tightens its parent's masks: its forbidden bitset keeps every bit of the
-parent's set (``child & parent == parent``) and its forced set contains the
-parent's, so its assignment problem is re-optimized from the parent's
-potentials instead of solved from scratch. Conflicts are read as bitsets
-too: ``Instance.partner_masks[e]`` has bit f set for every partner f of edge
-e, so a commit forbids all of them with one ``|`` and the violation scan
-counts an edge's violated pairs with one ``&`` and a popcount. The search
-starts from the incumbent of a two-restart `run_heuristic`, bounded only by
-the solve's time limit, so a node or time limit that stops it early can
-still report a solution.
+A node is its edge mask, one `MaskedCosts`: a bitset of forbidden edge ids;
+the assignment problem under it is the node's lower bound. Every row and
+column of an assignment holds exactly one edge, so a node forces an edge by
+forbidding the rest of its row and column, and needs no second mask.
+Best-first node selection means the first conflict-feasible relaxation
+popped is globally optimal. The search branches fail-first on the selected
+edge that sits in the most violated conflict pairs: one child forbids that
+edge, the other commits to it, which forbids the rest of its row and column
+and every edge it conflicts with. The children are disjoint, and together
+they keep every conflict-feasible solution of the node. When the avoid
+child leaves the edge's row or column with fewer than two allowed edges, its
+mask is propagated by a worklist of lines: every row or column left with
+one allowed edge commits to it, until none is left. An avoid child with a
+line that has no allowed edge is dropped before any AP work. A child only
+tightens its parent's mask: its forbidden bitset keeps every bit of the
+parent's (``child & parent == parent``), so its assignment problem is
+re-optimized from the parent's potentials instead of solved from scratch.
+Conflicts are read as bitsets too: ``Instance.partner_masks[e]`` has bit f
+set for every partner f of edge e, so a commit forbids all of them with one
+``|`` and the violation scan counts an edge's violated pairs with one ``&``
+and a popcount. The search starts from the incumbent of a two-restart
+`run_heuristic`, bounded only by the solve's time limit, so a node or time
+limit that stops it early can still report a solution.
 Inside the search an edge (a, b) is the int id ``a*n + b``.
 """
 
@@ -32,7 +32,7 @@ import time
 from typing import Mapping
 
 from .heuristic import LSConfig, run_heuristic
-from .hungarian import MaskedCosts, solve_ap
+from .hungarian import MaskedCosts, line_masks, solve_ap
 from .instance import Instance
 from .model import _require_permutation
 from .solution import Solution, SolveStatus
@@ -65,60 +65,50 @@ def find_violated_conflict(assignment, inst: Instance) -> int | None:
 def branch(
     masks: MaskedCosts, edge: int, partner_masks: Mapping[int, int]
 ) -> tuple[MaskedCosts | None, MaskedCosts]:
-    """Split a node's masks on `edge` into two disjoint children: (avoid, commit).
+    """Split a node's mask on `edge` into two disjoint children: (avoid, commit).
 
     `partner_masks` is the instance's conflict index as bitsets
     (`Instance.partner_masks`). Each child's forbidden bitset is the parent's
-    with more bits set, so it only tightens the parent's masks. The commit
-    child forces `edge` and forbids its conflict partners, one ``|`` of the
-    edge's partner bitset. The avoid child sets `edge`'s own bit and is
-    closed under the lone-edge rule: a free line (a row or column that no
-    forced edge holds) whose only allowed edge is e must take e in every
-    perfect matching, so e is forced and its partners forbidden, as in a
-    commit. An edge is allowed when it is not forbidden and lies on a free
-    row and a free column. A worklist of lines starts with the edge's row
-    and column, and only when forbidding `edge` may leave one of them under
-    two allowed edges; the first lone edge queues every free line, so the
-    closure covers the whole node. A line's allowed edges are its cells in
-    a bitset of the node's allowed edges, counted with ``bit_count()``; a
-    lone edge is found by ``bit_length() - 1``. The avoid child is None when
-    a line ends up with no allowed edge, so it holds no conflict-feasible
-    solution and needs no AP solve. Every conflict-feasible solution within
-    the node's masks lies in exactly one child. A split that contradicts the
-    node's masks raises ValueError from MaskedCosts; the solver never asks
-    for one, because it branches on a violated edge of the node's own
-    relaxation, which no mask excludes.
+    with more bits set, so it only tightens the parent's mask. The commit
+    child forces `edge`: it forbids the rest of the edge's row and column
+    and its conflict partners, one ``|`` of line and partner bitsets. The
+    avoid child sets `edge`'s own bit and is closed under the lone-edge rule:
+    a line (a row or column) whose only allowed edge is e must take e in
+    every perfect matching, so the rest of e's row and column and e's
+    partners are forbidden, as in a commit; for an edge forced earlier this
+    changes nothing. A worklist of lines starts with the edge's row and
+    column, and only when forbidding `edge` leaves one of them under two
+    allowed edges; the first lone edge queues all 2n lines, so the closure
+    covers the whole node. The closure works on one bitset of the node's
+    allowed edges: a line's allowed edges are counted with ``bit_count()``
+    and a lone edge is found by ``bit_length() - 1``. The avoid child is
+    None when a line ends up with no allowed edge, so it holds no
+    conflict-feasible solution and needs no AP solve. Every conflict-feasible
+    solution within the node's mask lies in exactly one child. Splitting on
+    a forbidden edge raises ValueError; the solver never asks for one,
+    because it branches on an edge of the node's own relaxation.
     """
-    base, forbidden, forced = masks.base, masks.forbidden, masks.forced
+    base, forbidden = masks.base, masks.forbidden
+    if forbidden >> edge & 1:
+        raise ValueError(f"edge {edge} is forbidden at this node")
     n = len(base)
-    commit = MaskedCosts(base, forbidden | partner_masks[edge], forced | {edge})
+    full, row, col = line_masks(n)
+    a, b = divmod(edge, n)
+    rest = (row << a * n | col << b) ^ 1 << edge  # the rest of edge's lines
+    commit = MaskedCosts(base, forbidden | rest | partner_masks[edge])
     avoid = forbidden | 1 << edge
     # Line k is row k when k < n, else column k - n: its cells are
-    # row << k*n or col << k - n. A free line has n - len(forced) cells off
-    # the forced lines; less all its forbidden cells, that bounds its
-    # allowed edges from below, so a line whose bound is two or more needs
-    # no count.
-    full, row = (1 << n * n) - 1, (1 << n) - 1
-    col = full // row  # bit 0 of every row
-    a, b = divmod(edge, n)
-    free = n - len(forced)
+    # row << k*n or col << k - n.
     todo = set()
-    if free - (avoid >> a * n & row).bit_count() < 2:
+    if n - (avoid >> a * n & row).bit_count() < 2:
         todo.add(a)
-    if free - (avoid & col << b).bit_count() < 2:
+    if n - (avoid & col << b).bit_count() < 2:
         todo.add(n + b)
     if not todo:
-        return MaskedCosts(base, avoid, forced), commit
-    forced = set(forced)
-    taken = {f // n for f in forced} | {n + f % n for f in forced}
-    blocked = avoid
-    for k in taken:
-        blocked |= row << k * n if k < n else col << k - n
-    allowed = full ^ blocked
+        return MaskedCosts(base, avoid), commit
+    allowed, first = full ^ avoid, True
     while todo:
         k = todo.pop()
-        if k in taken:
-            continue
         cells = allowed & (row << k * n if k < n else col << k - n)
         count = cells.bit_count()
         if count > 1:
@@ -127,21 +117,18 @@ def branch(
             return None, commit
         e = cells.bit_length() - 1
         i, j = divmod(e, n)
-        if len(forced) == len(masks.forced):  # the first lone edge
+        if first:
             todo.update(range(2 * n))
-        # e's row and column stop being free and its partners are forbidden:
+            first = False
+        # the rest of e's row and column and e's partners are forbidden:
         # requeue every line that loses an allowed edge
-        pm = partner_masks[e]
-        gone = allowed & (row << i * n | col << j | pm)
+        gone = allowed & ((row << i * n | col << j) ^ 1 << e | partner_masks[e])
         allowed ^= gone
         while gone:
             f = gone.bit_length() - 1
             gone ^= 1 << f
             todo.update((f // n, n + f % n))
-        forced.add(e)
-        taken.update((i, n + j))
-        avoid |= pm
-    return MaskedCosts(base, avoid, forced), commit
+    return MaskedCosts(base, full ^ allowed), commit
 
 
 def solve_exact(

@@ -2,18 +2,20 @@
 
 This is the conflict-free assignment engine: it ignores conflict pairs and
 therefore computes a valid lower bound for the conflicted problem, whose
-feasible set is a subset. Masks make it the relaxation solver at
-branch-and-bound nodes: forbidden edges are left out of the augmenting search
-(never priced out, so integer arithmetic stays exact), and forced rows and
-columns are skipped. Masks name edges by their int id ``a*n + b``: the
-forbidden mask is one int bitset whose bit e is set exactly when edge e is
-forbidden, so a search node holds it in at most n*n/8 bytes and a child
-builds its own with one C-level ``|``; the forced mask is a set of at most n
-ids. Each free row is matched by a shortest-path search on distance labels
-that settles the potentials once. A solve can start from an ancestor node's
-potentials, so a child re-matches only the rows its tighter masks freed.
+feasible set is a subset. A mask makes it the relaxation solver at
+branch-and-bound nodes: the mask is one int bitset over edge ids ``a*n + b``
+whose bit e is set exactly when edge e is forbidden, so a search node holds
+it in at most n*n/8 bytes and a child builds its own with one C-level ``|``.
+Every row and column of a perfect matching holds exactly one edge, so
+forcing an edge is forbidding the rest of its row and column; the mask needs
+no second kind. Forbidden edges are left out of the augmenting search (never
+priced out, so integer arithmetic stays exact). Each free row is matched by
+a shortest-path search on distance labels that settles the potentials once.
+A solve can start from an ancestor node's potentials, so a child re-matches
+only the rows its tighter mask freed.
 """
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -21,44 +23,37 @@ from dataclasses import dataclass
 _INF = math.inf
 
 
+@functools.cache
+def line_masks(n: int) -> tuple[int, int, int]:
+    """``(full, row, col)`` over the n*n edge ids of an n x n matrix.
+
+    `full` has every edge's bit set, `row` the bits of row 0 (bits 0..n-1)
+    and `col` those of column 0 (bit ``i*n`` for each row i); row a's bits
+    are ``row << a*n`` and column b's are ``col << b``.
+    """
+    return (1 << n * n) - 1, (1 << n) - 1, sum(1 << i * n for i in range(n))
+
+
 @dataclass(frozen=True)
 class MaskedCosts:
-    """A cost matrix plus per-edge masks: one branch-and-bound node.
+    """A cost matrix plus a forbidden-edge bitset: one branch-and-bound node.
 
     ``forbidden`` is a bitset over edge ids ``a*n + b``: bit e is set exactly
-    when edge e is forbidden. ``forced`` holds the ids of the edges that must
-    appear in the solution, which are therefore pairwise row- and
-    column-disjoint; no edge may be both forced and forbidden. A mask that is
-    negative, sets a bit at or above n*n, names an id outside 0..n*n-1 or
-    contradicts itself raises ValueError here, the only place masks are
-    validated; each check costs O(n) or O(n*n/8) bytes, never a walk over
-    the forbidden edges. ``base`` is kept as given, not copied, so it must
-    not change afterwards.
+    when edge e is forbidden. A node forces edge (a, b) by forbidding every
+    other edge of row a and column b. A negative mask, or one that sets a bit
+    at or above n*n, raises ValueError. ``base`` is kept as given, not
+    copied, so it must not change afterwards.
     """
 
     base: tuple[tuple[int, ...], ...]
     forbidden: int = 0
-    forced: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        forbidden, forced = operator.index(self.forbidden), frozenset(self.forced)
+        forbidden = operator.index(self.forbidden)
         object.__setattr__(self, "forbidden", forbidden)
-        object.__setattr__(self, "forced", forced)
-        n = len(self.base)
-        nn = n * n
+        nn = len(self.base) ** 2
         if forbidden < 0 or forbidden.bit_length() > nn:
             raise ValueError(f"forbidden bits must lie in 0..{nn - 1}")
-        if forced and not 0 <= min(forced) <= max(forced) < nn:
-            raise ValueError(f"forced edge ids must lie in 0..{nn - 1}")
-        rows = {e // n for e in forced}
-        cols = {e % n for e in forced}
-        if len(rows) != len(forced) or len(cols) != len(forced):
-            raise ValueError("forced edges must be row- and column-disjoint")
-        # one copy of the bitset as bytes makes each forced bit an O(1) read
-        bits = forbidden.to_bytes((nn + 7) // 8, "little")
-        overlap = sorted(e for e in forced if bits[e >> 3] >> (e & 7) & 1)
-        if overlap:
-            raise ValueError(f"edges both forced and forbidden: {overlap}")
 
     @property
     def n(self) -> int:
@@ -115,42 +110,43 @@ def _augment(base, forbidden, bits, cols, r, u, v, row_of) -> bool:
 
 
 def solve_ap(mc: MaskedCosts, start: tuple | None = None) -> tuple | None:
-    """Minimum-cost perfect matching respecting the masks.
+    """Minimum-cost perfect matching that uses no forbidden edge.
 
     Returns ``(assignment, value, (u, v))`` with integer row and column
-    potentials, or None when no perfect matching avoids every forbidden edge
-    and extends every forced one. A cold solve (`start` None) inserts the
-    unforced rows in ascending order from zero potentials. A warm solve
-    starts from `start`, an earlier result for masks that `mc` only tightens
-    (`mc.forbidden` keeps every bit of the earlier forbidden bitset, so
-    ``mc.forbidden & earlier == earlier``, and `mc.forced` contains the
-    earlier forced set): the costs are the same and
-    edges are only removed, so its potentials stay feasible. It keeps each
-    earlier edge still allowed on an unforced row and column and re-inserts
-    the other unforced rows. Feasible potentials plus a perfect matching on
-    tight edges is optimal, so the value is exact either way; a warm solve
-    may return another optimum of equal cost.
+    potentials, feasible on every allowed edge and tight on the chosen ones,
+    or None when no perfect matching avoids every forbidden edge. A cold
+    solve (`start` None) inserts the rows in ascending order from zero
+    potentials. A warm solve starts from `start`, an earlier result for a
+    mask that `mc` only tightens (`mc.forbidden` keeps every bit of the
+    earlier bitset, so ``mc.forbidden & earlier == earlier``): the costs are
+    the same and edges are only removed, so its potentials stay feasible. It
+    keeps each earlier edge that is still allowed and re-inserts the other
+    rows. A kept edge that is the only allowed edge of both its row and its
+    column is fixed: no other row's search can reach its column, so the
+    column is left out of every path search. Feasible potentials plus a
+    perfect matching on tight edges is optimal, so the value is exact either
+    way; a warm solve may return another optimum of equal cost.
     """
     n, base, forbidden = mc.n, mc.base, mc.forbidden
     row_of = [-1] * (n + 1)  # row matched to each column; slot n is virtual
-    open_row = [True] * n
-    for e in mc.forced:
-        row_of[e % n] = e // n
-        open_row[e // n] = False
-    cols = [j for j in range(n) if row_of[j] < 0]
+    bits = [1 << j for j in range(n)]
     if start is None:
-        u, v, free = [0] * n, [0] * n, [i for i in range(n) if open_row[i]]
+        u, v, free, fixed = [0] * n, [0] * n, range(n), ()
     else:
         kept, _, (u, v) = start
         if not len(kept) == len(u) == len(v) == n:
             raise ValueError(f"start does not fit the {n}x{n} matrix")
-        u, v, free = list(u), list(v), []
+        _, line, col = line_masks(n)
+        u, v, free, fixed = list(u), list(v), [], set()
         for i, j in enumerate(kept):
-            if open_row[i] and row_of[j] < 0 and not forbidden >> i * n + j & 1:
-                row_of[j] = i
-            elif open_row[i]:
+            row_bits = forbidden >> i * n & line
+            if row_bits & bits[j]:
                 free.append(i)
-    bits = [1 << j for j in range(n)]
+                continue
+            row_of[j] = i
+            if row_bits == line ^ bits[j] and forbidden >> j & col == col ^ 1 << i * n:
+                fixed.add(j)
+    cols = [j for j in range(n) if j not in fixed]
     for r in free:
         if not _augment(base, forbidden, bits, cols, r, u, v, row_of):
             return None

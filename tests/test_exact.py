@@ -21,7 +21,7 @@ from apc.instance import (
 from apc.model import check_feasible, evaluate
 from apc.oracle import brute_force, enumerate_feasible
 from apc.solution import Solution, SolveStatus
-from edge_bits import bits, ids
+from edge_bits import bits, force_bits, forced_ids, ids
 
 DIAG = Instance([[1, 10], [10, 1]], [((0, 0), (1, 1))])
 BOTH_BLOCKED = Instance(
@@ -119,22 +119,25 @@ def test_branch_children():
     assert avoid.base is commit.base is DIAG.costs
     # forbidding (0, 0) leaves row 0 one edge, (0, 1), and forcing it leaves
     # row 1 one edge, (1, 0)
-    assert ids(avoid.forbidden) == {0} and avoid.forced == frozenset({1, 2})
-    assert commit.forced == frozenset({0})
-    assert ids(commit.forbidden) == {3}
+    assert ids(avoid.forbidden) == {0, 3} and forced_ids(2, avoid.forbidden) == {1, 2}
+    # committing to (0, 0) forbids (0, 1) and (1, 0), the rest of its row and
+    # column, and its partner (1, 1)
+    assert ids(commit.forbidden) == {1, 2, 3}
 
 
 def test_branch_rejects_contradictory_split():
-    # MaskedCosts is the one mask validator: a split whose commit child
-    # contradicts the parent's masks fails loudly instead of dropping a child.
-    for forbidden, forced in [
-        ({0}, set()),  # the edge (0, 0) itself is forbidden
-        (set(), {3}),  # a conflict partner, (1, 1), is forced
-        (set(), {2}),  # a forced edge, (1, 0), holds its column
+    # Splitting on a forbidden edge fails loudly instead of dropping a child.
+    for mask in [
+        bits({0}),  # the edge (0, 0) itself is forbidden
+        force_bits(2, {2}),  # a forced edge, (1, 0), holds its column
     ]:
-        node = MaskedCosts(DIAG.costs, bits(forbidden), frozenset(forced))
         with pytest.raises(ValueError):
-            branch(node, 0, DIAG.partner_masks)
+            branch(MaskedCosts(DIAG.costs, mask), 0, DIAG.partner_masks)
+    # A forced conflict partner, (1, 1), leaves the commit child no perfect
+    # matching, and the avoid child an empty row.
+    node = MaskedCosts(DIAG.costs, force_bits(2, {3}))
+    avoid, commit = branch(node, 0, DIAG.partner_masks)
+    assert avoid is None and solve_ap(commit) is None
 
 
 def test_emptied_avoid_line_gets_no_masks_and_no_ap_solve(monkeypatch):
@@ -144,30 +147,31 @@ def test_emptied_avoid_line_gets_no_masks_and_no_ap_solve(monkeypatch):
     built, solved = [], []
     masks_cls, ap = apc.exact.MaskedCosts, apc.exact.solve_ap
 
-    def masks_spy(base, forbidden=0, forced=frozenset()):
-        built.append((ids(forbidden), set(forced)))
-        return masks_cls(base, forbidden, forced)
+    def masks_spy(base, forbidden=0):
+        built.append(ids(forbidden))
+        return masks_cls(base, forbidden)
 
     def ap_spy(mc, start=None):
-        solved.append((ids(mc.forbidden), set(mc.forced)))
+        solved.append(ids(mc.forbidden))
         return ap(mc, start)
 
     monkeypatch.setattr("apc.exact.MaskedCosts", masks_spy)
     monkeypatch.setattr("apc.exact.solve_ap", ap_spy)
     pm = BOTH_BLOCKED.partner_masks
     avoid, commit = branch(masks_cls(BOTH_BLOCKED.costs), 0, pm)
-    assert avoid is None and commit.forced == {0} and ids(commit.forbidden) == {3}
-    assert built == [({3}, {0})] and not solved
+    # the commit child forbids the rest of row 0 and column 0 and the partner
+    assert avoid is None and ids(commit.forbidden) == {1, 2, 3}
+    assert built == [{1, 2, 3}] and not solved
     # with (0, 1) already forbidden, avoiding (0, 0) empties row 0 at once
     built.clear()
     avoid, _ = branch(masks_cls(DIAG.costs, bits({1})), 0, DIAG.partner_masks)
-    assert avoid is None and built == [({1, 3}, {0})] and not solved
+    assert avoid is None and built == [{1, 2, 3}] and not solved
 
     built.clear()
     sol = solve_exact(BOTH_BLOCKED)
     assert sol.status is SolveStatus.INFEASIBLE and sol.nodes == 1
     # the root and the commit child only, each built once and solved once
-    assert built == solved == [(set(), set()), ({3}, {0})]
+    assert built == solved == [set(), {1, 2, 3}]
 
 
 def test_lone_edges_are_forced_in_a_chain():
@@ -180,9 +184,11 @@ def test_lone_edges_are_forced_in_a_chain():
     )
     node = MaskedCosts(inst.costs, bits({2, 3, 4}))  # (0,2) (0,3) (1,0)
     avoid, commit = branch(node, 0, inst.partner_masks)
-    assert avoid.forced == frozenset({1, 7, 10, 12})
-    assert ids(avoid.forbidden) == {0, 2, 3, 4, 6, 8}
-    assert commit.forced == frozenset({0}) and commit.forbidden == node.forbidden
+    # the four forced edges make a permutation, so every other edge is forbidden
+    assert forced_ids(4, avoid.forbidden) == {1, 7, 10, 12}
+    assert ids(avoid.forbidden) == set(range(16)) - {1, 7, 10, 12}
+    # (0, 0) has no partner: committing to it forbids only the rest of its lines
+    assert commit.forbidden == node.forbidden | force_bits(4, {0})
     # the child keeps exactly the node's feasible solutions that avoid (0, 0)
     kept = [
         (p, v)
@@ -204,7 +210,10 @@ def test_lone_edge_closure_agrees_with_brute_force_on_dense_instances(monkeypatc
 
     def spy(masks, edge, partner_masks):
         avoid, commit = split(masks, edge, partner_masks)
-        added = None if avoid is None else len(avoid.forced) - len(masks.forced)
+        n = masks.n
+        added = None if avoid is None else len(
+            forced_ids(n, avoid.forbidden) - forced_ids(n, masks.forbidden)
+        )
         outcomes.append(added)
         return avoid, commit
 
@@ -223,44 +232,40 @@ def test_lone_edge_closure_agrees_with_brute_force_on_dense_instances(monkeypatc
 
 
 def _closed_avoid(masks, edge, partners):
-    # The avoid child's masks by the naive closure on sets of ids: when the
-    # edge's row or column keeps under two allowed edges, sweep all 2n lines,
-    # recounting each from scratch, force any lone edge and forbid all of its
-    # partners (`Instance.partners`), until a sweep changes nothing. None
-    # when a line has no allowed edge.
+    # The avoid child's forbidden ids by the naive closure on a set of ids:
+    # when the edge's row or column keeps under two allowed edges, sweep all
+    # 2n lines, recounting each from scratch, and for any lone edge forbid
+    # the rest of its row and column and all of its partners
+    # (`Instance.partners`), until a sweep forbids nothing new. None when a
+    # line has no allowed edge.
     n = masks.n
-    forbidden, forced = ids(masks.forbidden) | {edge}, set(masks.forced)
+    forbidden = ids(masks.forbidden) | {edge}
     lines = [range(i * n, i * n + n) for i in range(n)]
     lines += [range(j, n * n, n) for j in range(n)]
 
     def allowed(cells):
-        rows, cols = {f // n for f in forced}, {f % n for f in forced}
-        return [
-            f
-            for f in cells
-            if f not in forbidden and f // n not in rows and f % n not in cols
-        ]
+        return [f for f in cells if f not in forbidden]
 
     a, b = divmod(edge, n)
     changed = min(len(allowed(lines[a])), len(allowed(lines[n + b]))) < 2
     while changed:
         changed = False
         for cells in lines:
-            if forced.isdisjoint(cells):
-                left = allowed(cells)
-                if not left:
-                    return None
-                if len(left) == 1:
-                    forced.add(left[0])
-                    forbidden.update(partners[left[0]])
-                    changed = True
-    return forbidden, forced
+            left = allowed(cells)
+            if not left:
+                return None
+            if len(left) == 1:
+                e = left[0]
+                more = {*lines[e // n], *lines[n + e % n], *partners[e]} - {e}
+                changed |= not more <= forbidden
+                forbidden |= more
+    return forbidden
 
 
 def test_avoid_child_matches_the_naive_closure(monkeypatch):
     # At every split solve_exact makes on random instances, the avoid child
     # is dropped exactly when the naive closure empties a line, and otherwise
-    # has its forced edges and the same forbidden cells on the free lines.
+    # forbids exactly the edges the closure forbids.
     split = apc.exact.branch
     checked, closed = [], []
     partners = None  # the conflict index of the instance being solved
@@ -270,17 +275,9 @@ def test_avoid_child_matches_the_naive_closure(monkeypatch):
         ref = _closed_avoid(masks, edge, partners)
         assert (avoid is None) == (ref is None), (masks, edge)
         if avoid is not None:
-            n = masks.n
-            forbidden, forced = ref
-            rows, cols = {f // n for f in forced}, {f % n for f in forced}
-
-            def on_free_lines(cells):
-                return {f for f in cells if f // n not in rows and f % n not in cols}
-
-            assert avoid.forced == forced, (masks, edge)
-            assert on_free_lines(ids(avoid.forbidden)) == on_free_lines(forbidden)
+            assert ids(avoid.forbidden) == ref, (masks, edge)
         checked.append(edge)
-        if ref is None or len(ref[1]) > len(masks.forced):
+        if ref != ids(masks.forbidden | 1 << edge):
             closed.append(edge)
         return avoid, commit
 
@@ -297,9 +294,7 @@ def test_avoid_child_matches_the_naive_closure(monkeypatch):
 
 def _obeys(perm, masks):
     n = len(perm)
-    return all(perm[e // n] != e % n for e in ids(masks.forbidden)) and all(
-        perm[e // n] == e % n for e in masks.forced
-    )
+    return all(perm[e // n] != e % n for e in ids(masks.forbidden))
 
 
 def test_branch_is_a_dichotomy():

@@ -6,8 +6,9 @@ import random
 
 import pytest
 
+import apc.hungarian
 from apc.hungarian import MaskedCosts, solve_ap
-from edge_bits import bits, ids
+from edge_bits import bits, force_bits, ids
 
 
 def min_over_permutations(costs, forbidden=frozenset(), forced=frozenset()):
@@ -31,36 +32,43 @@ def random_costs(rng, n, hi=50):
     return tuple(tuple(rng.randint(0, hi) for _ in range(n)) for _ in range(n))
 
 
-def random_masked(rng, n):
-    """Tie-heavy costs in {0, 1, 2}, some forced edges, up to 3/5 of the rest forbidden."""
+def random_node(rng, n):
+    """Tie-heavy costs in {0, 1, 2}, the id set of some edges to force, and
+    the id set of up to 3/5 of the other edges to forbid."""
     costs = random_costs(rng, n, hi=2)
     perm = list(range(n))
     rng.shuffle(perm)
     forced = {i * n + perm[i] for i in rng.sample(range(n), rng.randint(0, n // 3))}
     free = [e for e in range(n * n) if e not in forced]
-    forbidden = rng.sample(free, rng.randint(0, len(free) * 3 // 5))
-    return MaskedCosts(costs, bits(forbidden), frozenset(forced))
+    forbidden = set(rng.sample(free, rng.randint(0, len(free) * 3 // 5)))
+    return costs, forbidden, forced
+
+
+def masked(costs, forbidden, forced):
+    """The node that forbids `forbidden` and forces `forced` (id sets)."""
+    return MaskedCosts(costs, bits(forbidden) | force_bits(len(costs), forced))
+
+
+def random_masked(rng, n):
+    return masked(*random_node(rng, n))
 
 
 def certified_optimal(mc, result):
     """The result is a mask-respecting permutation whose potentials prove it optimal.
 
-    Potentials are feasible on every allowed edge of the unforced rows and
-    columns and tight on the chosen ones, which is LP duality's certificate.
+    Potentials are feasible on every allowed edge and tight on the chosen
+    ones, which is LP duality's certificate.
     """
     assignment, value, (u, v) = result
     n, forbidden = mc.n, ids(mc.forbidden)
-    forced_rows, forced_cols = {e // n for e in mc.forced}, {e % n for e in mc.forced}
     if sorted(assignment) != list(range(n)) or value != sum(
         mc.base[i][assignment[i]] for i in range(n)
     ):
         return False
-    if any(assignment[e // n] != e % n for e in mc.forced):
-        return False
     if any(i * n + j in forbidden for i, j in enumerate(assignment)):
         return False
-    for i in set(range(n)) - forced_rows:
-        for j in set(range(n)) - forced_cols:
+    for i in range(n):
+        for j in range(n):
             slack = mc.base[i][j] - u[i] - v[j]
             if i * n + j not in forbidden and slack < 0:
                 return False
@@ -130,25 +138,9 @@ def test_forced_edges_are_kept():
         row = rng.randrange(n)
         col = rng.randrange(n)
         forced = frozenset({row * n + col})
-        assignment, value = solve_ap(MaskedCosts(costs, forced=forced))[:2]
+        assignment, value = solve_ap(masked(costs, set(), forced))[:2]
         assert assignment[row] == col
         assert value == min_over_permutations(costs, forced=forced)
-
-
-def test_forced_and_forbidden_must_not_overlap():
-    with pytest.raises(ValueError):
-        MaskedCosts(
-            ((1, 2), (3, 4)),
-            forbidden=bits({0}),
-            forced=frozenset({0}),
-        )
-
-
-def test_forced_edges_must_be_disjoint():
-    with pytest.raises(ValueError):
-        MaskedCosts(((1, 2), (3, 4)), forced=frozenset({0, 1}))  # both in row 0
-    with pytest.raises(ValueError):
-        MaskedCosts(((1, 2), (3, 4)), forced=frozenset({0, 2}))  # both in column 0
 
 
 def test_masked_edge_out_of_range():
@@ -156,9 +148,6 @@ def test_masked_edge_out_of_range():
     for mask in (bits({4}), -1, bits({0, 4})):
         with pytest.raises(ValueError):
             MaskedCosts(((1, 2), (3, 4)), forbidden=mask)
-    for edge_ids in ({4}, {-1}, {0, 4}):
-        with pytest.raises(ValueError):
-            MaskedCosts(((1, 2), (3, 4)), forced=frozenset(edge_ids))
 
 
 def test_forbidden_bitset_is_validated():
@@ -166,14 +155,10 @@ def test_forbidden_bitset_is_validated():
     for mask in (-1, -bits({3}), bits({9}), bits({2, 40}), 1 << 200):
         with pytest.raises(ValueError):
             MaskedCosts(costs, forbidden=mask)
-    # a forced id whose bit is set, alone or among other forbidden bits
-    for mask, forced in [(bits({4}), {4}), (bits({1, 8}), {0, 8}), (bits({0, 5}), {5})]:
-        with pytest.raises(ValueError, match="both forced and forbidden"):
-            MaskedCosts(costs, forbidden=mask, forced=frozenset(forced))
     # the highest edge id is a valid bit, and so is every bit below it
     assert MaskedCosts(costs, forbidden=bits({8})).forbidden == 1 << 8
     all_but_4 = bits(range(9)) ^ bits({4})
-    assert MaskedCosts(costs, forbidden=all_but_4, forced={4}).forced == {4}
+    assert MaskedCosts(costs, forbidden=all_but_4).forbidden == all_but_4
     with pytest.raises(TypeError):  # a set of ids is not a bitset
         MaskedCosts(costs, forbidden=frozenset({0}))
 
@@ -244,11 +229,10 @@ def test_warm_solve_after_random_tightening_matches_cold():
     checked = infeasible = 0
     for _ in range(300):
         n = rng.randint(1, 12)
-        parent = random_masked(rng, n)
-        start = solve_ap(parent)
+        costs, forbidden, forced = random_node(rng, n)
+        start = solve_ap(masked(costs, forbidden, forced))
         if start is None:
             continue
-        forbidden, forced = ids(parent.forbidden), set(parent.forced)
         for i in rng.sample(range(n), rng.randint(0, min(2, n))):
             if i * n + start[0][i] not in forced:
                 forbidden.add(i * n + start[0][i])
@@ -258,7 +242,7 @@ def test_warm_solve_after_random_tightening_matches_cold():
             edge = rng.choice(open_rows) * n + rng.choice(open_cols)
             if edge not in forbidden:
                 forced.add(edge)
-        child = MaskedCosts(parent.base, bits(forbidden), frozenset(forced))
+        child = masked(costs, forbidden, forced)
         warm, cold = solve_ap(child, start), solve_ap(child)
         assert (warm is None) == (cold is None)
         if warm is None:
@@ -267,11 +251,41 @@ def test_warm_solve_after_random_tightening_matches_cold():
         assert warm[1] == cold[1]
         assert certified_optimal(child, warm)
         if n <= 6:
-            assert warm[1] == min_over_permutations(
-                child.base, ids(child.forbidden), child.forced
-            )
+            assert warm[1] == min_over_permutations(costs, forbidden, forced)
         checked += 1
     assert checked >= 150 and infeasible >= 10
+
+
+def test_warm_solve_keeps_a_fixed_edge_out_of_every_path_search(monkeypatch):
+    # Force an edge the start already selects, so it is alone in its row and
+    # its column, and forbid another selected edge so that a row is
+    # re-inserted: the fixed column is in no path search, and its row's u
+    # and its column's v stay as the start left them.
+    augment, searched = apc.hungarian._augment, []
+
+    def spy(base, forbidden, bits, cols, r, u, v, row_of):
+        searched.append(set(cols))
+        return augment(base, forbidden, bits, cols, r, u, v, row_of)
+
+    monkeypatch.setattr("apc.hungarian._augment", spy)
+    rng = random.Random(404)
+    checked = 0
+    for _ in range(200):
+        n = rng.randint(3, 10)
+        costs = random_costs(rng, n)
+        start = solve_ap(MaskedCosts(costs))
+        (assignment, _, (u, v)), (i, k) = start, rng.sample(range(n), 2)
+        j = assignment[i]
+        child = MaskedCosts(costs, force_bits(n, {i * n + j}) | bits({k * n + assignment[k]}))
+        searched.clear()
+        warm = solve_ap(child, start)
+        if warm is None:
+            continue
+        assert searched and not any(j in cols for cols in searched)
+        assert warm[0][i] == j and warm[2][0][i] == u[i] and warm[2][1][j] == v[j]
+        assert certified_optimal(child, warm)
+        checked += 1
+    assert checked >= 150
 
 
 def test_start_of_the_wrong_size_is_rejected():
@@ -289,17 +303,19 @@ def test_solves_and_potentials_are_pinned():
     # Node counts depend on the potentials too, since each child starts from
     # its parent's. These 300 full cold results, and one warm child of each
     # feasible one (one selected edge forbidden, one allowed edge forced),
-    # fix the potentials as well as the matchings.
+    # fix the potentials as well as the matchings. The second digest leaves
+    # out the row potentials u and covers the matchings, the values and the
+    # column potentials v alone, so a change that moves only u shows which
+    # part moved.
     rng = random.Random(3141)
     results = []
     for _ in range(300):
         n = rng.randint(1, 14)
-        parent = random_masked(rng, n)
-        cold = solve_ap(parent)
+        costs, forbidden, forced = random_node(rng, n)
+        cold = solve_ap(masked(costs, forbidden, forced))
         results.append(cold)
         if cold is None:
             continue
-        forbidden, forced = ids(parent.forbidden), set(parent.forced)
         rows = [i for i in range(n) if i * n + cold[0][i] not in forced]
         if rows:
             i = rng.choice(rows)
@@ -309,8 +325,10 @@ def test_solves_and_potentials_are_pinned():
                    if i * n + j not in forbidden]
         if allowed:
             forced.add(rng.choice(allowed))
-        child = MaskedCosts(parent.base, bits(forbidden), frozenset(forced))
-        results.append(solve_ap(child, cold))
+        results.append(solve_ap(masked(costs, forbidden, forced), cold))
     assert len(results) == 581 and sum(r is None for r in results) == 95  # 76 warm
-    digest = "dd96c1082a14968cf557a7e6ca38ba9fb77cfe94e7ab7bd9bb05c2282a7b2aaf"
+    digest = "0d1d0348dfd0e6006ee81b23c2b05b15fbe0643fd5e0e64f5ceab596548a47d2"
     assert hashlib.sha256(repr(results).encode()).hexdigest() == digest
+    matchings = [None if r is None else (r[0], r[1], r[2][1]) for r in results]
+    digest = "57d5a41167138d64386f40093421ec7f935e8a188a6e2016f2f6d001e44f6f0b"
+    assert hashlib.sha256(repr(matchings).encode()).hexdigest() == digest
