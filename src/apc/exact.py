@@ -9,14 +9,15 @@ popped is globally optimal. The search branches fail-first on the selected
 edge that sits in the most violated conflict pairs: one child forbids that
 edge, the other commits to it, which forbids the rest of its row and column
 and every edge it conflicts with. The children are disjoint, and together
-they keep every conflict-feasible solution of the node. When the avoid
-child leaves the edge's row or column with fewer than two allowed edges, its
-mask is propagated by a worklist of lines: every row or column left with
-one allowed edge commits to it, until none is left. An avoid child with a
-line that has no allowed edge is dropped before any AP work. A child only
-tightens its parent's mask: its forbidden bitset keeps every bit of the
-parent's (``child & parent == parent``), so its assignment problem is
-re-optimized from the parent's potentials instead of solved from scratch.
+they keep every conflict-feasible solution of the node. Every node is
+closed under the lone-edge rule: a row or column left with one allowed edge
+commits to it. The root, which forbids nothing, is closed, and `branch`
+closes both children by a worklist of the lines the split touched, so a
+child never rescans the rest of the node. A child with a line that has no
+allowed edge is dropped before any AP work. A child only tightens its
+parent's mask: its forbidden bitset keeps every bit of the parent's
+(``child & parent == parent``), so its assignment problem is re-optimized
+from the parent's potentials instead of solved from scratch.
 Conflicts are read as bitsets too: ``Instance.partner_masks[e]`` has bit f
 set for every partner f of edge e, so a commit forbids all of them with one
 ``|`` and the violation scan counts an edge's violated pairs with one ``&``
@@ -26,6 +27,7 @@ limit that stops it early can still report a solution.
 Inside the search an edge (a, b) is the int id ``a*n + b``.
 """
 
+import functools
 import heapq
 import itertools
 import time
@@ -62,73 +64,116 @@ def find_violated_conflict(assignment, inst: Instance) -> int | None:
     return None if best is None else best[2]
 
 
-def branch(
-    masks: MaskedCosts, edge: int, partner_masks: Mapping[int, int]
-) -> tuple[MaskedCosts | None, MaskedCosts]:
-    """Split a node's mask on `edge` into two disjoint children: (avoid, commit).
+@functools.cache
+def _lines(n: int) -> tuple[tuple[int, ...], int, int]:
+    """``(lines, low, high)`` for an n x n matrix, as edge-id bitsets.
 
-    `partner_masks` is the instance's conflict index as bitsets
-    (`Instance.partner_masks`). Each child's forbidden bitset is the parent's
-    with more bits set, so it only tightens the parent's mask. The commit
-    child forces `edge`: it forbids the rest of the edge's row and column
-    and its conflict partners, one ``|`` of line and partner bitsets. The
-    avoid child sets `edge`'s own bit and is closed under the lone-edge rule:
-    a line (a row or column) whose only allowed edge is e must take e in
-    every perfect matching, so the rest of e's row and column and e's
-    partners are forbidden, as in a commit; for an edge forced earlier this
-    changes nothing. A worklist of lines starts with the edge's row and
-    column, and only when forbidding `edge` leaves one of them under two
-    allowed edges; the first lone edge queues all 2n lines, so the closure
-    covers the whole node. The closure works on one bitset of the node's
-    allowed edges: a line's allowed edges are counted with ``bit_count()``
-    and a lone edge is found by ``bit_length() - 1``. The avoid child is
-    None when a line ends up with no allowed edge, so it holds no
-    conflict-feasible solution and needs no AP solve. Every conflict-feasible
-    solution within the node's mask lies in exactly one child. Splitting on
-    a forbidden edge raises ValueError; the solver never asks for one,
-    because it branches on an edge of the node's own relaxation.
+    ``lines[k]`` holds the cells of row k when k < n, else of column k - n;
+    `low` and `high` hold the lowest and the highest cell of every row.
     """
-    base, forbidden = masks.base, masks.forbidden
-    if forbidden >> edge & 1:
-        raise ValueError(f"edge {edge} is forbidden at this node")
-    n = len(base)
-    full, row, col = line_masks(n)
-    a, b = divmod(edge, n)
-    rest = (row << a * n | col << b) ^ 1 << edge  # the rest of edge's lines
-    commit = MaskedCosts(base, forbidden | rest | partner_masks[edge])
-    avoid = forbidden | 1 << edge
-    # Line k is row k when k < n, else column k - n: its cells are
-    # row << k*n or col << k - n.
-    todo = set()
-    if n - (avoid >> a * n & row).bit_count() < 2:
-        todo.add(a)
-    if n - (avoid & col << b).bit_count() < 2:
-        todo.add(n + b)
-    if not todo:
-        return MaskedCosts(base, avoid), commit
-    allowed, first = full ^ avoid, True
+    _, row, col = line_masks(n)
+    lines = tuple(row << k * n for k in range(n)) + tuple(col << j for j in range(n))
+    return lines, col, col << n - 1
+
+
+def _thinned(child: int, parent: int, n: int) -> set[int]:
+    """The lines (see `_lines`) that lose an allowed edge from `parent` to
+    `child` and keep fewer than two.
+
+    The rows are tested at once, on every n-bit row field of the bitsets:
+    each field of ``x | high`` is nonzero, so subtracting `low` borrows
+    within fields only, and ``x & that`` keeps a field nonzero exactly where
+    x has two bits there; a field f is nonzero exactly when
+    ``(f & body) + body | f`` sets its highest bit. A column costs one ``&``
+    and ``bit_count()``, and its parent cells are read only when the child
+    keeps fewer than two.
+    """
+    lines, low, high = _lines(n)
+    body = high - low  # all but the highest cell of every row
+    two = child & ((child | high) - low)
+    gone = parent ^ child
+    rows = high & ~((two & body) + body | two) & ((gone & body) + body | gone)
+    thin = set()
+    while rows:
+        top = rows.bit_length() - 1
+        rows ^= 1 << top
+        thin.add(top // n)
+    for k, line in enumerate(lines[n:], n):
+        cells = child & line
+        if cells.bit_count() < 2 and cells != parent & line:
+            thin.add(k)
+    return thin
+
+
+def _close(allowed, parent, todo, lines, partner_masks) -> int | None:
+    """Close a child's allowed-edge bitset under the lone-edge rule.
+
+    A line (a row or column) whose only allowed edge is e must take e in
+    every perfect matching, so the rest of e's row and column and e's
+    partners are forbidden, and every line that loses an allowed edge is
+    queued, starting from the lines in `todo`. A line lone in `parent`, the
+    closed parent's allowed bitset, needs nothing. None when a line ends up
+    with no allowed edge.
+    """
+    n = len(lines) // 2
     while todo:
         k = todo.pop()
-        cells = allowed & (row << k * n if k < n else col << k - n)
+        cells = allowed & lines[k]
         count = cells.bit_count()
         if count > 1:
             continue
         if not count:
-            return None, commit
+            return None
+        if cells == parent & lines[k]:
+            continue
         e = cells.bit_length() - 1
         i, j = divmod(e, n)
-        if first:
-            todo.update(range(2 * n))
-            first = False
-        # the rest of e's row and column and e's partners are forbidden:
-        # requeue every line that loses an allowed edge
-        gone = allowed & ((row << i * n | col << j) ^ 1 << e | partner_masks[e])
+        gone = allowed & ((lines[i] | lines[n + j]) ^ 1 << e | partner_masks[e])
         allowed ^= gone
         while gone:
             f = gone.bit_length() - 1
             gone ^= 1 << f
             todo.update((f // n, n + f % n))
-    return MaskedCosts(base, full ^ allowed), commit
+    return allowed
+
+
+def branch(
+    masks: MaskedCosts, edge: int, partner_masks: Mapping[int, int]
+) -> tuple[MaskedCosts | None, MaskedCosts | None]:
+    """Split a node's mask on `edge` into two disjoint children: (avoid, commit).
+
+    `partner_masks` is the instance's conflict index as bitsets
+    (`Instance.partner_masks`). Each child's forbidden bitset is the parent's
+    with more bits set, so it only tightens the parent's mask. The avoid
+    child forbids `edge`. The commit child forces it: it forbids the rest of
+    the edge's row and column and its conflict partners. Each child is then
+    closed under the lone-edge rule (`_close`) from the lines its split
+    touched: the avoid child's are the edge's row and column, the commit
+    child's the other lines it leaves under two allowed edges (`_thinned`);
+    the edge alone holds its own row and column. A child is closed when
+    `masks` is; from a mask that is not, the children still split its
+    solutions but may be left unclosed. A child is None when a line ends up
+    with no allowed edge, so it holds no conflict-feasible solution and
+    needs no AP solve. Every conflict-feasible solution within the node's
+    mask lies in exactly one child. Splitting on a forbidden edge raises
+    ValueError; the solver never asks for one, because it branches on an
+    edge of the node's own relaxation.
+    """
+    base, forbidden = masks.base, masks.forbidden
+    if forbidden >> edge & 1:
+        raise ValueError(f"edge {edge} is forbidden at this node")
+    n = len(base)
+    full, lines = line_masks(n)[0], _lines(n)[0]
+    a, b = divmod(edge, n)
+    parent = full ^ forbidden
+    avoid = _close(parent ^ 1 << edge, parent, {a, n + b}, lines, partner_masks)
+    commit = parent & ~((lines[a] | lines[n + b]) ^ 1 << edge | partner_masks[edge])
+    todo = _thinned(commit, parent, n) - {a, n + b}
+    commit = _close(commit, parent, todo, lines, partner_masks)
+    return (
+        None if avoid is None else MaskedCosts(base, full ^ avoid),
+        None if commit is None else MaskedCosts(base, full ^ commit),
+    )
 
 
 def solve_exact(

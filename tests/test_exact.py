@@ -3,6 +3,7 @@
 import itertools
 import random
 import types
+from collections import Counter
 
 import pytest
 
@@ -116,13 +117,19 @@ def test_branch_children():
     root = MaskedCosts(DIAG.costs)
     avoid, commit = branch(root, 0, DIAG.partner_masks)
     assert DIAG.partners[0] == (3,)  # edge (0, 0) conflicts with (1, 1)
-    assert avoid.base is commit.base is DIAG.costs
+    assert avoid.base is DIAG.costs
     # forbidding (0, 0) leaves row 0 one edge, (0, 1), and forcing it leaves
     # row 1 one edge, (1, 0)
     assert ids(avoid.forbidden) == {0, 3} and forced_ids(2, avoid.forbidden) == {1, 2}
     # committing to (0, 0) forbids (0, 1) and (1, 0), the rest of its row and
-    # column, and its partner (1, 1)
-    assert ids(commit.forbidden) == {1, 2, 3}
+    # column, and its partner (1, 1), which empties row 1
+    assert commit is None
+    # (1, 0) has no partner: committing to it forces (0, 1) as well
+    avoid, commit = branch(root, 2, DIAG.partner_masks)
+    assert ids(commit.forbidden) == {0, 3} and forced_ids(2, commit.forbidden) == {1, 2}
+    # avoiding it leaves (0, 0) and (1, 1), a conflicting pair: the avoid
+    # child is dropped
+    assert avoid is None
 
 
 def test_branch_rejects_contradictory_split():
@@ -133,17 +140,17 @@ def test_branch_rejects_contradictory_split():
     ]:
         with pytest.raises(ValueError):
             branch(MaskedCosts(DIAG.costs, mask), 0, DIAG.partner_masks)
-    # A forced conflict partner, (1, 1), leaves the commit child no perfect
-    # matching, and the avoid child an empty row.
+    # A forced conflict partner, (1, 1), leaves both children an empty line.
     node = MaskedCosts(DIAG.costs, force_bits(2, {3}))
-    avoid, commit = branch(node, 0, DIAG.partner_masks)
-    assert avoid is None and solve_ap(commit) is None
+    assert branch(node, 0, DIAG.partner_masks) == (None, None)
 
 
 def test_emptied_avoid_line_gets_no_masks_and_no_ap_solve(monkeypatch):
     # In BOTH_BLOCKED, forbidding (0, 0) forces (0, 1), whose partner (1, 0)
     # is then forbidden, which empties row 1: the avoid child is dropped
-    # before any MaskedCosts or solve_ap call.
+    # before any MaskedCosts or solve_ap call. Committing to (0, 0) forbids
+    # its partner (1, 1) and the rest of its lines, which empties row 1 too:
+    # the commit child is dropped the same way.
     built, solved = [], []
     masks_cls, ap = apc.exact.MaskedCosts, apc.exact.solve_ap
 
@@ -158,20 +165,22 @@ def test_emptied_avoid_line_gets_no_masks_and_no_ap_solve(monkeypatch):
     monkeypatch.setattr("apc.exact.MaskedCosts", masks_spy)
     monkeypatch.setattr("apc.exact.solve_ap", ap_spy)
     pm = BOTH_BLOCKED.partner_masks
-    avoid, commit = branch(masks_cls(BOTH_BLOCKED.costs), 0, pm)
-    # the commit child forbids the rest of row 0 and column 0 and the partner
-    assert avoid is None and ids(commit.forbidden) == {1, 2, 3}
-    assert built == [{1, 2, 3}] and not solved
+    assert branch(masks_cls(BOTH_BLOCKED.costs), 0, pm) == (None, None)
+    assert not built and not solved
     # with (0, 1) already forbidden, avoiding (0, 0) empties row 0 at once
-    built.clear()
     avoid, _ = branch(masks_cls(DIAG.costs, bits({1})), 0, DIAG.partner_masks)
-    assert avoid is None and built == [{1, 2, 3}] and not solved
+    assert avoid is None and not built and not solved
 
-    built.clear()
     sol = solve_exact(BOTH_BLOCKED)
     assert sol.status is SolveStatus.INFEASIBLE and sol.nodes == 1
-    # the root and the commit child only, each built once and solved once
-    assert built == solved == [set(), {1, 2, 3}]
+    # the root only, built once and solved once
+    assert built == solved == [set()]
+    # In DIAG the root takes (0, 0) and (1, 1); the split on (0, 0) drops its
+    # commit child, so only the avoid child gets masks and a solve.
+    built.clear(), solved.clear()
+    sol = solve_exact(DIAG)
+    assert sol.status is SolveStatus.OPTIMAL and sol.nodes == 1
+    assert built == solved == [set(), {0, 3}]
 
 
 def test_lone_edges_are_forced_in_a_chain():
@@ -231,23 +240,21 @@ def test_lone_edge_closure_agrees_with_brute_force_on_dense_instances(monkeypatc
     assert sum(added is not None and added >= 2 for added in outcomes) >= 5
 
 
-def _closed_avoid(masks, edge, partners):
-    # The avoid child's forbidden ids by the naive closure on a set of ids:
-    # when the edge's row or column keeps under two allowed edges, sweep all
-    # 2n lines, recounting each from scratch, and for any lone edge forbid
-    # the rest of its row and column and all of its partners
-    # (`Instance.partners`), until a sweep forbids nothing new. None when a
-    # line has no allowed edge.
+def _closed(masks, more, partners):
+    # A child's forbidden ids by the naive closure on a set of ids: forbid
+    # the node's ids and `more`, then sweep all 2n lines, recounting each
+    # from scratch, and for any lone edge forbid the rest of its row and
+    # column and all of its partners (`Instance.partners`), until a sweep
+    # forbids nothing new. None when a line has no allowed edge.
     n = masks.n
-    forbidden = ids(masks.forbidden) | {edge}
+    forbidden = ids(masks.forbidden) | set(more)
     lines = [range(i * n, i * n + n) for i in range(n)]
     lines += [range(j, n * n, n) for j in range(n)]
 
     def allowed(cells):
         return [f for f in cells if f not in forbidden]
 
-    a, b = divmod(edge, n)
-    changed = min(len(allowed(lines[a])), len(allowed(lines[n + b]))) < 2
+    changed = True
     while changed:
         changed = False
         for cells in lines:
@@ -263,23 +270,32 @@ def _closed_avoid(masks, edge, partners):
 
 
 def test_avoid_child_matches_the_naive_closure(monkeypatch):
-    # At every split solve_exact makes on random instances, the avoid child
-    # is dropped exactly when the naive closure empties a line, and otherwise
-    # forbids exactly the edges the closure forbids.
+    # At every split solve_exact makes on random instances, each child is
+    # dropped exactly when the naive closure of the node plus its split
+    # empties a line, and otherwise forbids exactly the edges that closure
+    # forbids: the avoid child's split is the edge, the commit child's the
+    # rest of the edge's row and column and its partners.
     split = apc.exact.branch
-    checked, closed = [], []
+    checked, closed, dropped = [], Counter(), Counter()
     partners = None  # the conflict index of the instance being solved
 
     def spy(masks, edge, partner_masks):
-        avoid, commit = split(masks, edge, partner_masks)
-        ref = _closed_avoid(masks, edge, partners)
-        assert (avoid is None) == (ref is None), (masks, edge)
-        if avoid is not None:
-            assert ids(avoid.forbidden) == ref, (masks, edge)
+        children = split(masks, edge, partner_masks)
+        n = masks.n
+        a, b = divmod(edge, n)
+        rest = {a * n + j for j in range(n)} | {i * n + b for i in range(n)}
+        splits = {"avoid": {edge}, "commit": (rest - {edge}) | set(partners[edge])}
+        for (side, more), child in zip(splits.items(), children):
+            ref = _closed(masks, more, partners)
+            assert (child is None) == (ref is None), (side, masks, edge)
+            if child is None:
+                dropped[side] += 1
+                continue
+            assert ids(child.forbidden) == ref, (side, masks, edge)
+            if ref != ids(masks.forbidden) | more:
+                closed[side] += 1
         checked.append(edge)
-        if ref != ids(masks.forbidden | 1 << edge):
-            closed.append(edge)
-        return avoid, commit
+        return children
 
     monkeypatch.setattr("apc.exact.branch", spy)
     rng = random.Random(2020)
@@ -289,7 +305,9 @@ def test_avoid_child_matches_the_naive_closure(monkeypatch):
         inst = generate_instance(n, m, 1, 100, seed=rng.randrange(10**6))
         partners = inst.partners
         solve_exact(inst, node_limit=400)
-    assert len(checked) >= 5000 and len(closed) >= 1000
+    assert len(checked) >= 5000
+    assert min(closed.values()) >= 100, closed
+    assert min(dropped.values()) >= 400, dropped
 
 
 def _obeys(perm, masks):
@@ -300,10 +318,11 @@ def _obeys(perm, masks):
 def test_branch_is_a_dichotomy():
     # Follow solve_exact's split a few levels deep: every feasible solution
     # inside a node lies in exactly one child, and child bounds never drop.
-    splits = dropped = 0
+    splits = 0
+    dropped = Counter()
     for seed in range(16):
         n = 4 + seed % 4
-        inst = generate_instance(n, max_conflict_pairs(n) // 8, 1, 50, seed=700 + seed)
+        inst = generate_instance(n, max_conflict_pairs(n) // 6, 1, 50, seed=700 + seed)
         feasible = [perm for perm, _ in enumerate_feasible(inst)]
         root = MaskedCosts(inst.costs)
         relaxed, bound = solve_ap(root)[:2]
@@ -321,15 +340,15 @@ def test_branch_is_a_dichotomy():
                     if _obeys(perm, masks):
                         hits = [c for c in children if c is not None and _obeys(perm, c)]
                         assert len(hits) == 1, (seed, perm, masks)
-                for child in children:
+                for takes, child in enumerate(children):
                     if child is None:
-                        # the avoid child was dropped: no feasible solution of
-                        # the node avoids the edge
-                        dropped += 1
+                        # a dropped child holds no feasible solution of the
+                        # node on its side: avoiding the edge, or taking it
+                        dropped[takes] += 1
                         assert not any(
-                            _obeys(p, masks) and p[edge // n] != edge % n
+                            _obeys(p, masks) and (p[edge // n] == edge % n) == takes
                             for p in feasible
-                        ), (seed, masks, edge)
+                        ), (seed, masks, edge, takes)
                         continue
                     res = solve_ap(child)
                     if res is None:
@@ -337,13 +356,14 @@ def test_branch_is_a_dichotomy():
                     assert res[1] >= bound
                     deeper.append((child, res[1], res[0]))
             frontier = deeper
-    assert splits >= 50 and dropped >= 1
+    assert splits >= 50 and dropped[0] >= 1 and dropped[1] >= 1, dropped
 
 
 def test_warm_child_solves_match_cold_solves():
     # Follow solve_exact's split 6 levels deep on tie-heavy costs, each child
     # re-optimized from its parent's result as the solver does.
-    warm_solves = dropped = 0
+    warm_solves = 0
+    dropped = Counter()
     for seed in range(12):
         n = 4 + seed % 9
         inst = generate_instance(n, max_conflict_pairs(n) // 10, 0, 2, seed=900 + seed)
@@ -355,18 +375,18 @@ def test_warm_child_solves_match_cold_solves():
                 edge = find_violated_conflict(res[0], inst)
                 if edge is None:
                     continue
-                for child in branch(masks, edge, inst.partner_masks):
+                for takes, child in enumerate(branch(masks, edge, inst.partner_masks)):
                     if child is None:
-                        # a dropped avoid child holds no feasible solution of
-                        # the node
-                        dropped += 1
+                        # a dropped child holds no feasible solution of the
+                        # node on its side: avoiding the edge, or taking it
+                        dropped[takes] += 1
                         if n <= 7:
                             assert not any(
                                 _obeys(p, masks)
-                                and p[edge // n] != edge % n
+                                and (p[edge // n] == edge % n) == takes
                                 and check_feasible(inst, p).feasible
                                 for p in itertools.permutations(range(n))
-                            ), (seed, masks, edge)
+                            ), (seed, masks, edge, takes)
                         continue
                     warm, cold = solve_ap(child, res), solve_ap(child)
                     assert (warm is None) == (cold is None), (seed, child)
@@ -383,7 +403,7 @@ def test_warm_child_solves_match_cold_solves():
                         )
                     deeper.append((child, warm))
             frontier = deeper
-    assert warm_solves >= 400 and dropped >= 1
+    assert warm_solves >= 400 and dropped[0] >= 1 and dropped[1] >= 1, dropped
 
 
 def test_solve_exact_branches_on_the_scanned_edge(monkeypatch):
@@ -558,9 +578,9 @@ def test_search_end_states_are_pinned():
         (DIAG, {}, (opt, 20, 20, 1)),
         (BOTH_BLOCKED, {}, (infeas, None, None, 1)),
         (mid, {"node_limit": 1}, (nosol, None, 198, 1)),
-        (mid, {}, (opt, 375, 375, 27)),
+        (mid, {}, (opt, 375, 375, 21)),
         (generate_instance(3, 4, 1, 100, 1), {"node_limit": 0}, (opt, 109, 109, 0)),
-        (generate_instance(12, 3000, 1, 100, 1), {}, (infeas, None, None, 1724)),
+        (generate_instance(12, 3000, 1, 100, 1), {}, (infeas, None, None, 1002)),
         (
             generate_instance(15, 5000, 1, 100, 1),
             {"node_limit": 200},
