@@ -24,10 +24,10 @@ set for every partner f of edge e, so a commit forbids all of them with one
 and a popcount. The search starts from the incumbent of a two-restart
 `run_heuristic`, bounded only by the solve's time limit, so a node or time
 limit that stops it early can still report a solution.
-Inside the search an edge (a, b) is the int id ``a*n + b``.
+Inside the search an edge (a, b) is the int id ``a*n + b``, and a line, a
+row or a column, is its bitset from `line_masks`.
 """
 
-import functools
 import heapq
 import itertools
 import time
@@ -64,31 +64,20 @@ def find_violated_conflict(assignment, inst: Instance) -> int | None:
     return None if best is None else best[2]
 
 
-@functools.cache
-def _lines(n: int) -> tuple[tuple[int, ...], int, int]:
-    """``(lines, low, high)`` for an n x n matrix, as edge-id bitsets.
-
-    ``lines[k]`` holds the cells of row k when k < n, else of column k - n;
-    `low` and `high` hold the lowest and the highest cell of every row.
-    """
-    _, row, col = line_masks(n)
-    lines = tuple(row << k * n for k in range(n)) + tuple(col << j for j in range(n))
-    return lines, col, col << n - 1
-
-
 def _thinned(child: int, parent: int, n: int) -> set[int]:
-    """The lines (see `_lines`) that lose an allowed edge from `parent` to
-    `child` and keep fewer than two.
+    """The lines k (``line_masks(n)[1][k]``) that lose an allowed edge from
+    `parent` to `child` and keep fewer than two.
 
-    The rows are tested at once, on every n-bit row field of the bitsets:
-    each field of ``x | high`` is nonzero, so subtracting `low` borrows
-    within fields only, and ``x & that`` keeps a field nonzero exactly where
-    x has two bits there; a field f is nonzero exactly when
-    ``(f & body) + body | f`` sets its highest bit. A column costs one ``&``
-    and ``bit_count()``, and its parent cells are read only when the child
-    keeps fewer than two.
+    The rows are tested at once, on every n-bit row field of the bitsets,
+    with `low` and `high`, columns 0 and n - 1: each field of ``x | high`` is
+    nonzero, so subtracting `low` borrows within fields only, and
+    ``x & that`` keeps a field nonzero exactly where x has two bits there; a
+    field f is nonzero exactly when ``(f & body) + body | f`` sets its
+    highest bit. A column costs one ``&`` and ``bit_count()``, and its parent
+    cells are read only when the child keeps fewer than two.
     """
-    lines, low, high = _lines(n)
+    _, lines, _ = line_masks(n)
+    low, high = lines[n], lines[-1]
     body = high - low  # all but the highest cell of every row
     two = child & ((child | high) - low)
     gone = parent ^ child
@@ -105,15 +94,15 @@ def _thinned(child: int, parent: int, n: int) -> set[int]:
     return thin
 
 
-def _close(allowed, parent, todo, lines, partner_masks) -> int | None:
+def _close(allowed, todo, lines, partner_masks) -> int | None:
     """Close a child's allowed-edge bitset under the lone-edge rule.
 
-    A line (a row or column) whose only allowed edge is e must take e in
-    every perfect matching, so the rest of e's row and column and e's
-    partners are forbidden, and every line that loses an allowed edge is
-    queued, starting from the lines in `todo`. A line lone in `parent`, the
-    closed parent's allowed bitset, needs nothing. None when a line ends up
-    with no allowed edge.
+    A line (a row or column, `lines` as in `line_masks`) whose only allowed
+    edge is e must take e in every perfect matching, so the rest of e's row
+    and column and e's partners are forbidden, and every line that loses an
+    allowed edge is queued, starting from the lines in `todo`. Every queued
+    line has lost an allowed edge since the parent, so a lone one is new to
+    the child. None when a line ends up with no allowed edge.
     """
     n = len(lines) // 2
     while todo:
@@ -124,8 +113,6 @@ def _close(allowed, parent, todo, lines, partner_masks) -> int | None:
             continue
         if not count:
             return None
-        if cells == parent & lines[k]:
-            continue
         e = cells.bit_length() - 1
         i, j = divmod(e, n)
         gone = allowed & ((lines[i] | lines[n + j]) ^ 1 << e | partner_masks[e])
@@ -163,13 +150,13 @@ def branch(
     if forbidden >> edge & 1:
         raise ValueError(f"edge {edge} is forbidden at this node")
     n = len(base)
-    full, lines = line_masks(n)[0], _lines(n)[0]
+    full, lines, _ = line_masks(n)
     a, b = divmod(edge, n)
     parent = full ^ forbidden
-    avoid = _close(parent ^ 1 << edge, parent, {a, n + b}, lines, partner_masks)
+    avoid = _close(parent ^ 1 << edge, {a, n + b}, lines, partner_masks)
     commit = parent & ~((lines[a] | lines[n + b]) ^ 1 << edge | partner_masks[edge])
     todo = _thinned(commit, parent, n) - {a, n + b}
-    commit = _close(commit, parent, todo, lines, partner_masks)
+    commit = _close(commit, todo, lines, partner_masks)
     return (
         None if avoid is None else MaskedCosts(base, full ^ avoid),
         None if commit is None else MaskedCosts(base, full ^ commit),

@@ -24,14 +24,16 @@ _INF = math.inf
 
 
 @functools.cache
-def line_masks(n: int) -> tuple[int, int, int]:
-    """``(full, row, col)`` over the n*n edge ids of an n x n matrix.
+def line_masks(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """``(full, lines, bits)``, the bit constants of an n x n matrix.
 
-    `full` has every edge's bit set, `row` the bits of row 0 (bits 0..n-1)
-    and `col` those of column 0 (bit ``i*n`` for each row i); row a's bits
-    are ``row << a*n`` and column b's are ``col << b``.
+    `full` has the bit of every edge id ``a*n + b`` set; ``lines[k]`` holds
+    the bits of row k when k < n, else of column k - n; ``bits[j]`` is
+    ``1 << j``, column j's bit in a row's n-bit slice.
     """
-    return (1 << n * n) - 1, (1 << n) - 1, sum(1 << i * n for i in range(n))
+    row, col = (1 << n) - 1, sum(1 << i * n for i in range(n))
+    lines = tuple(row << k * n for k in range(n)) + tuple(col << j for j in range(n))
+    return (1 << n * n) - 1, lines, tuple(1 << j for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -129,23 +131,24 @@ def solve_ap(mc: MaskedCosts, start: tuple | None = None) -> tuple | None:
     """
     n, base, forbidden = mc.n, mc.base, mc.forbidden
     row_of = [-1] * (n + 1)  # row matched to each column; slot n is virtual
-    bits = [1 << j for j in range(n)]
+    _, lines, bits = line_masks(n)
     if start is None:
         u, v, free, fixed = [0] * n, [0] * n, range(n), ()
     else:
         kept, _, (u, v) = start
         if not len(kept) == len(u) == len(v) == n:
             raise ValueError(f"start does not fit the {n}x{n} matrix")
-        _, line, col = line_masks(n)
         u, v, free, fixed = list(u), list(v), [], set()
         for i, j in enumerate(kept):
-            row_bits = forbidden >> i * n & line
+            row_bits = forbidden >> i * n & lines[0]  # row i, as row 0
             if row_bits & bits[j]:
                 free.append(i)
                 continue
             row_of[j] = i
-            if row_bits == line ^ bits[j] and forbidden >> j & col == col ^ 1 << i * n:
-                fixed.add(j)
+            if row_bits | bits[j] == lines[0]:  # j is row i's one allowed column
+                col = lines[n]  # column 0
+                if forbidden >> j & col == col ^ 1 << i * n:
+                    fixed.add(j)
     cols = [j for j in range(n) if j not in fixed]
     for r in free:
         if not _augment(base, forbidden, bits, cols, r, u, v, row_of):

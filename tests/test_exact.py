@@ -145,7 +145,7 @@ def test_branch_rejects_contradictory_split():
     assert branch(node, 0, DIAG.partner_masks) == (None, None)
 
 
-def test_emptied_avoid_line_gets_no_masks_and_no_ap_solve(monkeypatch):
+def test_emptied_line_drops_the_child_before_masks_and_ap_solve(monkeypatch):
     # In BOTH_BLOCKED, forbidding (0, 0) forces (0, 1), whose partner (1, 0)
     # is then forbidden, which empties row 1: the avoid child is dropped
     # before any MaskedCosts or solve_ap call. Committing to (0, 0) forbids
@@ -269,7 +269,7 @@ def _closed(masks, more, partners):
     return forbidden
 
 
-def test_avoid_child_matches_the_naive_closure(monkeypatch):
+def test_both_children_match_the_naive_closure(monkeypatch):
     # At every split solve_exact makes on random instances, each child is
     # dropped exactly when the naive closure of the node plus its split
     # empties a line, and otherwise forbids exactly the edges that closure

@@ -163,6 +163,20 @@ def test_forbidden_bitset_is_validated():
         MaskedCosts(costs, forbidden=frozenset({0}))
 
 
+def test_line_masks_hold_each_row_and_column_by_edge_id():
+    for n in range(1, 7):
+        table = apc.hungarian.line_masks(n)
+        full, lines, slice_bits = table
+        assert full == bits(range(n * n)) and len(lines) == 2 * n
+        for part in (lines[:n], lines[n:]):  # the rows, then the columns
+            assert sorted(e for line in part for e in ids(line)) == list(range(n * n))
+        for k in range(n):
+            assert ids(lines[k]) == {k * n + b for b in range(n)}  # row k
+            assert ids(lines[n + k]) == {a * n + k for a in range(n)}  # column k
+        assert slice_bits == tuple(1 << j for j in range(n))
+        assert apc.hungarian.line_masks(n) is table
+
+
 def test_scale_covariance():
     rng = random.Random(5150)
     for _ in range(30):
