@@ -10,11 +10,13 @@ edge that sits in the most violated conflict pairs: one child forbids that
 edge, the other commits to it, which forbids the rest of its row and column
 and every edge it conflicts with. The children are disjoint, and together
 they keep every conflict-feasible solution of the node. Every node is
-closed under the lone-edge rule: a row or column left with one allowed edge
-commits to it. The root, which forbids nothing, is closed, and `branch`
-closes both children by a worklist of the lines the split touched, so a
-child never rescans the rest of the node. A child with a line that has no
-allowed edge is dropped before any AP work. A child only tightens its
+closed under two line rules, since a perfect matching takes one edge of
+each row and column: a row or column left with one allowed edge commits to
+it, and one left with two forbids every edge that conflicts with both.
+`solve_exact` closes the root once over every line, and `branch` closes
+both children by a worklist of the lines the split touched, so a child
+never rescans the rest of the node. A node with a line that has no allowed
+edge is dropped before any AP work. A child only tightens its
 parent's mask: its forbidden bitset keeps every bit of the parent's
 (``child & parent == parent``), so its assignment problem is re-optimized
 from the parent's potentials instead of solved from scratch.
@@ -66,22 +68,24 @@ def find_violated_conflict(assignment, inst: Instance) -> int | None:
 
 def _thinned(child: int, parent: int, n: int) -> set[int]:
     """The lines k (``line_masks(n)[1][k]``) that lose an allowed edge from
-    `parent` to `child` and keep fewer than two.
+    `parent` to `child` and keep fewer than three.
 
     The rows are tested at once, on every n-bit row field of the bitsets,
     with `low` and `high`, columns 0 and n - 1: each field of ``x | high`` is
     nonzero, so subtracting `low` borrows within fields only, and
-    ``x & that`` keeps a field nonzero exactly where x has two bits there; a
-    field f is nonzero exactly when ``(f & body) + body | f`` sets its
-    highest bit. A column costs one ``&`` and ``bit_count()``, and its parent
-    cells are read only when the child keeps fewer than two.
+    ``x & that`` clears the lowest bit of every field of x. Done twice, it
+    keeps a field nonzero exactly where x has three bits there; a field f is
+    nonzero exactly when ``(f & body) + body | f`` sets its highest bit. A
+    column costs one ``&`` and ``bit_count()``, and its parent cells are read
+    only when the child keeps fewer than three.
     """
     _, lines, _ = line_masks(n)
     low, high = lines[n], lines[-1]
     body = high - low  # all but the highest cell of every row
     two = child & ((child | high) - low)
+    three = two & ((two | high) - low)
     gone = parent ^ child
-    rows = high & ~((two & body) + body | two) & ((gone & body) + body | gone)
+    rows = high & ~((three & body) + body | three) & ((gone & body) + body | gone)
     thin = set()
     while rows:
         top = rows.bit_length() - 1
@@ -89,38 +93,44 @@ def _thinned(child: int, parent: int, n: int) -> set[int]:
         thin.add(top // n)
     for k, line in enumerate(lines[n:], n):
         cells = child & line
-        if cells.bit_count() < 2 and cells != parent & line:
+        if cells.bit_count() < 3 and cells != parent & line:
             thin.add(k)
     return thin
 
 
 def _close(allowed, todo, lines, partner_masks) -> int | None:
-    """Close a child's allowed-edge bitset under the lone-edge rule.
+    """Close an allowed-edge bitset under the line rules, from the lines in
+    `todo` (rows and columns, `lines` as in `line_masks`).
 
-    A line (a row or column, `lines` as in `line_masks`) whose only allowed
-    edge is e must take e in every perfect matching, so the rest of e's row
-    and column and e's partners are forbidden, and every line that loses an
-    allowed edge is queued, starting from the lines in `todo`. Every queued
-    line has lost an allowed edge since the parent, so a lone one is new to
-    the child. None when a line ends up with no allowed edge.
+    Every perfect matching takes one allowed edge of each line. A line whose
+    only allowed edge is e takes e, so the rest of e's row and column and
+    e's partners are forbidden; a line with exactly two, e and f, takes one
+    of them, so their common partners are forbidden. Each line that loses
+    an allowed edge is queued. A child of a closed node needs only the lines
+    that lost an allowed edge since the parent: no other line's rule can be
+    new. None when a line ends up with no allowed edge.
     """
     n = len(lines) // 2
     while todo:
         k = todo.pop()
         cells = allowed & lines[k]
         count = cells.bit_count()
-        if count > 1:
+        if count > 2:
             continue
         if not count:
             return None
         e = cells.bit_length() - 1
-        i, j = divmod(e, n)
-        gone = allowed & ((lines[i] | lines[n + j]) ^ 1 << e | partner_masks[e])
+        if count == 2:
+            f = (cells & -cells).bit_length() - 1
+            gone = allowed & partner_masks[e] & partner_masks[f]
+        else:
+            i, j = divmod(e, n)
+            gone = allowed & ((lines[i] | lines[n + j]) ^ 1 << e | partner_masks[e])
         allowed ^= gone
         while gone:
-            f = gone.bit_length() - 1
-            gone ^= 1 << f
-            todo.update((f // n, n + f % n))
+            g = gone.bit_length() - 1
+            gone ^= 1 << g
+            todo.update((g // n, n + g % n))
     return allowed
 
 
@@ -134,10 +144,10 @@ def branch(
     with more bits set, so it only tightens the parent's mask. The avoid
     child forbids `edge`. The commit child forces it: it forbids the rest of
     the edge's row and column and its conflict partners. Each child is then
-    closed under the lone-edge rule (`_close`) from the lines its split
-    touched: the avoid child's are the edge's row and column, the commit
-    child's the other lines it leaves under two allowed edges (`_thinned`);
-    the edge alone holds its own row and column. A child is closed when
+    closed under the line rules (`_close`) from the lines its split touched:
+    the avoid child's are the edge's row and column, the commit child's the
+    other lines it leaves under three allowed edges (`_thinned`); the edge
+    alone holds its own row and column. A child is closed when
     `masks` is; from a mask that is not, the children still split its
     solutions but may be left unclosed. A child is None when a line ends up
     with no allowed edge, so it holds no conflict-feasible solution and
@@ -146,7 +156,7 @@ def branch(
     ValueError; the solver never asks for one, because it branches on an
     edge of the node's own relaxation.
     """
-    base, forbidden = masks.base, masks.forbidden
+    base, forbidden = masks
     if forbidden >> edge & 1:
         raise ValueError(f"edge {edge} is forbidden at this node")
     n = len(base)
@@ -206,10 +216,13 @@ def solve_exact(
     # (bound, -depth, tiebreak, masks, AP result): a child re-optimizes
     # from its parent's result instead of solving from scratch.
     heap: list[tuple] = []
-    root = MaskedCosts(inst.costs)
-    root_res = solve_ap(root)
-    if root_res is not None:
-        heapq.heappush(heap, (root_res[1], 0, next(tiebreak), root, root_res))
+    full, lines, _ = line_masks(inst.n)
+    allowed = _close(full, set(range(2 * inst.n)), lines, partner_masks)
+    if allowed is not None:
+        root = MaskedCosts(inst.costs, full ^ allowed)
+        root_res = solve_ap(root)
+        if root_res is not None:
+            heapq.heappush(heap, (root_res[1], 0, next(tiebreak), root, root_res))
 
     limit = None  # the status of the limit that stopped the search, if one did
     while heap:

@@ -18,7 +18,6 @@ only the rows its tighter mask freed.
 import functools
 import math
 import operator
-from dataclasses import dataclass
 
 _INF = math.inf
 
@@ -36,30 +35,34 @@ def line_masks(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return (1 << n * n) - 1, lines, tuple(1 << j for j in range(n))
 
 
-@dataclass(frozen=True)
-class MaskedCosts:
+class MaskedCosts(tuple):
     """A cost matrix plus a forbidden-edge bitset: one branch-and-bound node.
 
-    ``forbidden`` is a bitset over edge ids ``a*n + b``: bit e is set exactly
-    when edge e is forbidden. A node forces edge (a, b) by forbidding every
-    other edge of row a and column b. A negative mask, or one that sets a bit
-    at or above n*n, raises ValueError. ``base`` is kept as given, not
-    copied, so it must not change afterwards.
+    The pair ``(base, forbidden)``. ``forbidden`` is a bitset over edge ids
+    ``a*n + b``: bit e is set exactly when edge e is forbidden. A node forces
+    edge (a, b) by forbidding every other edge of row a and column b. A
+    negative mask, or one that sets a bit at or above n*n, raises
+    ValueError. ``base`` is kept as given, not copied, so it must not change
+    afterwards. A tuple subclass, because a search builds one per child.
     """
 
-    base: tuple[tuple[int, ...], ...]
-    forbidden: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        forbidden = operator.index(self.forbidden)
-        object.__setattr__(self, "forbidden", forbidden)
-        nn = len(self.base) ** 2
-        if forbidden < 0 or forbidden.bit_length() > nn:
-            raise ValueError(f"forbidden bits must lie in 0..{nn - 1}")
+    def __new__(cls, base: tuple[tuple[int, ...], ...], forbidden: int = 0):
+        forbidden = operator.index(forbidden)
+        if forbidden < 0 or forbidden.bit_length() > len(base) ** 2:
+            raise ValueError(f"forbidden bits must lie in 0..{len(base) ** 2 - 1}")
+        return tuple.__new__(cls, (base, forbidden))
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return tuple(self)
+
+    base = property(operator.itemgetter(0))
+    forbidden = property(operator.itemgetter(1))
 
     @property
     def n(self) -> int:
-        return len(self.base)
+        return len(self[0])
 
 
 def _augment(base, forbidden, bits, cols, r, u, v, row_of) -> bool:
@@ -129,7 +132,8 @@ def solve_ap(mc: MaskedCosts, start: tuple | None = None) -> tuple | None:
     perfect matching on tight edges is optimal, so the value is exact either
     way; a warm solve may return another optimum of equal cost.
     """
-    n, base, forbidden = mc.n, mc.base, mc.forbidden
+    base, forbidden = mc
+    n = len(base)
     row_of = [-1] * (n + 1)  # row matched to each column; slot n is virtual
     _, lines, bits = line_masks(n)
     if start is None:

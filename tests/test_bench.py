@@ -201,7 +201,7 @@ def test_incremental_csv(tmp_path):
 
 def test_csv_rows_carry_the_bound_and_the_node_count(tmp_path):
     # the two columns after opt hold the Solution's lower_bound and nodes:
-    # exact proves 10/600 seed 1 optimal at 247 in 55 nodes, and the
+    # exact proves 10/600 seed 1 optimal at 247 in 54 nodes, and the
     # heuristic proves no bound and explores no search nodes
     out = tmp_path / "runs.csv"
     results = run_benchmark(
@@ -210,10 +210,10 @@ def test_csv_rows_carry_the_bound_and_the_node_count(tmp_path):
     rows = list(csv.DictReader(out.read_text().splitlines()))
     exact, heuristic = rows
     assert exact["method"] == "exact" and exact["status"] == "Optimal"
-    assert (exact["value"], exact["lower_bound"], exact["nodes"]) == ("247", "247", "55")
+    assert (exact["value"], exact["lower_bound"], exact["nodes"]) == ("247", "247", "54")
     assert heuristic["method"] == "heuristic"
     assert (heuristic["lower_bound"], heuristic["nodes"]) == ("", "0")
-    assert [(r.lower_bound, r.nodes) for r in results] == [(247, 55), (None, 0)]
+    assert [(r.lower_bound, r.nodes) for r in results] == [(247, 54), (None, 0)]
 
 
 def mean(values):
@@ -225,8 +225,8 @@ def mean(values):
 # sec_best and sec_total, and per group and method the means of opt, value
 # and gap over the seeds and the statuses.
 GOLDEN = {
-    "all": "1cc6bd1d2548a6c151702bdbe088687bc5b510a6fd7d19330d6d76ddc23f7355",
-    "reversed-parallel": "6233c1e1b34662c3e967545c3c025a1b0dd0af92da774c7c1355836ec2842a14",
+    "all": "9ac277207bbf883cfbe6c0d44a1237cee696179f3bf92a693d89c9b7981089b4",
+    "reversed-parallel": "90f255b29ec093c6d814d20581056a52afd081f9529d7789f171dfa4c08efdf7",
     "reference": "f48e8ad52aa608789a91a7f5be3d950f7336655282f21bbfe839e6b8e0cfe45e",
 }
 

@@ -145,12 +145,10 @@ def test_branch_rejects_contradictory_split():
     assert branch(node, 0, DIAG.partner_masks) == (None, None)
 
 
-def test_emptied_line_drops_the_child_before_masks_and_ap_solve(monkeypatch):
-    # In BOTH_BLOCKED, forbidding (0, 0) forces (0, 1), whose partner (1, 0)
-    # is then forbidden, which empties row 1: the avoid child is dropped
-    # before any MaskedCosts or solve_ap call. Committing to (0, 0) forbids
-    # its partner (1, 1) and the rest of its lines, which empties row 1 too:
-    # the commit child is dropped the same way.
+@pytest.fixture
+def ap_work(monkeypatch):
+    # The forbidden ids of each MaskedCosts that apc.exact builds and of each
+    # mask it passes to solve_ap, in call order.
     built, solved = [], []
     masks_cls, ap = apc.exact.MaskedCosts, apc.exact.solve_ap
 
@@ -164,11 +162,21 @@ def test_emptied_line_drops_the_child_before_masks_and_ap_solve(monkeypatch):
 
     monkeypatch.setattr("apc.exact.MaskedCosts", masks_spy)
     monkeypatch.setattr("apc.exact.solve_ap", ap_spy)
+    return built, solved
+
+
+def test_emptied_line_drops_the_child_before_masks_and_ap_solve(ap_work):
+    # In BOTH_BLOCKED, forbidding (0, 0) forces (0, 1), whose partner (1, 0)
+    # is then forbidden, which empties row 1: the avoid child is dropped
+    # before any MaskedCosts or solve_ap call. Committing to (0, 0) forbids
+    # its partner (1, 1) and the rest of its lines, which empties row 1 too:
+    # the commit child is dropped the same way.
+    built, solved = ap_work
     pm = BOTH_BLOCKED.partner_masks
-    assert branch(masks_cls(BOTH_BLOCKED.costs), 0, pm) == (None, None)
+    assert branch(MaskedCosts(BOTH_BLOCKED.costs), 0, pm) == (None, None)
     assert not built and not solved
     # with (0, 1) already forbidden, avoiding (0, 0) empties row 0 at once
-    avoid, _ = branch(masks_cls(DIAG.costs, bits({1})), 0, DIAG.partner_masks)
+    avoid, _ = branch(MaskedCosts(DIAG.costs, bits({1})), 0, DIAG.partner_masks)
     assert avoid is None and not built and not solved
 
     sol = solve_exact(BOTH_BLOCKED)
@@ -243,9 +251,10 @@ def test_lone_edge_closure_agrees_with_brute_force_on_dense_instances(monkeypatc
 def _closed(masks, more, partners):
     # A child's forbidden ids by the naive closure on a set of ids: forbid
     # the node's ids and `more`, then sweep all 2n lines, recounting each
-    # from scratch, and for any lone edge forbid the rest of its row and
-    # column and all of its partners (`Instance.partners`), until a sweep
-    # forbids nothing new. None when a line has no allowed edge.
+    # from scratch; for any lone edge forbid the rest of its row and column
+    # and all of its partners (`Instance.partners`), and for a line with two
+    # allowed edges their common partners, until a sweep forbids nothing
+    # new. None when a line has no allowed edge.
     n = masks.n
     forbidden = ids(masks.forbidden) | set(more)
     lines = [range(i * n, i * n + n) for i in range(n)]
@@ -264,8 +273,12 @@ def _closed(masks, more, partners):
             if len(left) == 1:
                 e = left[0]
                 more = {*lines[e // n], *lines[n + e % n], *partners[e]} - {e}
-                changed |= not more <= forbidden
-                forbidden |= more
+            elif len(left) == 2:
+                more = set(partners[left[0]]) & set(partners[left[1]])
+            else:
+                continue
+            changed |= not more <= forbidden
+            forbidden |= more
     return forbidden
 
 
@@ -308,6 +321,52 @@ def test_both_children_match_the_naive_closure(monkeypatch):
     assert len(checked) >= 5000
     assert min(closed.values()) >= 100, closed
     assert min(dropped.values()) >= 400, dropped
+
+
+def test_a_line_with_two_allowed_edges_forbids_their_common_partners():
+    # In this 5x5 node row 0 allows (0, 2) and (0, 3), and row 3 allows
+    # (3, 0), (3, 1) and (3, 2). Both children of the split on (0, 2) leave
+    # row 3 only (3, 0) and (3, 1): avoiding (0, 2) forces (0, 3), whose
+    # partner is (3, 2), and committing to (0, 2) forbids the rest of column
+    # 2. Row 3 takes (3, 0) or (3, 1), so (1, 4), a partner of both, is in
+    # no feasible solution of either child; (2, 4) conflicts with (3, 0)
+    # alone and stays allowed.
+    costs = [[(3 * i + 7 * j) % 10 + 1 for j in range(5)] for i in range(5)]
+    inst = Instance(
+        costs,
+        [((0, 3), (3, 2)), ((1, 4), (3, 0)), ((1, 4), (3, 1)), ((2, 4), (3, 0))],
+    )
+    node = MaskedCosts(inst.costs, bits({0, 1, 4, 18, 19}))
+    children = branch(node, 2, inst.partner_masks)
+    for takes, child in enumerate(children):
+        assert ids(child.forbidden) & {15, 16, 17} == {17}  # row 3 keeps two
+        assert 9 in ids(child.forbidden) and 14 not in ids(child.forbidden)
+        assert ids(child.forbidden) == _closed(node, ids(child.forbidden), inst.partners)
+        # the child keeps exactly the node's feasible solutions on its side
+        kept = [p for p, _ in enumerate_feasible(inst) if _obeys(p, child)]
+        assert kept == [
+            p for p, _ in enumerate_feasible(inst) if _obeys(p, node) and (p[0] == 2) == takes
+        ]
+
+
+def test_the_root_is_closed_before_any_ap_work(ap_work):
+    # n = 2, the largest size whose root has a line of two edges. Row 0's two
+    # edges share the partner (1, 1), so the root forbids it, which forces
+    # (1, 0) and then (0, 1); when they share (1, 0) as well, row 1 is left
+    # empty and the root is dropped before any MaskedCosts or solve_ap call.
+    built, solved = ap_work
+    shared = [((0, 0), (1, 1)), ((0, 1), (1, 1))]
+    inst = Instance([[1, 10], [10, 1]], shared)
+    sol, bf = solve_exact(inst), brute_force(inst)
+    assert (sol.status, sol.value, sol.nodes) == (bf.status, bf.value, 1)
+    assert sol.assignment == (1, 0) and sol.value == 20
+    assert built == solved == [{0, 3}]
+    built.clear(), solved.clear()
+    inst = Instance([[1, 10], [10, 1]], shared + [((0, 0), (1, 0)), ((0, 1), (1, 0))])
+    sol, bf = solve_exact(inst), brute_force(inst)
+    assert bf.status is SolveStatus.INFEASIBLE
+    assert (sol.status, sol.value, sol.lower_bound, sol.nodes) == (bf.status, None, None, 0)
+    assert not built and not solved
 
 
 def _obeys(perm, masks):
@@ -578,9 +637,9 @@ def test_search_end_states_are_pinned():
         (DIAG, {}, (opt, 20, 20, 1)),
         (BOTH_BLOCKED, {}, (infeas, None, None, 1)),
         (mid, {"node_limit": 1}, (nosol, None, 198, 1)),
-        (mid, {}, (opt, 375, 375, 21)),
+        (mid, {}, (opt, 375, 375, 13)),
         (generate_instance(3, 4, 1, 100, 1), {"node_limit": 0}, (opt, 109, 109, 0)),
-        (generate_instance(12, 3000, 1, 100, 1), {}, (infeas, None, None, 1002)),
+        (generate_instance(12, 3000, 1, 100, 1), {}, (infeas, None, None, 537)),
         (
             generate_instance(15, 5000, 1, 100, 1),
             {"node_limit": 200},

@@ -1,7 +1,9 @@
 """Masked assignment engine against direct permutation enumeration."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 
 import pytest
@@ -161,6 +163,19 @@ def test_forbidden_bitset_is_validated():
     assert MaskedCosts(costs, forbidden=all_but_4).forbidden == all_but_4
     with pytest.raises(TypeError):  # a set of ids is not a bitset
         MaskedCosts(costs, forbidden=frozenset({0}))
+
+
+def test_masked_costs_is_an_immutable_pair():
+    costs = ((1, 2), (3, 4))
+    mc = MaskedCosts(costs, bits({1}))
+    assert tuple(mc) == (costs, 2) and mc.base is costs and mc.n == 2
+    assert MaskedCosts(costs) == (costs, 0)
+    for attr in ("base", "forbidden", "n", "other"):
+        with pytest.raises(AttributeError):
+            setattr(mc, attr, 0)
+    # a copy is rebuilt through the checked constructor, as the same pair
+    for twin in (copy.copy(mc), copy.deepcopy(mc), pickle.loads(pickle.dumps(mc))):
+        assert type(twin) is MaskedCosts and twin == mc
 
 
 def test_line_masks_hold_each_row_and_column_by_edge_id():
