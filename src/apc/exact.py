@@ -13,10 +13,10 @@ they keep every conflict-feasible solution of the node. Every node is
 closed under two line rules, since a perfect matching takes one edge of
 each row and column: a row or column left with one allowed edge commits to
 it, and one left with two forbids every edge that conflicts with both.
-`solve_exact` closes the root once over every line, and `branch` closes
-both children by a worklist of the lines the split touched, so a child
-never rescans the rest of the node. A node with a line that has no allowed
-edge is dropped before any AP work. A child only tightens its
+`solve_exact` closes the root and `branch` the commit child from every
+line; the avoid child starts from the forbidden edge's row and column, the
+only lines its split touches. A node with a line that has no allowed edge
+is dropped before any AP work. A child only tightens its
 parent's mask: its forbidden bitset keeps every bit of the parent's
 (``child & parent == parent``), so its assignment problem is re-optimized
 from the parent's potentials instead of solved from scratch.
@@ -66,38 +66,6 @@ def find_violated_conflict(assignment, inst: Instance) -> int | None:
     return None if best is None else best[2]
 
 
-def _thinned(child: int, parent: int, n: int) -> set[int]:
-    """The lines k (``line_masks(n)[1][k]``) that lose an allowed edge from
-    `parent` to `child` and keep fewer than three.
-
-    The rows are tested at once, on every n-bit row field of the bitsets,
-    with `low` and `high`, columns 0 and n - 1: each field of ``x | high`` is
-    nonzero, so subtracting `low` borrows within fields only, and
-    ``x & that`` clears the lowest bit of every field of x. Done twice, it
-    keeps a field nonzero exactly where x has three bits there; a field f is
-    nonzero exactly when ``(f & body) + body | f`` sets its highest bit. A
-    column costs one ``&`` and ``bit_count()``, and its parent cells are read
-    only when the child keeps fewer than three.
-    """
-    _, lines, _ = line_masks(n)
-    low, high = lines[n], lines[-1]
-    body = high - low  # all but the highest cell of every row
-    two = child & ((child | high) - low)
-    three = two & ((two | high) - low)
-    gone = parent ^ child
-    rows = high & ~((three & body) + body | three) & ((gone & body) + body | gone)
-    thin = set()
-    while rows:
-        top = rows.bit_length() - 1
-        rows ^= 1 << top
-        thin.add(top // n)
-    for k, line in enumerate(lines[n:], n):
-        cells = child & line
-        if cells.bit_count() < 3 and cells != parent & line:
-            thin.add(k)
-    return thin
-
-
 def _close(allowed, todo, lines, partner_masks) -> int | None:
     """Close an allowed-edge bitset under the line rules, from the lines in
     `todo` (rows and columns, `lines` as in `line_masks`).
@@ -144,12 +112,11 @@ def branch(
     with more bits set, so it only tightens the parent's mask. The avoid
     child forbids `edge`. The commit child forces it: it forbids the rest of
     the edge's row and column and its conflict partners. Each child is then
-    closed under the line rules (`_close`) from the lines its split touched:
-    the avoid child's are the edge's row and column, the commit child's the
-    other lines it leaves under three allowed edges (`_thinned`); the edge
-    alone holds its own row and column. A child is closed when
-    `masks` is; from a mask that is not, the children still split its
-    solutions but may be left unclosed. A child is None when a line ends up
+    closed under the line rules (`_close`). The commit child, like the root,
+    starts from every line, so it is closed whatever `masks` is. The avoid
+    child starts from the edge's row and column, the only lines its split
+    touches, so it is closed when `masks` is; from a mask that is not, it
+    may be left unclosed. A child is None when a line ends up
     with no allowed edge, so it holds no conflict-feasible solution and
     needs no AP solve. Every conflict-feasible solution within the node's
     mask lies in exactly one child. Splitting on a forbidden edge raises
@@ -165,8 +132,7 @@ def branch(
     parent = full ^ forbidden
     avoid = _close(parent ^ 1 << edge, {a, n + b}, lines, partner_masks)
     commit = parent & ~((lines[a] | lines[n + b]) ^ 1 << edge | partner_masks[edge])
-    todo = _thinned(commit, parent, n) - {a, n + b}
-    commit = _close(commit, todo, lines, partner_masks)
+    commit = _close(commit, set(range(2 * n)), lines, partner_masks)
     return (
         None if avoid is None else MaskedCosts(base, full ^ avoid),
         None if commit is None else MaskedCosts(base, full ^ commit),

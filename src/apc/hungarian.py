@@ -128,9 +128,11 @@ def solve_ap(mc: MaskedCosts, start: tuple | None = None) -> tuple | None:
     keeps each earlier edge that is still allowed and re-inserts the other
     rows. A kept edge that is the only allowed edge of both its row and its
     column is fixed: no other row's search can reach its column, so the
-    column is left out of every path search. Feasible potentials plus a
-    perfect matching on tight edges is optimal, so the value is exact either
-    way; a warm solve may return another optimum of equal cost.
+    column is left out of every path search. A `start` of the wrong size, or
+    whose assignment is not a permutation, raises ValueError. Feasible
+    potentials plus a perfect matching on tight edges is optimal, so the
+    value is exact either way; a warm solve may return another optimum of
+    equal cost.
     """
     base, forbidden = mc
     n = len(base)
@@ -140,8 +142,8 @@ def solve_ap(mc: MaskedCosts, start: tuple | None = None) -> tuple | None:
         u, v, free, fixed = [0] * n, [0] * n, range(n), ()
     else:
         kept, _, (u, v) = start
-        if not len(kept) == len(u) == len(v) == n:
-            raise ValueError(f"start does not fit the {n}x{n} matrix")
+        if not len(kept) == len(u) == len(v) == n or set(kept) != set(range(n)):
+            raise ValueError(f"start is no result for the {n}x{n} matrix")
         u, v, free, fixed = list(u), list(v), [], set()
         for i, j in enumerate(kept):
             row_bits = forbidden >> i * n & lines[0]  # row i, as row 0

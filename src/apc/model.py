@@ -89,8 +89,10 @@ def evaluate(inst: Instance, assignment: Sequence[int]) -> int:
 def check_feasible(inst: Instance, assignment: Sequence[int]) -> FeasibilityReport:
     """Diagnose an arbitrary integer array as a candidate solution.
 
-    The array must have length n but entries may be anything, so broken
-    solutions can be reported rather than rejected. Edge (i, j) counts as
+    The array must have length n and hold ints, but any ints: an entry
+    outside 0..n-1 is reported as a violated row rather than rejected, so
+    broken solutions can be diagnosed. Other entries are not supported: a
+    string, or a float in range, raises TypeError. Edge (i, j) counts as
     selected iff assignment[i] == j.
     """
     n = inst.n

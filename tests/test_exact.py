@@ -287,18 +287,24 @@ def test_both_children_match_the_naive_closure(monkeypatch):
     # dropped exactly when the naive closure of the node plus its split
     # empties a line, and otherwise forbids exactly the edges that closure
     # forbids: the avoid child's split is the edge, the commit child's the
-    # rest of the edge's row and column and its partners.
+    # rest of the edge's row and column and its partners. The commit child
+    # starts from every line, as the root does, so it matches that closure
+    # on random masks that are not closed too.
     split = apc.exact.branch
     checked, closed, dropped = [], Counter(), Counter()
     partners = None  # the conflict index of the instance being solved
 
-    def spy(masks, edge, partner_masks):
+    def check(masks, edge, partner_masks, unclosed=False):
         children = split(masks, edge, partner_masks)
         n = masks.n
         a, b = divmod(edge, n)
         rest = {a * n + j for j in range(n)} | {i * n + b for i in range(n)}
         splits = {"avoid": {edge}, "commit": (rest - {edge}) | set(partners[edge])}
         for (side, more), child in zip(splits.items(), children):
+            if unclosed:  # only the commit child is closed from any mask
+                if side == "avoid":
+                    continue
+                side = "unclosed"
             ref = _closed(masks, more, partners)
             assert (child is None) == (ref is None), (side, masks, edge)
             if child is None:
@@ -310,7 +316,7 @@ def test_both_children_match_the_naive_closure(monkeypatch):
         checked.append(edge)
         return children
 
-    monkeypatch.setattr("apc.exact.branch", spy)
+    monkeypatch.setattr("apc.exact.branch", check)
     rng = random.Random(2020)
     for _ in range(60):
         n = rng.randint(3, 12)
@@ -319,6 +325,18 @@ def test_both_children_match_the_naive_closure(monkeypatch):
         partners = inst.partners
         solve_exact(inst, node_limit=400)
     assert len(checked) >= 5000
+    for _ in range(100):
+        n = rng.randint(3, 8)
+        m = int(rng.uniform(0.05, 0.40) * max_conflict_pairs(n))
+        inst = generate_instance(n, m, 1, 100, seed=rng.randrange(10**6))
+        partners = inst.partners
+        for _ in range(30):
+            forbidden = rng.getrandbits(n * n) & rng.getrandbits(n * n)
+            allowed = [e for e in range(n * n) if not forbidden >> e & 1]
+            if allowed:
+                node = MaskedCosts(inst.costs, forbidden)
+                check(node, rng.choice(allowed), inst.partner_masks, unclosed=True)
+    assert len(checked) >= 8000
     assert min(closed.values()) >= 100, closed
     assert min(dropped.values()) >= 400, dropped
 

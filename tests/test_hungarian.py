@@ -328,6 +328,17 @@ def test_start_of_the_wrong_size_is_rejected():
         solve_ap(mc, (assignment[:1], value, (u, v)))
 
 
+def test_start_that_is_not_a_permutation_is_rejected():
+    # Kept unchecked, a repeated column would put both rows on column 0 and
+    # return the assignment (0, 1) at value 7, though it costs 5; a negative
+    # or too large column would index past the row's columns.
+    mc = MaskedCosts(((1, 2), (3, 4)))
+    for kept in ((0, 0), (-1, 0), (0, 2)):
+        with pytest.raises(ValueError):
+            solve_ap(mc, (kept, 0, ((0, 0), (0, 0))))
+    assert solve_ap(mc, ((1, 0), 0, ((0, 0), (0, 0))))[:2] == ((1, 0), 5)
+
+
 def test_solves_and_potentials_are_pinned():
     # Node counts depend on the potentials too, since each child starts from
     # its parent's. These 300 full cold results, and one warm child of each
