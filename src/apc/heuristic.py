@@ -40,18 +40,20 @@ def construct_greedy(inst: Instance, rng_seed: int) -> tuple[int, ...] | None:
     """Build a conflict-feasible assignment greedily, evicting on dead ends.
 
     Left nodes are processed in random order; each takes the cheapest free
-    column that activates no conflict. A stuck node repairs by claiming a
-    column after evicting whoever blocks it (the seat's occupant and any
-    assigned conflict partners); evicted nodes re-enter the queue in row
-    order. Repairs that touch no conflict are preferred over conflict-adjacent
-    ones so that two nodes cannot steal the same cheap seat from each other
-    forever. Each node may be evicted at most once; when a repair would need a
-    second eviction, construction fails and returns None so the caller can
-    restart with a different seed. Otherwise the result is the assignment
-    tuple: the column of each row.
+    column that activates no conflict, walking ``inst.column_order``. A stuck
+    node repairs by claiming a column after evicting whoever blocks it (the
+    seat's occupant and any assigned conflict partners); evicted nodes
+    re-enter the queue in row order. Repairs that touch no conflict are
+    preferred over conflict-adjacent ones so that two nodes cannot steal the
+    same cheap seat from each other forever; within each kind the cheapest
+    column is tried first. Each node may be evicted at most once; when a
+    repair would need a second eviction, construction fails and returns None
+    so the caller can restart with a different seed. Otherwise the result is
+    the assignment tuple: the column of each row.
     """
     n = inst.n
-    partners = inst.partners
+    partners = inst.partners  # compiled before the order: a lower peak RSS
+    cheapest = inst.column_order
     order = list(range(n))
     random.Random(rng_seed).shuffle(order)
 
@@ -67,22 +69,21 @@ def construct_greedy(inst: Instance, rng_seed: int) -> tuple[int, ...] | None:
 
     while queue:
         i = queue.popleft()
-        row = inst.costs[i]
-        for _, j in sorted((row[j], j) for j in range(n) if row_of[j] is None):
-            if selected.isdisjoint(partners[i * n + j]):
+        base = i * n
+        cols = cheapest[i]
+        for j in cols:
+            if row_of[j] is None and selected.isdisjoint(partners[base + j]):
                 seat(i, j)
                 break
         else:
-            # every free column conflicts, so every candidate has a blocker
-            candidates = []
-            for j in range(n):
-                conflicted = {p // n for p in partners[i * n + j] if p in selected}
-                blockers = set(conflicted)
+            # every free column conflicts, so every candidate has a blocker;
+            # the stable sort puts the conflict-free (occupied) columns
+            # first and keeps cost order within each kind
+            ranked = sorted(cols, key=lambda j: not selected.isdisjoint(partners[base + j]))
+            for j in ranked:
+                blockers = {p // n for p in selected.intersection(partners[base + j])}
                 if row_of[j] is not None:
                     blockers.add(row_of[j])
-                candidates.append((bool(conflicted), row[j], j, blockers))
-            candidates.sort()
-            for _, _, j, blockers in candidates:
                 if evicted.isdisjoint(blockers):
                     for b in sorted(blockers):
                         evicted.add(b)

@@ -200,6 +200,17 @@ class Instance:
         return tuple(adj)
 
     @cached_property
+    def column_order(self) -> tuple[tuple[int, ...], ...]:
+        """Each row's columns, cheapest first: ``column_order[i]`` is
+        ``range(n)`` sorted by ``costs[i]``, ties by column index.
+
+        Built once, on first use, and cached like ``partners``; equality and
+        hashing ignore it. The rows share one set of int objects.
+        """
+        cols = list(range(self.n))
+        return tuple(tuple(sorted(cols, key=row.__getitem__)) for row in self.costs)
+
+    @cached_property
     def partner_masks(self) -> dict[int, int]:
         """The conflict index as bitsets: ``partner_masks[e]`` is the int with
         bit f set for every f in ``partners[e]``.

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import deque
 
 import pytest
 
@@ -84,6 +85,75 @@ def test_local_search_never_worse_and_stays_feasible():
         perm, value = local_search(inst, start)
         assert value == evaluate(inst, perm) <= evaluate(inst, start)
         assert check_feasible(inst, perm).feasible
+
+
+def reference_greedy(inst, rng_seed):
+    """The greedy as it was before it walked ``inst.column_order``: each row
+    sorts its free columns by (cost, column), and a stuck row builds every
+    column's blocker set and sorts all candidates by (touches a conflict,
+    cost, column)."""
+    n = inst.n
+    partners = inst.partners
+    order = list(range(n))
+    random.Random(rng_seed).shuffle(order)
+    col_of = [None] * n
+    row_of = [None] * n
+    selected = set()
+    evicted = set()
+    queue = deque(order)
+
+    def seat(i, j):
+        col_of[i], row_of[j] = j, i
+        selected.add(i * n + j)
+
+    while queue:
+        i = queue.popleft()
+        row = inst.costs[i]
+        for _, j in sorted((row[j], j) for j in range(n) if row_of[j] is None):
+            if selected.isdisjoint(partners[i * n + j]):
+                seat(i, j)
+                break
+        else:
+            candidates = []
+            for j in range(n):
+                conflicted = {p // n for p in partners[i * n + j] if p in selected}
+                blockers = set(conflicted)
+                if row_of[j] is not None:
+                    blockers.add(row_of[j])
+                candidates.append((bool(conflicted), row[j], j, blockers))
+            candidates.sort()
+            for _, _, j, blockers in candidates:
+                if evicted.isdisjoint(blockers):
+                    for b in sorted(blockers):
+                        evicted.add(b)
+                        freed = col_of[b]
+                        col_of[b] = row_of[freed] = None
+                        selected.remove(b * n + freed)
+                        queue.append(b)
+                    seat(i, j)
+                    break
+            else:
+                return None
+    return tuple(col_of)
+
+
+def test_greedy_matches_the_reference_greedy():
+    # cost ranges with many ties, and densities up to every pair conflicting,
+    # so that both the seat order and the repair order are exercised
+    outcomes = {True: 0, False: 0}
+    for n in range(1, 13):
+        top = max_conflict_pairs(n)
+        for lo, hi in ((1, 1), (1, 3), (1, 100)):
+            for fraction in (0.0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 1.0):
+                m = round(fraction * top)
+                for s in range(3):
+                    inst = generate_instance(n, m, lo, hi, 1000 * n + s)
+                    for seed in range(4):
+                        built = construct_greedy(inst, seed)
+                        assert built == reference_greedy(inst, seed), (n, m, lo, hi, s, seed)
+                        outcomes[built is None] += 1
+    assert sum(outcomes.values()) >= 3000
+    assert min(outcomes.values()) >= 500, outcomes
 
 
 def reference_descent(inst, assignment):

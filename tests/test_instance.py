@@ -278,9 +278,12 @@ def test_conflict_pair_rejects_equal_edges():
 def test_round_trip_random_instances(n, frac, seed):
     m = int(frac * max_conflict_pairs(n))
     inst = generate_instance(n, m, 0, 30, seed)
-    inst.partners  # a conflict index compiled on one side only must not matter
+    # a conflict index or column order built on one side only must not matter
+    inst.partners
+    inst.column_order
     parsed = parse_instance(write_instance(inst))
     assert parsed == inst and hash(parsed) == hash(inst)
+    assert parsed.column_order == inst.column_order
 
 
 @st.composite
@@ -410,10 +413,26 @@ def test_partner_masks_are_built_per_edge_on_first_lookup():
     assert list(masks) == [e] and masks[e] is mask
     assert masks[e + 1] == sum(1 << f for f in inst.partners[e + 1])
     assert list(masks) == [e, e + 1]
-    # equality, hashing and pickling ignore the cache, as for partners
-    again = pickle.loads(pickle.dumps(inst))
-    assert again == inst and hash(again) == hash(inst)
-    assert again.partner_masks[e] == mask
+    # equality, hashing and pickling ignore the caches, as for partners
+    fresh = generate_instance(30, 8000, 1, 100, 1)
+    order = inst.column_order
+    assert fresh == inst and hash(fresh) == hash(inst)
+    for copy in (inst, fresh):
+        again = pickle.loads(pickle.dumps(copy))
+        assert again == inst and hash(again) == hash(inst)
+        assert again.partner_masks[e] == mask
+        assert again.column_order == order
+
+
+def test_column_order_lists_each_row_cheapest_first():
+    inst = Instance([[5, 1, 5, 1], [1, 2, 3, 4], [4, 3, 2, 1], [7, 7, 7, 7]])
+    order = inst.column_order
+    assert order == ((1, 3, 0, 2), (0, 1, 2, 3), (3, 2, 1, 0), (0, 1, 2, 3))
+    assert inst.column_order is order  # built once
+    tied = generate_instance(30, 8000, 1, 5, 1)
+    for row, cols in zip(tied.costs, tied.column_order):
+        assert sorted(cols) == list(range(30))
+        assert list(cols) == sorted(range(30), key=lambda j: (row[j], j))
 
 
 def _tracked_objects_kept_by(build):
