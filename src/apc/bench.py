@@ -31,7 +31,7 @@ from .errors import (
 )
 from .exact import solve_exact
 from .heuristic import LSConfig, gap_percent, run_heuristic
-from .instance import Instance, generate_instance
+from .instance import Instance, generate_instance, max_conflict_pairs
 from .oracle import BRUTE_FORCE_MAX_N, brute_force
 from .solution import Solution, SolveStatus
 
@@ -126,9 +126,14 @@ def run_method(
     """Solve `inst` by one of KNOWN_METHODS, as `apc solve` and `apc bench` do.
 
     `seed` and `restarts` reach only the heuristic, `node_limit` only exact,
-    and the oracle takes no limit. With the defaults this is the run that
-    `run_benchmark` makes for the instance of a row and seed.
+    and the oracle takes no limit; a time limit that is not positive or a
+    negative node limit is refused for every method. With the defaults this
+    is the run that `run_benchmark` makes for the instance of a row and seed.
     """
+    if not time_limit > 0:  # also rejects NaN
+        raise ValueError(f"time_limit must be positive, got {time_limit}")
+    if node_limit is not None and node_limit < 0:
+        raise ValueError(f"node_limit must be >= 0, got {node_limit}")
     if method == "oracle":
         return brute_force(inst)
     if method == "exact":
@@ -235,6 +240,9 @@ def run_benchmark(
         raise ValueError(f"rows must not repeat, got {rows}")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds must not repeat, got {seeds}")
+    for n, m in rows:
+        if n < 1 or not 0 <= m <= max_conflict_pairs(n):
+            raise ValueError(f"group '{n}/{m}' needs n >= 1, 0 <= m <= n*n*(n*n-1)/2")
     if "oracle" in methods:
         for n, m in rows:
             if n > BRUTE_FORCE_MAX_N:

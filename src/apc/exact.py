@@ -10,13 +10,13 @@ edge that sits in the most violated conflict pairs: one child forbids that
 edge, the other commits to it, which forbids the rest of its row and column
 and every edge it conflicts with. The children are disjoint, and together
 they keep every conflict-feasible solution of the node. Every node is
-closed under two line rules, since a perfect matching takes one edge of
-each row and column: a row or column left with one allowed edge commits to
-it, and one left with two forbids every edge that conflicts with both.
-`solve_exact` closes the root and `branch` the commit child from every
-line; the avoid child starts from the forbidden edge's row and column, the
-only lines its split touches. A node with a line that has no allowed edge
-is dropped before any AP work. A child only tightens its
+closed under one line rule, since a perfect matching takes one edge of each
+row and column: a row or column left with at most two allowed edges forbids
+every edge that no matching can hold beside any of them, so a lone edge is
+committed to. `solve_exact` closes the root and `branch` the commit child
+from every line; the avoid child starts from the forbidden edge's row and
+column, the only lines its split touches. A node with a line that has no
+allowed edge is dropped before any AP work. A child only tightens its
 parent's mask: its forbidden bitset keeps every bit of the parent's
 (``child & parent == parent``), so its assignment problem is re-optimized
 from the parent's potentials instead of solved from scratch.
@@ -67,16 +67,17 @@ def find_violated_conflict(assignment, inst: Instance) -> int | None:
 
 
 def _close(allowed, todo, lines, partner_masks) -> int | None:
-    """Close an allowed-edge bitset under the line rules, from the lines in
+    """Close an allowed-edge bitset under the line rule, from the lines in
     `todo` (rows and columns, `lines` as in `line_masks`).
 
-    Every perfect matching takes one allowed edge of each line. A line whose
-    only allowed edge is e takes e, so the rest of e's row and column and
-    e's partners are forbidden; a line with exactly two, e and f, takes one
-    of them, so their common partners are forbidden. Each line that loses
-    an allowed edge is queued. A child of a closed node needs only the lines
-    that lost an allowed edge since the parent: no other line's rule can be
-    new. None when a line ends up with no allowed edge.
+    Every perfect matching takes one allowed edge of each line. An edge
+    excludes the rest of its row and column and its partners, so a line with
+    at most two allowed edges forbids every edge that each of them excludes:
+    no matching holds it beside any edge the line may take. A lone edge is
+    thus committed to. Each line that loses an allowed edge is queued. A
+    child of a closed node needs only the lines that lost an allowed edge
+    since the parent: no other line's rule can be new. None when a line ends
+    up with no allowed edge.
     """
     n = len(lines) // 2
     while todo:
@@ -87,13 +88,11 @@ def _close(allowed, todo, lines, partner_masks) -> int | None:
             continue
         if not count:
             return None
-        e = cells.bit_length() - 1
-        if count == 2:
-            f = (cells & -cells).bit_length() - 1
-            gone = allowed & partner_masks[e] & partner_masks[f]
-        else:
-            i, j = divmod(e, n)
-            gone = allowed & ((lines[i] | lines[n + j]) ^ 1 << e | partner_masks[e])
+        gone = allowed
+        while cells:
+            e = cells.bit_length() - 1
+            cells ^= 1 << e
+            gone &= (lines[e // n] | lines[n + e % n]) ^ 1 << e | partner_masks[e]
         allowed ^= gone
         while gone:
             g = gone.bit_length() - 1
@@ -112,7 +111,7 @@ def branch(
     with more bits set, so it only tightens the parent's mask. The avoid
     child forbids `edge`. The commit child forces it: it forbids the rest of
     the edge's row and column and its conflict partners. Each child is then
-    closed under the line rules (`_close`). The commit child, like the root,
+    closed under the line rule (`_close`). The commit child, like the root,
     starts from every line, so it is closed whatever `masks` is. The avoid
     child starts from the edge's row and column, the only lines its split
     touches, so it is closed when `masks` is; from a mask that is not, it

@@ -159,6 +159,19 @@ def test_repeated_group_label_is_rejected(tmp_path):
     assert not out.exists()
 
 
+def test_row_that_cannot_be_generated_is_rejected_before_the_csv_is_opened(tmp_path):
+    # too many conflicts for n = 3, an empty grid, a negative conflict count:
+    # an earlier CSV at the path is kept, not truncated to the header line
+    out = tmp_path / "runs.csv"
+    out.write_text("group,seed\nkept\n")
+    for rows in ([(3, 100)], [(0, 0)], [(4, 0), (2, -1)]):
+        with pytest.raises(ValueError, match="needs n >= 1"):
+            run_benchmark(rows, ("exact",), 10.0, csv_path=out)
+        assert out.read_text() == "group,seed\nkept\n"
+    # the densest row n = 2 allows is still run
+    assert len(run_benchmark([(2, 6)], ("exact",), 10.0, seeds=(1,))) == 1
+
+
 def test_repeated_seed_is_rejected(tmp_path):
     out = tmp_path / "runs.csv"
     # a repeated seed would solve one instance twice and weigh it twice

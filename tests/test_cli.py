@@ -252,11 +252,16 @@ def test_bad_parameter_values_exit_2(diag_file, tmp_path, capsys):
     assert main([
         "solve", str(diag_file), "--method", "exact", "--time-limit", "0",
     ]) == 2
-    # NaN time limits and negative node limits would otherwise mean no limit
+    # NaN time limits and negative node limits would otherwise mean no limit;
+    # every method refuses them, even one that reads no limit
     for limit in (
         ["--method", "heuristic", "--time-limit", "nan"],
         ["--method", "exact", "--time-limit", "nan"],
         ["--method", "exact", "--node-limit", "-5"],
+        ["--method", "oracle", "--time-limit", "nan"],
+        ["--method", "oracle", "--time-limit", "-1"],
+        ["--method", "heuristic", "--node-limit", "-5"],
+        ["--method", "oracle", "--node-limit", "-5"],
     ):
         assert main(["solve", str(diag_file), *limit]) == 2
     # a bench run that would run serially, solve a method twice or read an
