@@ -1,9 +1,9 @@
 """Proven-optimal solving by branch-and-bound on the conflict-free relaxation.
 
-A node is its edge mask, one `MaskedCosts`: a bitset of forbidden edge ids;
+A node is its edge mask, one `MaskedCosts`: a bitset of allowed edge ids;
 the assignment problem under it is the node's lower bound. Every row and
 column of an assignment holds exactly one edge, so a node forces an edge by
-forbidding the rest of its row and column, and needs no second mask.
+disallowing the rest of its row and column, and needs no second mask.
 Best-first node selection means the first conflict-feasible relaxation
 popped is globally optimal. The search branches fail-first on the selected
 edge that sits in the most violated conflict pairs: one child forbids that
@@ -17,12 +17,12 @@ committed to. `solve_exact` closes the root and `branch` the commit child
 from every line; the avoid child starts from the forbidden edge's row and
 column, the only lines its split touches. A node with a line that has no
 allowed edge is dropped before any AP work. A child only tightens its
-parent's mask: its forbidden bitset keeps every bit of the parent's
-(``child & parent == parent``), so its assignment problem is re-optimized
+parent's mask: its allowed bitset is a subset of the parent's
+(``child & parent == child``), so its assignment problem is re-optimized
 from the parent's potentials instead of solved from scratch.
 Conflicts are read as bitsets too: ``Instance.partner_masks[e]`` has bit f
-set for every partner f of edge e, so a commit forbids all of them with one
-``|`` and the violation scan counts an edge's violated pairs with one ``&``
+set for every partner f of edge e, so a commit clears all of them with one
+``& ~`` and the violation scan counts an edge's violated pairs with one ``&``
 and a popcount. The search starts from the incumbent of a two-restart
 `run_heuristic`, bounded only by the solve's time limit, so a node or time
 limit that stops it early can still report a solution.
@@ -107,8 +107,8 @@ def branch(
     """Split a node's mask on `edge` into two disjoint children: (avoid, commit).
 
     `partner_masks` is the instance's conflict index as bitsets
-    (`Instance.partner_masks`). Each child's forbidden bitset is the parent's
-    with more bits set, so it only tightens the parent's mask. The avoid
+    (`Instance.partner_masks`). Each child's allowed bitset is the parent's
+    with bits cleared, so it only tightens the parent's mask. The avoid
     child forbids `edge`. The commit child forces it: it forbids the rest of
     the edge's row and column and its conflict partners. Each child is then
     closed under the line rule (`_close`). The commit child, like the root,
@@ -118,23 +118,23 @@ def branch(
     may be left unclosed. A child is None when a line ends up
     with no allowed edge, so it holds no conflict-feasible solution and
     needs no AP solve. Every conflict-feasible solution within the node's
-    mask lies in exactly one child. Splitting on a forbidden edge raises
-    ValueError; the solver never asks for one, because it branches on an
-    edge of the node's own relaxation.
+    mask lies in exactly one child. Splitting on an edge the node does not
+    allow, one outside the n x n grid included, raises ValueError before any
+    work; the solver never asks for one, because it branches on an edge of
+    the node's own relaxation.
     """
-    base, forbidden = masks
-    if forbidden >> edge & 1:
-        raise ValueError(f"edge {edge} is forbidden at this node")
+    base, parent = masks
+    if not parent >> edge & 1:
+        raise ValueError(f"edge {edge} is not allowed at this node")
     n = len(base)
-    full, lines, _ = line_masks(n)
+    _, lines, _ = line_masks(n)
     a, b = divmod(edge, n)
-    parent = full ^ forbidden
     avoid = _close(parent ^ 1 << edge, {a, n + b}, lines, partner_masks)
     commit = parent & ~((lines[a] | lines[n + b]) ^ 1 << edge | partner_masks[edge])
     commit = _close(commit, set(range(2 * n)), lines, partner_masks)
     return (
-        None if avoid is None else MaskedCosts(base, full ^ avoid),
-        None if commit is None else MaskedCosts(base, full ^ commit),
+        None if avoid is None else MaskedCosts(base, avoid),
+        None if commit is None else MaskedCosts(base, commit),
     )
 
 
@@ -184,7 +184,7 @@ def solve_exact(
     full, lines, _ = line_masks(inst.n)
     allowed = _close(full, set(range(2 * inst.n)), lines, partner_masks)
     if allowed is not None:
-        root = MaskedCosts(inst.costs, full ^ allowed)
+        root = MaskedCosts(inst.costs, allowed)
         root_res = solve_ap(root)
         if root_res is not None:
             heapq.heappush(heap, (root_res[1], 0, next(tiebreak), root, root_res))

@@ -22,7 +22,7 @@ from apc.instance import (
 from apc.model import check_feasible, evaluate
 from apc.oracle import brute_force, enumerate_feasible
 from apc.solution import Solution, SolveStatus
-from edge_bits import bits, force_bits, forced_ids, ids
+from edge_bits import allowed_bits, bits, forced_ids, ids
 
 DIAG = Instance([[1, 10], [10, 1]], [((0, 0), (1, 1))])
 BOTH_BLOCKED = Instance(
@@ -120,44 +120,50 @@ def test_branch_children():
     assert avoid.base is DIAG.costs
     # forbidding (0, 0) leaves row 0 one edge, (0, 1), and forcing it leaves
     # row 1 one edge, (1, 0)
-    assert ids(avoid.forbidden) == {0, 3} and forced_ids(2, avoid.forbidden) == {1, 2}
+    assert ids(avoid.allowed) == {1, 2} and forced_ids(2, avoid.allowed) == {1, 2}
     # committing to (0, 0) forbids (0, 1) and (1, 0), the rest of its row and
     # column, and its partner (1, 1), which empties row 1
     assert commit is None
     # (1, 0) has no partner: committing to it forces (0, 1) as well
     avoid, commit = branch(root, 2, DIAG.partner_masks)
-    assert ids(commit.forbidden) == {0, 3} and forced_ids(2, commit.forbidden) == {1, 2}
+    assert ids(commit.allowed) == {1, 2} and forced_ids(2, commit.allowed) == {1, 2}
     # avoiding it leaves (0, 0) and (1, 1), a conflicting pair: the avoid
     # child is dropped
     assert avoid is None
 
 
 def test_branch_rejects_contradictory_split():
-    # Splitting on a forbidden edge fails loudly instead of dropping a child.
-    for mask in [
-        bits({0}),  # the edge (0, 0) itself is forbidden
-        force_bits(2, {2}),  # a forced edge, (1, 0), holds its column
+    # Splitting on an edge the node does not allow fails loudly instead of
+    # dropping a child, and an id past the grid fails before any closure work
+    # rather than with an IndexError from the partner lookup.
+    n = DIAG.n
+    for mask, edge in [
+        (allowed_bits(2, {0}), 0),  # the edge (0, 0) itself is forbidden
+        (allowed_bits(2, forced={2}), 0),  # a forced edge, (1, 0), holds its column
+        (bits(range(n * n)), n * n),  # the first id outside the grid
+        (bits(range(n * n)), n * n + 2),
     ]:
-        with pytest.raises(ValueError):
-            branch(MaskedCosts(DIAG.costs, mask), 0, DIAG.partner_masks)
+        with pytest.raises(ValueError, match=f"edge {edge} is not allowed"):
+            branch(MaskedCosts(DIAG.costs, mask), edge, DIAG.partner_masks)
     # A forced conflict partner, (1, 1), leaves both children an empty line.
-    node = MaskedCosts(DIAG.costs, force_bits(2, {3}))
+    node = MaskedCosts(DIAG.costs, allowed_bits(2, forced={3}))
     assert branch(node, 0, DIAG.partner_masks) == (None, None)
 
 
 @pytest.fixture
 def ap_work(monkeypatch):
-    # The forbidden ids of each MaskedCosts that apc.exact builds and of each
+    # The allowed ids of each MaskedCosts that apc.exact builds and of each
     # mask it passes to solve_ap, in call order.
     built, solved = [], []
     masks_cls, ap = apc.exact.MaskedCosts, apc.exact.solve_ap
 
-    def masks_spy(base, forbidden=0):
-        built.append(ids(forbidden))
-        return masks_cls(base, forbidden)
+    def masks_spy(base, allowed=None):
+        mc = masks_cls(base, allowed)
+        built.append(ids(mc.allowed))
+        return mc
 
     def ap_spy(mc, start=None):
-        solved.append(ids(mc.forbidden))
+        solved.append(ids(mc.allowed))
         return ap(mc, start)
 
     monkeypatch.setattr("apc.exact.MaskedCosts", masks_spy)
@@ -176,7 +182,7 @@ def test_emptied_line_drops_the_child_before_masks_and_ap_solve(ap_work):
     assert branch(MaskedCosts(BOTH_BLOCKED.costs), 0, pm) == (None, None)
     assert not built and not solved
     # with (0, 1) already forbidden, avoiding (0, 0) empties row 0 at once
-    avoid, _ = branch(MaskedCosts(DIAG.costs, bits({1})), 0, DIAG.partner_masks)
+    avoid, _ = branch(MaskedCosts(DIAG.costs, allowed_bits(2, {1})), 0, DIAG.partner_masks)
     assert avoid is None and not built and not solved
 
     # Row 0 of BOTH_BLOCKED allows (0, 0) and (0, 1), and each of them
@@ -190,7 +196,7 @@ def test_emptied_line_drops_the_child_before_masks_and_ap_solve(ap_work):
     # built and solved once.
     sol = solve_exact(DIAG)
     assert sol.status is SolveStatus.OPTIMAL and sol.nodes == 1
-    assert built == solved == [{0, 3}]
+    assert built == solved == [{1, 2}]
 
 
 def test_lone_edges_are_forced_in_a_chain():
@@ -201,13 +207,13 @@ def test_lone_edges_are_forced_in_a_chain():
         [[1, 4, 9, 9], [9, 2, 3, 6], [2, 9, 5, 9], [7, 9, 9, 3]],
         [((0, 1), (1, 2)), ((1, 3), (2, 0))],
     )
-    node = MaskedCosts(inst.costs, bits({2, 3, 4}))  # (0,2) (0,3) (1,0)
+    node = MaskedCosts(inst.costs, allowed_bits(4, {2, 3, 4}))  # (0,2) (0,3) (1,0)
     avoid, commit = branch(node, 0, inst.partner_masks)
     # the four forced edges make a permutation, so every other edge is forbidden
-    assert forced_ids(4, avoid.forbidden) == {1, 7, 10, 12}
-    assert ids(avoid.forbidden) == set(range(16)) - {1, 7, 10, 12}
+    assert forced_ids(4, avoid.allowed) == {1, 7, 10, 12}
+    assert ids(avoid.allowed) == {1, 7, 10, 12}
     # (0, 0) has no partner: committing to it forbids only the rest of its lines
-    assert commit.forbidden == node.forbidden | force_bits(4, {0})
+    assert commit.allowed == node.allowed & allowed_bits(4, forced={0})
     # the child keeps exactly the node's feasible solutions that avoid (0, 0)
     kept = [
         (p, v)
@@ -231,7 +237,7 @@ def test_lone_edge_closure_agrees_with_brute_force_on_dense_instances(monkeypatc
         avoid, commit = split(masks, edge, partner_masks)
         n = masks.n
         added = None if avoid is None else len(
-            forced_ids(n, avoid.forbidden) - forced_ids(n, masks.forbidden)
+            forced_ids(n, avoid.allowed) - forced_ids(n, masks.allowed)
         )
         outcomes.append(added)
         return avoid, commit
@@ -251,25 +257,22 @@ def test_lone_edge_closure_agrees_with_brute_force_on_dense_instances(monkeypatc
 
 
 def _closed(masks, more, partners):
-    # A child's forbidden ids by the naive closure on a set of ids: forbid
-    # the node's ids and `more`, then sweep all 2n lines, recounting each
-    # from scratch; for a line with one or two allowed edges forbid every
-    # edge in the row, the column or the partners (`Instance.partners`) of
-    # each of them, less the edge itself, until a sweep forbids nothing new.
-    # None when a line has no allowed edge.
+    # A child's allowed ids by the naive closure on a set of ids: allow the
+    # node's ids less `more`, then sweep all 2n lines, recounting each from
+    # scratch; for a line with one or two allowed edges forbid every edge in
+    # the row, the column or the partners (`Instance.partners`) of each of
+    # them, less the edge itself, until a sweep forbids nothing new. None
+    # when a line has no allowed edge.
     n = masks.n
-    forbidden = ids(masks.forbidden) | set(more)
+    allowed = ids(masks.allowed) - set(more)
     lines = [range(i * n, i * n + n) for i in range(n)]
     lines += [range(j, n * n, n) for j in range(n)]
-
-    def allowed(cells):
-        return [f for f in cells if f not in forbidden]
 
     changed = True
     while changed:
         changed = False
         for cells in lines:
-            left = allowed(cells)
+            left = [f for f in cells if f in allowed]
             if not left:
                 return None
             if len(left) > 2:
@@ -277,9 +280,9 @@ def _closed(masks, more, partners):
             more = set.intersection(
                 *({*lines[e // n], *lines[n + e % n], *partners[e]} - {e} for e in left)
             )
-            changed |= not more <= forbidden
-            forbidden |= more
-    return forbidden
+            changed |= bool(more & allowed)
+            allowed -= more
+    return allowed
 
 
 def test_both_children_match_the_naive_closure(monkeypatch):
@@ -310,8 +313,8 @@ def test_both_children_match_the_naive_closure(monkeypatch):
             if child is None:
                 dropped[side] += 1
                 continue
-            assert ids(child.forbidden) == ref, (side, masks, edge)
-            if ref != ids(masks.forbidden) | more:
+            assert ids(child.allowed) == ref, (side, masks, edge)
+            if ref != ids(masks.allowed) - more:
                 closed[side] += 1
         checked.append(edge)
         return children
@@ -334,7 +337,7 @@ def test_both_children_match_the_naive_closure(monkeypatch):
             forbidden = rng.getrandbits(n * n) & rng.getrandbits(n * n)
             allowed = [e for e in range(n * n) if not forbidden >> e & 1]
             if allowed:
-                node = MaskedCosts(inst.costs, forbidden)
+                node = MaskedCosts(inst.costs, bits(allowed))
                 check(node, rng.choice(allowed), inst.partner_masks, unclosed=True)
     assert len(checked) >= 8000
     assert min(closed.values()) >= 100, closed
@@ -353,13 +356,14 @@ def test_a_line_with_two_allowed_edges_forbids_their_common_partners():
     costs = [[(3 * i + 7 * j) % 10 + 1 for j in range(5)] for i in range(5)]
     conflicts = [((0, 3), (3, 2)), ((1, 4), (3, 0)), ((1, 4), (3, 1)), ((2, 4), (3, 0))]
     inst = Instance(costs, conflicts + [((4, 0), (3, 1))])
-    node = MaskedCosts(inst.costs, bits({0, 1, 4, 18, 19}))
+    node = MaskedCosts(inst.costs, allowed_bits(5, {0, 1, 4, 18, 19}))
     children = branch(node, 2, inst.partner_masks)
     for takes, child in enumerate(children):
-        assert ids(child.forbidden) & {15, 16, 17} == {17}  # row 3 keeps two
-        assert 9 in ids(child.forbidden) and 14 not in ids(child.forbidden)
-        assert 20 in ids(child.forbidden)
-        assert ids(child.forbidden) == _closed(node, ids(child.forbidden), inst.partners)
+        allowed = ids(child.allowed)
+        assert allowed & {15, 16, 17} == {15, 16}  # row 3 keeps two
+        assert 9 not in allowed and 14 in allowed
+        assert 20 not in allowed
+        assert allowed == _closed(node, ids(node.allowed) - allowed, inst.partners)
         # the child keeps exactly the node's feasible solutions on its side
         kept = [p for p, _ in enumerate_feasible(inst) if _obeys(p, child)]
         assert kept == [
@@ -378,7 +382,7 @@ def test_the_root_is_closed_before_any_ap_work(ap_work):
     sol, bf = solve_exact(inst), brute_force(inst)
     assert (sol.status, sol.value, sol.nodes) == (bf.status, bf.value, 1)
     assert sol.assignment == (1, 0) and sol.value == 20
-    assert built == solved == [{0, 3}]
+    assert built == solved == [{1, 2}]
     built.clear(), solved.clear()
     inst = Instance([[1, 10], [10, 1]], shared + [((0, 0), (1, 0)), ((0, 1), (1, 0))])
     sol, bf = solve_exact(inst), brute_force(inst)
@@ -389,7 +393,7 @@ def test_the_root_is_closed_before_any_ap_work(ap_work):
 
 def _obeys(perm, masks):
     n = len(perm)
-    return all(perm[e // n] != e % n for e in ids(masks.forbidden))
+    return all(masks.allowed >> a * n + b & 1 for a, b in enumerate(perm))
 
 
 def test_branch_is_a_dichotomy():

@@ -10,7 +10,7 @@ import pytest
 
 import apc.hungarian
 from apc.hungarian import MaskedCosts, solve_ap
-from edge_bits import bits, force_bits, ids
+from edge_bits import allowed_bits, bits, ids
 
 
 def min_over_permutations(costs, forbidden=frozenset(), forced=frozenset()):
@@ -48,7 +48,7 @@ def random_node(rng, n):
 
 def masked(costs, forbidden, forced):
     """The node that forbids `forbidden` and forces `forced` (id sets)."""
-    return MaskedCosts(costs, bits(forbidden) | force_bits(len(costs), forced))
+    return MaskedCosts(costs, allowed_bits(len(costs), forbidden, forced))
 
 
 def random_masked(rng, n):
@@ -62,17 +62,17 @@ def certified_optimal(mc, result):
     ones, which is LP duality's certificate.
     """
     assignment, value, (u, v) = result
-    n, forbidden = mc.n, ids(mc.forbidden)
+    n, allowed = mc.n, ids(mc.allowed)
     if sorted(assignment) != list(range(n)) or value != sum(
         mc.base[i][assignment[i]] for i in range(n)
     ):
         return False
-    if any(i * n + j in forbidden for i, j in enumerate(assignment)):
+    if any(i * n + j not in allowed for i, j in enumerate(assignment)):
         return False
     for i in range(n):
         for j in range(n):
             slack = mc.base[i][j] - u[i] - v[j]
-            if i * n + j not in forbidden and slack < 0:
+            if i * n + j in allowed and slack < 0:
                 return False
             if assignment[i] == j and slack != 0:
                 return False
@@ -86,14 +86,14 @@ def test_diagonal_dominance():
 
 
 def test_forbidden_edge_forces_the_other_matching():
-    mc = MaskedCosts(((1, 10), (10, 1)), forbidden=bits({0}))
+    mc = MaskedCosts(((1, 10), (10, 1)), allowed=bits({1, 2, 3}))
     assignment, value = solve_ap(mc)[:2]
     assert assignment == (1, 0)
     assert value == 20
 
 
 def test_fully_blocked_row_is_infeasible():
-    mc = MaskedCosts(((1, 10), (10, 1)), forbidden=bits({0, 1}))  # row 0
+    mc = MaskedCosts(((1, 10), (10, 1)), allowed=bits({2, 3}))  # row 1 only
     assert solve_ap(mc) is None
 
 
@@ -121,7 +121,7 @@ def test_mask_soundness_sweep():
         n = rng.randint(2, 5)
         costs = random_costs(rng, n)
         forbidden = frozenset(rng.sample(range(n * n), rng.randint(0, n * n // 2)))
-        mc = MaskedCosts(costs, forbidden=bits(forbidden))
+        mc = MaskedCosts(costs, allowed=allowed_bits(n, forbidden))
         expect = min_over_permutations(costs, forbidden=forbidden)
         got = solve_ap(mc)
         if expect is None:
@@ -146,31 +146,34 @@ def test_forced_edges_are_kept():
 
 
 def test_masked_edge_out_of_range():
-    # a 2x2 matrix has edge ids 0..3: bits 0..3 of the forbidden bitset
+    # a 2x2 matrix has edge ids 0..3: bits 0..3 of the allowed bitset
     for mask in (bits({4}), -1, bits({0, 4})):
         with pytest.raises(ValueError):
-            MaskedCosts(((1, 2), (3, 4)), forbidden=mask)
+            MaskedCosts(((1, 2), (3, 4)), allowed=mask)
 
 
-def test_forbidden_bitset_is_validated():
+def test_allowed_bitset_is_validated():
     costs = ((1, 2, 3), (4, 5, 6), (7, 8, 9))  # edge ids 0..8
     for mask in (-1, -bits({3}), bits({9}), bits({2, 40}), 1 << 200):
         with pytest.raises(ValueError):
-            MaskedCosts(costs, forbidden=mask)
+            MaskedCosts(costs, allowed=mask)
     # the highest edge id is a valid bit, and so is every bit below it
-    assert MaskedCosts(costs, forbidden=bits({8})).forbidden == 1 << 8
+    assert MaskedCosts(costs, allowed=bits({8})).allowed == 1 << 8
     all_but_4 = bits(range(9)) ^ bits({4})
-    assert MaskedCosts(costs, forbidden=all_but_4).forbidden == all_but_4
+    assert MaskedCosts(costs, allowed=all_but_4).allowed == all_but_4
+    # no mask, the default, allows every edge; 0 allows none
+    assert MaskedCosts(costs).allowed == MaskedCosts(costs, None).allowed == bits(range(9))
+    assert MaskedCosts(costs, 0).allowed == 0
     with pytest.raises(TypeError):  # a set of ids is not a bitset
-        MaskedCosts(costs, forbidden=frozenset({0}))
+        MaskedCosts(costs, allowed=frozenset({0}))
 
 
 def test_masked_costs_is_an_immutable_pair():
     costs = ((1, 2), (3, 4))
     mc = MaskedCosts(costs, bits({1}))
     assert tuple(mc) == (costs, 2) and mc.base is costs and mc.n == 2
-    assert MaskedCosts(costs) == (costs, 0)
-    for attr in ("base", "forbidden", "n", "other"):
+    assert MaskedCosts(costs) == (costs, bits(range(4)))
+    for attr in ("base", "allowed", "n", "other"):
         with pytest.raises(AttributeError):
             setattr(mc, attr, 0)
     # a copy is rebuilt through the checked constructor, as the same pair
@@ -292,9 +295,9 @@ def test_warm_solve_keeps_a_fixed_edge_out_of_every_path_search(monkeypatch):
     # and its column's v stay as the start left them.
     augment, searched = apc.hungarian._augment, []
 
-    def spy(base, forbidden, bits, cols, r, u, v, row_of):
+    def spy(base, allowed, bits, cols, r, u, v, row_of):
         searched.append(set(cols))
-        return augment(base, forbidden, bits, cols, r, u, v, row_of)
+        return augment(base, allowed, bits, cols, r, u, v, row_of)
 
     monkeypatch.setattr("apc.hungarian._augment", spy)
     rng = random.Random(404)
@@ -305,7 +308,7 @@ def test_warm_solve_keeps_a_fixed_edge_out_of_every_path_search(monkeypatch):
         start = solve_ap(MaskedCosts(costs))
         (assignment, _, (u, v)), (i, k) = start, rng.sample(range(n), 2)
         j = assignment[i]
-        child = MaskedCosts(costs, force_bits(n, {i * n + j}) | bits({k * n + assignment[k]}))
+        child = MaskedCosts(costs, allowed_bits(n, {k * n + assignment[k]}, {i * n + j}))
         searched.clear()
         warm = solve_ap(child, start)
         if warm is None:
