@@ -22,13 +22,6 @@ import statistics
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    EmptyReportError,
-    IncompleteReportError,
-    InstanceTooLargeError,
-    MissingReferenceOptimumError,
-    UnknownMethodError,
-)
 from .exact import solve_exact
 from .heuristic import LSConfig, gap_percent, run_heuristic
 from .instance import Instance, generate_instance, max_conflict_pairs
@@ -141,9 +134,7 @@ def run_method(
     if method == "heuristic":
         cfg = LSConfig(time_limit=time_limit, restarts=restarts, rng_seed=seed)
         return run_heuristic(inst, cfg)
-    raise UnknownMethodError(
-        f"unknown method {method!r}, expected one of {KNOWN_METHODS}"
-    )
+    raise ValueError(f"unknown method {method!r}, expected one of {KNOWN_METHODS}")
 
 
 def _run_unit(args: tuple) -> list[InstanceResult]:
@@ -224,14 +215,12 @@ def run_benchmark(
     """
     methods = tuple(methods)
     if not methods:
-        raise UnknownMethodError("no methods requested")
+        raise ValueError("no methods requested")
     for m in methods:
         if m not in KNOWN_METHODS:
-            raise UnknownMethodError(
-                f"unknown method {m!r}, expected one of {KNOWN_METHODS}"
-            )
+            raise ValueError(f"unknown method {m!r}, expected one of {KNOWN_METHODS}")
     if len(set(methods)) != len(methods):
-        raise UnknownMethodError(f"methods must not repeat, got {methods}")
+        raise ValueError(f"methods must not repeat, got {methods}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if not time_limit > 0:  # also rejects NaN
@@ -246,7 +235,7 @@ def run_benchmark(
     if "oracle" in methods:
         for n, m in rows:
             if n > BRUTE_FORCE_MAX_N:
-                raise InstanceTooLargeError(
+                raise ValueError(
                     f"group '{n}/{m}' has n = {n} > {BRUTE_FORCE_MAX_N}, "
                     "too large for the oracle method"
                 )
@@ -255,7 +244,7 @@ def run_benchmark(
         and not {"oracle", "exact"} & set(methods)
         and reference_optima is None
     ):
-        raise MissingReferenceOptimumError(
+        raise ValueError(
             "heuristic gaps need an optimum source: run 'exact' or 'oracle' "
             "alongside, or supply reference_optima"
         )
@@ -312,11 +301,11 @@ def emit_table(results: Sequence[InstanceResult]) -> str:
     (Gap % and Sec Best for heuristics, Sec Opt for exact methods), and a
     trailing Averages row. Each cell is the mean of one result field over
     the group's seeds, leaving out those where it is None; a cell with no
-    value prints as '-'. Raises EmptyReportError for no results and
-    IncompleteReportError when some group lacks a result for some method.
+    value prints as '-'. Raises ValueError for no results and when some
+    group lacks a result for some method.
     """
     if not results:
-        raise EmptyReportError("no benchmark records to report")
+        raise ValueError("no benchmark records to report")
 
     by_cell: dict[tuple[str, str], list[InstanceResult]] = {}
     for r in results:
@@ -326,7 +315,7 @@ def emit_table(results: Sequence[InstanceResult]) -> str:
     missing = [(g, m) for g in groups for m in methods if (g, m) not in by_cell]
     if missing:
         group, method = missing[0]
-        raise IncompleteReportError(f"group {group!r} has no {method!r} record")
+        raise ValueError(f"group {group!r} has no {method!r} record")
     clusters = [
         (m, _HEURISTIC_COLUMNS if m == "heuristic" else _EXACT_COLUMNS) for m in methods
     ]

@@ -19,7 +19,6 @@ from .bench import (
     run_benchmark,
     run_method,
 )
-from .errors import ApcError
 from .instance import generate_instance, parse_instance, write_instance
 from .model import check_feasible, evaluate, export_lp
 
@@ -160,7 +159,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ApcError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # malformed documents and bad parameter values end as exit code 2,
         # never as a traceback
         print(f"error: {exc}", file=sys.stderr)

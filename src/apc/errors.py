@@ -1,11 +1,14 @@
-"""Exception types shared across the package."""
+"""The parser's diagnostics, and the one rule for every other refusal.
+
+A fault in instance data raises a `FormatError` subclass: in a document,
+the message names the line (or says that the document ended early); costs
+or conflicts handed to `Instance` raise the same subclasses. Every other
+refusal raises plain ValueError with the refused value in its message, and
+a non-int where an int is required raises TypeError.
+"""
 
 
-class ApcError(Exception):
-    """Base class for every error raised by this package."""
-
-
-class FormatError(ApcError, ValueError):
+class FormatError(ValueError):
     """Base class for malformed instance documents."""
 
 
@@ -31,39 +34,3 @@ class DuplicateConflictError(FormatError):
 
 class NegativeCostError(FormatError):
     """A cost entry is negative."""
-
-
-class TooManyConflictsError(ApcError, ValueError):
-    """Requested more conflict pairs than distinct edge pairs exist."""
-
-
-class NotAPermutationError(ApcError, ValueError):
-    """An assignment array is not a permutation of 0..n-1."""
-
-
-class InstanceTooLargeError(ApcError, ValueError):
-    """Instance exceeds the hard size guard of the exhaustive solver."""
-
-
-class InfeasibleStartError(ApcError, ValueError):
-    """Local search was started from a conflict-violating solution."""
-
-
-class NonpositiveOptError(ApcError, ValueError):
-    """Gap computation needs a strictly positive reference optimum."""
-
-
-class UnknownMethodError(ApcError, ValueError):
-    """Benchmark was asked to run a method it does not know."""
-
-
-class MissingReferenceOptimumError(ApcError, ValueError):
-    """Heuristic gaps requested but no optimum source is configured."""
-
-
-class EmptyReportError(ApcError, ValueError):
-    """Table emission needs at least one benchmark record."""
-
-
-class IncompleteReportError(ApcError, ValueError):
-    """Table emission needs a record for every (group, method) cell."""

@@ -32,6 +32,7 @@ row or a column, is its bitset from `line_masks`.
 
 import heapq
 import itertools
+import operator
 import time
 from typing import Mapping
 
@@ -160,7 +161,7 @@ def solve_exact(
     """
     if not time_limit > 0:  # also rejects NaN
         raise ValueError(f"time_limit must be positive, got {time_limit}")
-    if node_limit is not None and node_limit < 0:
+    if node_limit is not None and operator.index(node_limit) < 0:
         raise ValueError(f"node_limit must be >= 0, got {node_limit}")
     start = time.perf_counter()
     deadline = start + time_limit

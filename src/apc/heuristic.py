@@ -11,9 +11,8 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass
-from operator import add, getitem, itemgetter, sub
+from operator import add, getitem, index, itemgetter, sub
 
-from .errors import InfeasibleStartError, NonpositiveOptError
 from .instance import Instance
 from .model import check_feasible, evaluate
 from .solution import Solution, SolveStatus
@@ -32,7 +31,7 @@ class LSConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or not self.time_limit > 0:
+        if index(self.restarts) < 1 or not self.time_limit > 0:
             raise ValueError(f"all limits must be positive, got {self}")
 
 
@@ -139,9 +138,7 @@ def local_search(
     """
     report = check_feasible(inst, assignment)
     if not report.feasible:
-        raise InfeasibleStartError(
-            f"local search needs a feasible start, got violations {report}"
-        )
+        raise ValueError(f"local search needs a feasible start, got violations {report}")
     value = evaluate(inst, assignment)
     if time.perf_counter() > deadline:
         return tuple(assignment), value  # before the O(n^2) delta matrix
@@ -259,5 +256,5 @@ def gap_percent(val: int, opt: int) -> float:
     """Relative excess of a heuristic value over the optimum, in percent:
     100 * (val - opt) / opt."""
     if opt <= 0:
-        raise NonpositiveOptError(f"reference optimum must be positive, got {opt}")
+        raise ValueError(f"reference optimum must be positive, got {opt}")
     return 100.0 * (val - opt) / opt

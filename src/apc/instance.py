@@ -36,7 +36,6 @@ from .errors import (
     IndexOutOfRangeError,
     MalformedHeaderError,
     NegativeCostError,
-    TooManyConflictsError,
 )
 
 
@@ -435,7 +434,7 @@ def generate_instance(
         raise ValueError(f"conflict count must be >= 0, got {m}")
     limit = max_conflict_pairs(n)
     if m > limit:
-        raise TooManyConflictsError(
+        raise ValueError(
             f"{m} conflicts requested but only {limit} distinct edge pairs exist for n={n}"
         )
 

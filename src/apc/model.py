@@ -9,7 +9,6 @@ exactly once, and at most one edge selected from every conflict pair.
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NotAPermutationError
 from .instance import ConflictPair, Instance
 
 
@@ -75,7 +74,7 @@ def export_lp(inst: Instance) -> str:
 
 def _require_permutation(n: int, assignment: Sequence[int]) -> None:
     if len(assignment) != n or sorted(assignment) != list(range(n)):
-        raise NotAPermutationError(
+        raise ValueError(
             f"assignment {list(assignment)!r} is not a permutation of 0..{n - 1}"
         )
 

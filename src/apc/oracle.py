@@ -12,7 +12,6 @@ import math
 import time
 from typing import Iterator
 
-from .errors import InstanceTooLargeError
 from .instance import Instance
 from .solution import Solution, SolveStatus
 
@@ -42,7 +41,7 @@ def brute_force(inst: Instance) -> Solution:
     conflict. Guarded to n <= 10.
     """
     if inst.n > BRUTE_FORCE_MAX_N:
-        raise InstanceTooLargeError(
+        raise ValueError(
             f"brute force is guarded to n <= {BRUTE_FORCE_MAX_N}, got n = {inst.n}"
         )
     start = time.perf_counter()
@@ -68,7 +67,7 @@ def enumerate_feasible(inst: Instance) -> list[tuple[tuple[int, ...], int]]:
     and an empty list means the instance is infeasible.
     """
     if inst.n > ENUMERATE_MAX_N:
-        raise InstanceTooLargeError(
+        raise ValueError(
             f"enumeration is guarded to n <= {ENUMERATE_MAX_N}, got n = {inst.n}"
         )
     return list(_feasible_permutations(inst))

@@ -8,7 +8,6 @@ from collections import Counter
 import pytest
 
 import apc.exact
-from apc.errors import NotAPermutationError
 from apc.exact import branch, find_violated_conflict, solve_exact
 from apc.heuristic import LSConfig
 from apc.hungarian import MaskedCosts, solve_ap
@@ -83,7 +82,7 @@ def test_find_violated_conflict_prefers_count_then_cost():
 
 
 def test_find_violated_conflict_rejects_non_permutation():
-    with pytest.raises(NotAPermutationError):
+    with pytest.raises(ValueError, match=r"^assignment \[0, 0\] is not a permutation of 0\.\.1$"):
         find_violated_conflict([0, 0], DIAG)
 
 
@@ -619,6 +618,12 @@ def test_rejects_nonpositive_time_limit():
     for limits in ({"time_limit": 0}, {"time_limit": float("nan")}, {"node_limit": -5}):
         with pytest.raises(ValueError):
             solve_exact(DIAG, **limits)
+
+
+def test_rejects_a_node_limit_that_is_not_an_int():
+    # 2.5 would otherwise stop the search after the third node
+    with pytest.raises(TypeError):
+        solve_exact(DIAG, node_limit=2.5)
 
 
 def test_limited_run_that_proved_its_incumbent_is_optimal():

@@ -6,7 +6,6 @@ from collections import deque
 
 import pytest
 
-from apc.errors import InfeasibleStartError, NonpositiveOptError
 from apc.heuristic import (
     LSConfig,
     _swap_clear,
@@ -72,7 +71,7 @@ def test_local_search_single_swap_reaches_optimum():
 
 
 def test_local_search_rejects_infeasible_start():
-    with pytest.raises(InfeasibleStartError):
+    with pytest.raises(ValueError, match="^local search needs a feasible start"):
         local_search(DIAG, (0, 1))  # violates the conflict
 
 
@@ -260,7 +259,7 @@ def test_local_search_past_its_deadline_returns_the_start(monkeypatch):
     # matrix, which is built through itemgetter
     monkeypatch.setattr("apc.heuristic.itemgetter", no_deltas)
     assert local_search(inst, perm, deadline=0.0) == (tuple(perm), evaluate(inst, perm))
-    with pytest.raises(InfeasibleStartError):
+    with pytest.raises(ValueError, match="^local search needs a feasible start"):
         local_search(DIAG, (0, 1), deadline=0.0)
 
 
@@ -346,7 +345,7 @@ def test_gap_percent():
     assert gap_percent(110, 100) == pytest.approx(10.0)
     assert gap_percent(137, 137) == 0.0
     assert gap_percent(90, 100) == pytest.approx(-10.0)  # upstream bug signal
-    with pytest.raises(NonpositiveOptError):
+    with pytest.raises(ValueError, match="^reference optimum must be positive, got 0$"):
         gap_percent(5, 0)
 
 
@@ -357,6 +356,13 @@ def test_lsconfig_rejects_bad_limits():
         LSConfig(restarts=0)
     with pytest.raises(ValueError):
         LSConfig(time_limit=float("nan"))
+
+
+def test_lsconfig_rejects_a_restart_count_that_is_not_an_int():
+    # a float count would build and then fail inside range() on the first run
+    with pytest.raises(TypeError):
+        LSConfig(restarts=2.5)
+    assert LSConfig(restarts=2).restarts == 2
 
 
 def test_greedy_repair_can_recover():

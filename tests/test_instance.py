@@ -19,7 +19,6 @@ from apc.errors import (
     IndexOutOfRangeError,
     MalformedHeaderError,
     NegativeCostError,
-    TooManyConflictsError,
 )
 from apc.instance import (
     ConflictPair,
@@ -538,7 +537,8 @@ def test_generate_all_pairs_for_tiny_instance():
 
 
 def test_generate_too_many_conflicts():
-    with pytest.raises(TooManyConflictsError):
+    too_many = "^7 conflicts requested but only 6 distinct edge pairs exist for n=2$"
+    with pytest.raises(ValueError, match=too_many):
         generate_instance(2, max_conflict_pairs(2) + 1, 0, 1, seed=0)
 
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apc.errors import NotAPermutationError
 from apc.instance import (
     ConflictPair,
     Edge,
@@ -127,7 +126,7 @@ def test_evaluate_all_zero_costs():
 @pytest.mark.parametrize("bad", [[0, 0], [0], [0, 2], [1, 1]])
 def test_evaluate_rejects_non_permutations(bad):
     inst = Instance([[1, 2], [3, 4]])
-    with pytest.raises(NotAPermutationError):
+    with pytest.raises(ValueError, match=r"is not a permutation of 0\.\.1$"):
         evaluate(inst, bad)
 
 

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from apc.errors import InstanceTooLargeError
 from apc.instance import ConflictPair, Edge, Instance, generate_instance, max_conflict_pairs
 from apc.model import check_feasible
 from apc.oracle import brute_force, enumerate_feasible
@@ -104,8 +103,8 @@ def test_conflict_monotonicity():
 
 def test_size_guards():
     big = Instance([[0] * 11 for _ in range(11)])
-    with pytest.raises(InstanceTooLargeError):
+    with pytest.raises(ValueError, match="^brute force is guarded to n <= 10, got n = 11$"):
         brute_force(big)
     mid = Instance([[0] * 9 for _ in range(9)])
-    with pytest.raises(InstanceTooLargeError):
+    with pytest.raises(ValueError, match="^enumeration is guarded to n <= 8, got n = 9$"):
         enumerate_feasible(mid)
