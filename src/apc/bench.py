@@ -17,6 +17,7 @@ contract; values and statuses are reproducible from the seeds alone.
 import concurrent.futures
 import contextlib
 import csv
+import operator
 import os
 import statistics
 from dataclasses import dataclass, fields
@@ -119,13 +120,14 @@ def run_method(
     """Solve `inst` by one of KNOWN_METHODS, as `apc solve` and `apc bench` do.
 
     `seed` and `restarts` reach only the heuristic, `node_limit` only exact,
-    and the oracle takes no limit; a time limit that is not positive or a
-    negative node limit is refused for every method. With the defaults this
-    is the run that `run_benchmark` makes for the instance of a row and seed.
+    and the oracle takes no limit; a time limit that is not positive, or a
+    node limit that is negative or not an int, is refused for every method.
+    With the defaults this is the run that `run_benchmark` makes for the
+    instance of a row and seed.
     """
     if not time_limit > 0:  # also rejects NaN
         raise ValueError(f"time_limit must be positive, got {time_limit}")
-    if node_limit is not None and node_limit < 0:
+    if node_limit is not None and operator.index(node_limit) < 0:
         raise ValueError(f"node_limit must be >= 0, got {node_limit}")
     if method == "oracle":
         return brute_force(inst)
@@ -221,7 +223,7 @@ def run_benchmark(
             raise ValueError(f"unknown method {m!r}, expected one of {KNOWN_METHODS}")
     if len(set(methods)) != len(methods):
         raise ValueError(f"methods must not repeat, got {methods}")
-    if jobs < 1:
+    if operator.index(jobs) < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if not time_limit > 0:  # also rejects NaN
         raise ValueError(f"time_limit must be positive, got {time_limit}")

@@ -1,9 +1,11 @@
 """Proven-optimal solving by branch-and-bound on the conflict-free relaxation.
 
-A node is its edge mask, one `MaskedCosts`: a bitset of allowed edge ids;
-the assignment problem under it is the node's lower bound. Every row and
-column of an assignment holds exactly one edge, so a node forces an edge by
-disallowing the rest of its row and column, and needs no second mask.
+A node is one int, its allowed-edge bitset: bit e is set exactly when edge
+e is allowed. The assignment problem on its allowed edges is the node's
+lower bound, and the bitset meets the cost matrix only as the argument of
+`solve_ap`. Every row and column of an assignment holds exactly one edge,
+so a node forces an edge by disallowing the rest of its row and column, and
+needs no second bitset.
 Best-first node selection means the first conflict-feasible relaxation
 popped is globally optimal. The search branches fail-first on the selected
 edge that sits in the most violated conflict pairs: one child forbids that
@@ -17,7 +19,7 @@ committed to. `solve_exact` closes the root and `branch` the commit child
 from every line; the avoid child starts from the forbidden edge's row and
 column, the only lines its split touches. A node with a line that has no
 allowed edge is dropped before any AP work. A child only tightens its
-parent's mask: its allowed bitset is a subset of the parent's
+parent: its allowed bitset is a subset of the parent's
 (``child & parent == child``), so its assignment problem is re-optimized
 from the parent's potentials instead of solved from scratch.
 Conflicts are read as bitsets too: ``Instance.partner_masks[e]`` has bit f
@@ -34,7 +36,6 @@ import heapq
 import itertools
 import operator
 import time
-from typing import Mapping
 
 from .heuristic import LSConfig, run_heuristic
 from .hungarian import MaskedCosts, line_masks, solve_ap
@@ -102,41 +103,33 @@ def _close(allowed, todo, lines, partner_masks) -> int | None:
     return allowed
 
 
-def branch(
-    masks: MaskedCosts, edge: int, partner_masks: Mapping[int, int]
-) -> tuple[MaskedCosts | None, MaskedCosts | None]:
-    """Split a node's mask on `edge` into two disjoint children: (avoid, commit).
+def branch(allowed: int, edge: int, inst: Instance) -> tuple[int | None, int | None]:
+    """Split a node's allowed bitset on `edge` into two disjoint children.
 
-    `partner_masks` is the instance's conflict index as bitsets
-    (`Instance.partner_masks`). Each child's allowed bitset is the parent's
-    with bits cleared, so it only tightens the parent's mask. The avoid
-    child forbids `edge`. The commit child forces it: it forbids the rest of
-    the edge's row and column and its conflict partners. Each child is then
-    closed under the line rule (`_close`). The commit child, like the root,
-    starts from every line, so it is closed whatever `masks` is. The avoid
-    child starts from the edge's row and column, the only lines its split
-    touches, so it is closed when `masks` is; from a mask that is not, it
-    may be left unclosed. A child is None when a line ends up
-    with no allowed edge, so it holds no conflict-feasible solution and
-    needs no AP solve. Every conflict-feasible solution within the node's
-    mask lies in exactly one child. Splitting on an edge the node does not
-    allow, one outside the n x n grid included, raises ValueError before any
-    work; the solver never asks for one, because it branches on an edge of
-    the node's own relaxation.
+    `allowed` holds edge ids of `inst`'s n x n grid, and so does each child
+    of the pair (avoid, commit). Each child is `allowed` with bits cleared,
+    so it only tightens the parent. The avoid child forbids `edge`. The commit child forces it: it
+    forbids the rest of the edge's row and column and its conflict partners
+    (`inst.partner_masks`). Each child is then closed under the line rule
+    (`_close`). The commit child, like the root, starts from every line, so
+    it is closed whatever `allowed` is. The avoid child starts from the
+    edge's row and column, the only lines its split touches, so it is closed
+    when `allowed` is; from a bitset that is not, it may be left unclosed. A
+    child is None when a line ends up with no allowed edge, so it holds no
+    conflict-feasible solution and needs no AP solve. Every conflict-feasible
+    solution within `allowed` lies in exactly one child. Splitting on an edge
+    that `allowed` does not hold, one outside the n x n grid included, raises
+    ValueError before any work; the solver never asks for one, because it
+    branches on an edge of the node's own relaxation.
     """
-    base, parent = masks
-    if not parent >> edge & 1:
+    if not allowed >> edge & 1:
         raise ValueError(f"edge {edge} is not allowed at this node")
-    n = len(base)
+    n, partner_masks = inst.n, inst.partner_masks
     _, lines, _ = line_masks(n)
     a, b = divmod(edge, n)
-    avoid = _close(parent ^ 1 << edge, {a, n + b}, lines, partner_masks)
-    commit = parent & ~((lines[a] | lines[n + b]) ^ 1 << edge | partner_masks[edge])
-    commit = _close(commit, set(range(2 * n)), lines, partner_masks)
-    return (
-        None if avoid is None else MaskedCosts(base, avoid),
-        None if commit is None else MaskedCosts(base, commit),
-    )
+    avoid = _close(allowed ^ 1 << edge, {a, n + b}, lines, partner_masks)
+    commit = allowed & ~((lines[a] | lines[n + b]) ^ 1 << edge | partner_masks[edge])
+    return avoid, _close(commit, set(range(2 * n)), lines, partner_masks)
 
 
 def solve_exact(
@@ -179,16 +172,15 @@ def solve_exact(
     partner_masks = inst.partner_masks
     nodes = 0
     tiebreak = itertools.count()
-    # (bound, -depth, tiebreak, masks, AP result): a child re-optimizes
-    # from its parent's result instead of solving from scratch.
+    # (bound, -depth, tiebreak, allowed bitset, AP result): a child
+    # re-optimizes from its parent's result instead of solving from scratch.
     heap: list[tuple] = []
     full, lines, _ = line_masks(inst.n)
     allowed = _close(full, set(range(2 * inst.n)), lines, partner_masks)
     if allowed is not None:
-        root = MaskedCosts(inst.costs, allowed)
-        root_res = solve_ap(root)
+        root_res = solve_ap(MaskedCosts(inst.costs, allowed))
         if root_res is not None:
-            heapq.heappush(heap, (root_res[1], 0, next(tiebreak), root, root_res))
+            heapq.heappush(heap, (root_res[1], 0, next(tiebreak), allowed, root_res))
 
     limit = None  # the status of the limit that stopped the search, if one did
     while heap:
@@ -198,7 +190,7 @@ def solve_exact(
         if time.perf_counter() > deadline:
             limit = SolveStatus.TIME_LIMIT
             break
-        bound, neg_depth, _, masks, res = heapq.heappop(heap)
+        bound, neg_depth, _, allowed, res = heapq.heappop(heap)
         nodes += 1
         if inc_value is not None and bound >= inc_value:
             # Best-first: every open node is at least this bound, so the
@@ -214,10 +206,10 @@ def solve_exact(
         # entirely, or commit to it (which excludes every edge it conflicts
         # with). Committing prunes far harder than a second forbid on dense
         # conflict sets.
-        for child in branch(masks, edge, partner_masks):
+        for child in branch(allowed, edge, inst):
             if child is None:
                 continue
-            child_res = solve_ap(child, res)
+            child_res = solve_ap(MaskedCosts(inst.costs, child), res)
             if child_res is None:
                 continue
             child_value = child_res[1]

@@ -36,15 +36,16 @@ def line_masks(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
 
 
 class MaskedCosts(tuple):
-    """A cost matrix plus an allowed-edge bitset: one branch-and-bound node.
+    """A cost matrix plus an allowed-edge bitset: what `solve_ap` solves.
 
-    The pair ``(base, allowed)``. ``allowed`` is a bitset over edge ids
-    ``a*n + b``: bit e is set exactly when edge e is allowed; None, the
-    default, allows every edge. A node forces edge (a, b) by disallowing
-    every other edge of row a and column b. A negative mask, or one that sets
-    a bit at or above n*n, raises ValueError. ``base`` is kept as given, not
-    copied, so it must not change afterwards. A tuple subclass, because a
-    search builds one per child.
+    The pair ``(base, allowed)``; unpack it as ``base, allowed = mc``.
+    ``allowed`` is a bitset over edge ids ``a*n + b``: bit e is set exactly
+    when edge e is allowed; None, the default, allows every edge. A node
+    forces edge (a, b) by disallowing every other edge of row a and column b.
+    A negative mask, or one that sets a bit at or above n*n, raises
+    ValueError naming which. ``base`` is kept as given, not copied, so it
+    must not change afterwards. A tuple subclass, because a search builds one
+    per child.
     """
 
     __slots__ = ()
@@ -52,18 +53,12 @@ class MaskedCosts(tuple):
     def __new__(cls, base: tuple[tuple[int, ...], ...], allowed: int | None = None):
         allowed = line_masks(len(base))[0] if allowed is None else operator.index(allowed)
         if allowed < 0 or allowed.bit_length() > len(base) ** 2:
-            raise ValueError(f"allowed bits must lie in 0..{len(base) ** 2 - 1}")
+            got = "a negative mask" if allowed < 0 else f"bit {allowed.bit_length() - 1} set"
+            raise ValueError(f"allowed bits must lie in 0..{len(base) ** 2 - 1}, got {got}")
         return tuple.__new__(cls, (base, allowed))
 
     def __getnewargs__(self):  # copy and pickle rebuild through __new__
         return tuple(self)
-
-    base = property(operator.itemgetter(0))
-    allowed = property(operator.itemgetter(1))
-
-    @property
-    def n(self) -> int:
-        return len(self[0])
 
 
 def _augment(base, allowed, bits, cols, r, u, v, row_of) -> bool:
@@ -123,10 +118,10 @@ def solve_ap(mc: MaskedCosts, start: tuple | None = None) -> tuple | None:
     or None when no perfect matching uses allowed edges alone. A cold solve
     (`start` None) inserts the rows in ascending order from zero potentials.
     A warm solve starts from `start`, an earlier result for a mask that `mc`
-    only tightens (`mc.allowed` is a subset of the earlier bitset, so
-    ``mc.allowed & earlier == mc.allowed``): the costs are the same and
-    edges are only removed, so its potentials stay feasible. It keeps each
-    earlier edge that is still allowed and re-inserts the other rows. A kept
+    only tightens (its allowed bitset is a subset of the earlier one, so
+    ``allowed & earlier == allowed``): the costs are the same and edges are
+    only removed, so its potentials stay feasible. It keeps each earlier
+    edge that is still allowed and re-inserts the other rows. A kept
     edge that is the only allowed edge of both its row and its column is
     fixed: no other row's search can reach its column, so the column is left
     out of every path search. A `start` of the wrong size, or whose

@@ -113,19 +113,18 @@ def test_find_violated_agrees_with_feasibility_checker():
 
 
 def test_branch_children():
-    root = MaskedCosts(DIAG.costs)
-    avoid, commit = branch(root, 0, DIAG.partner_masks)
+    root = bits(range(4))
+    avoid, commit = branch(root, 0, DIAG)
     assert DIAG.partners[0] == (3,)  # edge (0, 0) conflicts with (1, 1)
-    assert avoid.base is DIAG.costs
     # forbidding (0, 0) leaves row 0 one edge, (0, 1), and forcing it leaves
     # row 1 one edge, (1, 0)
-    assert ids(avoid.allowed) == {1, 2} and forced_ids(2, avoid.allowed) == {1, 2}
+    assert ids(avoid) == {1, 2} and forced_ids(2, avoid) == {1, 2}
     # committing to (0, 0) forbids (0, 1) and (1, 0), the rest of its row and
     # column, and its partner (1, 1), which empties row 1
     assert commit is None
     # (1, 0) has no partner: committing to it forces (0, 1) as well
-    avoid, commit = branch(root, 2, DIAG.partner_masks)
-    assert ids(commit.allowed) == {1, 2} and forced_ids(2, commit.allowed) == {1, 2}
+    avoid, commit = branch(root, 2, DIAG)
+    assert ids(commit) == {1, 2} and forced_ids(2, commit) == {1, 2}
     # avoiding it leaves (0, 0) and (1, 1), a conflicting pair: the avoid
     # child is dropped
     assert avoid is None
@@ -143,10 +142,9 @@ def test_branch_rejects_contradictory_split():
         (bits(range(n * n)), n * n + 2),
     ]:
         with pytest.raises(ValueError, match=f"edge {edge} is not allowed"):
-            branch(MaskedCosts(DIAG.costs, mask), edge, DIAG.partner_masks)
+            branch(mask, edge, DIAG)
     # A forced conflict partner, (1, 1), leaves both children an empty line.
-    node = MaskedCosts(DIAG.costs, allowed_bits(2, forced={3}))
-    assert branch(node, 0, DIAG.partner_masks) == (None, None)
+    assert branch(allowed_bits(2, forced={3}), 0, DIAG) == (None, None)
 
 
 @pytest.fixture
@@ -158,11 +156,13 @@ def ap_work(monkeypatch):
 
     def masks_spy(base, allowed=None):
         mc = masks_cls(base, allowed)
-        built.append(ids(mc.allowed))
+        _, allowed = mc
+        built.append(ids(allowed))
         return mc
 
     def ap_spy(mc, start=None):
-        solved.append(ids(mc.allowed))
+        _, allowed = mc
+        solved.append(ids(allowed))
         return ap(mc, start)
 
     monkeypatch.setattr("apc.exact.MaskedCosts", masks_spy)
@@ -172,16 +172,15 @@ def ap_work(monkeypatch):
 
 def test_emptied_line_drops_the_child_before_masks_and_ap_solve(ap_work):
     # In BOTH_BLOCKED, forbidding (0, 0) forces (0, 1), whose partner (1, 0)
-    # is then forbidden, which empties row 1: the avoid child is dropped
-    # before any MaskedCosts or solve_ap call. Committing to (0, 0) forbids
-    # its partner (1, 1) and the rest of its lines, which empties row 1 too:
-    # the commit child is dropped the same way.
+    # is then forbidden, which empties row 1: the avoid child is dropped.
+    # Committing to (0, 0) forbids its partner (1, 1) and the rest of its
+    # lines, which empties row 1 too: the commit child is dropped the same
+    # way. branch itself makes no MaskedCosts or solve_ap call.
     built, solved = ap_work
-    pm = BOTH_BLOCKED.partner_masks
-    assert branch(MaskedCosts(BOTH_BLOCKED.costs), 0, pm) == (None, None)
+    assert branch(bits(range(4)), 0, BOTH_BLOCKED) == (None, None)
     assert not built and not solved
     # with (0, 1) already forbidden, avoiding (0, 0) empties row 0 at once
-    avoid, _ = branch(MaskedCosts(DIAG.costs, allowed_bits(2, {1})), 0, DIAG.partner_masks)
+    avoid, _ = branch(allowed_bits(2, {1}), 0, DIAG)
     assert avoid is None and not built and not solved
 
     # Row 0 of BOTH_BLOCKED allows (0, 0) and (0, 1), and each of them
@@ -206,13 +205,13 @@ def test_lone_edges_are_forced_in_a_chain():
         [[1, 4, 9, 9], [9, 2, 3, 6], [2, 9, 5, 9], [7, 9, 9, 3]],
         [((0, 1), (1, 2)), ((1, 3), (2, 0))],
     )
-    node = MaskedCosts(inst.costs, allowed_bits(4, {2, 3, 4}))  # (0,2) (0,3) (1,0)
-    avoid, commit = branch(node, 0, inst.partner_masks)
+    node = allowed_bits(4, {2, 3, 4})  # (0,2) (0,3) (1,0)
+    avoid, commit = branch(node, 0, inst)
     # the four forced edges make a permutation, so every other edge is forbidden
-    assert forced_ids(4, avoid.allowed) == {1, 7, 10, 12}
-    assert ids(avoid.allowed) == {1, 7, 10, 12}
+    assert forced_ids(4, avoid) == {1, 7, 10, 12}
+    assert ids(avoid) == {1, 7, 10, 12}
     # (0, 0) has no partner: committing to it forbids only the rest of its lines
-    assert commit.allowed == node.allowed & allowed_bits(4, forced={0})
+    assert commit == node & allowed_bits(4, forced={0})
     # the child keeps exactly the node's feasible solutions that avoid (0, 0)
     kept = [
         (p, v)
@@ -220,8 +219,9 @@ def test_lone_edges_are_forced_in_a_chain():
         if _obeys(p, node) and p[0] != 0
     ]
     assert kept == [((1, 3, 2, 0), 4 + 6 + 5 + 7)]
-    assert solve_ap(avoid)[:2] == kept[0]
-    assert solve_ap(avoid, solve_ap(node))[:2] == kept[0]
+    child = MaskedCosts(inst.costs, avoid)
+    assert solve_ap(child)[:2] == kept[0]
+    assert solve_ap(child, solve_ap(MaskedCosts(inst.costs, node)))[:2] == kept[0]
     sol, bf = solve_exact(inst), brute_force(inst)
     assert (sol.status, sol.value) == (bf.status, bf.value)
 
@@ -232,11 +232,10 @@ def test_lone_edge_closure_agrees_with_brute_force_on_dense_instances(monkeypatc
     split = apc.exact.branch
     outcomes = []
 
-    def spy(masks, edge, partner_masks):
-        avoid, commit = split(masks, edge, partner_masks)
-        n = masks.n
+    def spy(allowed, edge, inst):
+        avoid, commit = split(allowed, edge, inst)
         added = None if avoid is None else len(
-            forced_ids(n, avoid.allowed) - forced_ids(n, masks.allowed)
+            forced_ids(inst.n, avoid) - forced_ids(inst.n, allowed)
         )
         outcomes.append(added)
         return avoid, commit
@@ -255,15 +254,15 @@ def test_lone_edge_closure_agrees_with_brute_force_on_dense_instances(monkeypatc
     assert sum(added is not None and added >= 2 for added in outcomes) >= 5
 
 
-def _closed(masks, more, partners):
+def _closed(node, more, inst):
     # A child's allowed ids by the naive closure on a set of ids: allow the
     # node's ids less `more`, then sweep all 2n lines, recounting each from
     # scratch; for a line with one or two allowed edges forbid every edge in
     # the row, the column or the partners (`Instance.partners`) of each of
     # them, less the edge itself, until a sweep forbids nothing new. None
     # when a line has no allowed edge.
-    n = masks.n
-    allowed = ids(masks.allowed) - set(more)
+    n, partners = inst.n, inst.partners
+    allowed = ids(node) - set(more)
     lines = [range(i * n, i * n + n) for i in range(n)]
     lines += [range(j, n * n, n) for j in range(n)]
 
@@ -294,26 +293,25 @@ def test_both_children_match_the_naive_closure(monkeypatch):
     # on random masks that are not closed too.
     split = apc.exact.branch
     checked, closed, dropped = [], Counter(), Counter()
-    partners = None  # the conflict index of the instance being solved
 
-    def check(masks, edge, partner_masks, unclosed=False):
-        children = split(masks, edge, partner_masks)
-        n = masks.n
+    def check(node, edge, inst, unclosed=False):
+        children = split(node, edge, inst)
+        n = inst.n
         a, b = divmod(edge, n)
         rest = {a * n + j for j in range(n)} | {i * n + b for i in range(n)}
-        splits = {"avoid": {edge}, "commit": (rest - {edge}) | set(partners[edge])}
+        splits = {"avoid": {edge}, "commit": (rest - {edge}) | set(inst.partners[edge])}
         for (side, more), child in zip(splits.items(), children):
             if unclosed:  # only the commit child is closed from any mask
                 if side == "avoid":
                     continue
                 side = "unclosed"
-            ref = _closed(masks, more, partners)
-            assert (child is None) == (ref is None), (side, masks, edge)
+            ref = _closed(node, more, inst)
+            assert (child is None) == (ref is None), (side, node, edge)
             if child is None:
                 dropped[side] += 1
                 continue
-            assert ids(child.allowed) == ref, (side, masks, edge)
-            if ref != ids(masks.allowed) - more:
+            assert ids(child) == ref, (side, node, edge)
+            if ref != ids(node) - more:
                 closed[side] += 1
         checked.append(edge)
         return children
@@ -324,20 +322,17 @@ def test_both_children_match_the_naive_closure(monkeypatch):
         n = rng.randint(3, 12)
         m = int(rng.uniform(0.05, 0.40) * max_conflict_pairs(n))
         inst = generate_instance(n, m, 1, 100, seed=rng.randrange(10**6))
-        partners = inst.partners
         solve_exact(inst, node_limit=400)
     assert len(checked) >= 5000
     for _ in range(100):
         n = rng.randint(3, 8)
         m = int(rng.uniform(0.05, 0.40) * max_conflict_pairs(n))
         inst = generate_instance(n, m, 1, 100, seed=rng.randrange(10**6))
-        partners = inst.partners
         for _ in range(30):
             forbidden = rng.getrandbits(n * n) & rng.getrandbits(n * n)
             allowed = [e for e in range(n * n) if not forbidden >> e & 1]
             if allowed:
-                node = MaskedCosts(inst.costs, bits(allowed))
-                check(node, rng.choice(allowed), inst.partner_masks, unclosed=True)
+                check(bits(allowed), rng.choice(allowed), inst, unclosed=True)
     assert len(checked) >= 8000
     assert min(closed.values()) >= 100, closed
     assert min(dropped.values()) >= 400, dropped
@@ -355,14 +350,14 @@ def test_a_line_with_two_allowed_edges_forbids_their_common_partners():
     costs = [[(3 * i + 7 * j) % 10 + 1 for j in range(5)] for i in range(5)]
     conflicts = [((0, 3), (3, 2)), ((1, 4), (3, 0)), ((1, 4), (3, 1)), ((2, 4), (3, 0))]
     inst = Instance(costs, conflicts + [((4, 0), (3, 1))])
-    node = MaskedCosts(inst.costs, allowed_bits(5, {0, 1, 4, 18, 19}))
-    children = branch(node, 2, inst.partner_masks)
+    node = allowed_bits(5, {0, 1, 4, 18, 19})
+    children = branch(node, 2, inst)
     for takes, child in enumerate(children):
-        allowed = ids(child.allowed)
+        allowed = ids(child)
         assert allowed & {15, 16, 17} == {15, 16}  # row 3 keeps two
         assert 9 not in allowed and 14 in allowed
         assert 20 not in allowed
-        assert allowed == _closed(node, ids(node.allowed) - allowed, inst.partners)
+        assert allowed == _closed(node, ids(node) - allowed, inst)
         # the child keeps exactly the node's feasible solutions on its side
         kept = [p for p, _ in enumerate_feasible(inst) if _obeys(p, child)]
         assert kept == [
@@ -390,9 +385,31 @@ def test_the_root_is_closed_before_any_ap_work(ap_work):
     assert not built and not solved
 
 
-def _obeys(perm, masks):
+def test_a_closed_child_without_a_perfect_matching_is_dropped(monkeypatch):
+    # The line rule sees each row and column alone, so a child can keep an
+    # allowed edge in every line and still violate Hall's condition: its
+    # warm solve_ap finds no perfect matching and the child is dropped. On
+    # 10/1485 seed 37 that happens once, and the search still proves the
+    # instance infeasible (brute force agrees, but takes seconds).
+    ap = apc.exact.solve_ap
+    calls = []
+
+    def spy(mc, start=None):
+        res = ap(mc, start)
+        calls.append((start is None, res is None))
+        return res
+
+    monkeypatch.setattr("apc.exact.solve_ap", spy)
+    sol = solve_exact(generate_instance(10, 1485, 1, 100, 37))
+    assert (sol.status, sol.value, sol.lower_bound, sol.nodes) == (
+        SolveStatus.INFEASIBLE, None, None, 165
+    )
+    assert Counter(calls) == {(True, False): 1, (False, False): 164, (False, True): 1}
+
+
+def _obeys(perm, allowed):
     n = len(perm)
-    return all(masks.allowed >> a * n + b & 1 for a, b in enumerate(perm))
+    return all(allowed >> a * n + b & 1 for a, b in enumerate(perm))
 
 
 def test_branch_is_a_dichotomy():
@@ -404,33 +421,33 @@ def test_branch_is_a_dichotomy():
         n = 4 + seed % 4
         inst = generate_instance(n, max_conflict_pairs(n) // 6, 1, 50, seed=700 + seed)
         feasible = [perm for perm, _ in enumerate_feasible(inst)]
-        root = MaskedCosts(inst.costs)
-        relaxed, bound = solve_ap(root)[:2]
+        root = bits(range(n * n))
+        relaxed, bound = solve_ap(MaskedCosts(inst.costs, root))[:2]
         frontier = [(root, bound, relaxed)]
         for _ in range(4):
             deeper = []
-            for masks, bound, relaxed in frontier:
+            for node, bound, relaxed in frontier:
                 edge = find_violated_conflict(relaxed, inst)
                 if edge is None:
                     continue
-                children = branch(masks, edge, inst.partner_masks)
+                children = branch(node, edge, inst)
                 assert len(children) == 2
                 splits += 1
                 for perm in feasible:
-                    if _obeys(perm, masks):
+                    if _obeys(perm, node):
                         hits = [c for c in children if c is not None and _obeys(perm, c)]
-                        assert len(hits) == 1, (seed, perm, masks)
+                        assert len(hits) == 1, (seed, perm, node)
                 for takes, child in enumerate(children):
                     if child is None:
                         # a dropped child holds no feasible solution of the
                         # node on its side: avoiding the edge, or taking it
                         dropped[takes] += 1
                         assert not any(
-                            _obeys(p, masks) and (p[edge // n] == edge % n) == takes
+                            _obeys(p, node) and (p[edge // n] == edge % n) == takes
                             for p in feasible
-                        ), (seed, masks, edge, takes)
+                        ), (seed, node, edge, takes)
                         continue
-                    res = solve_ap(child)
+                    res = solve_ap(MaskedCosts(inst.costs, child))
                     if res is None:
                         continue
                     assert res[1] >= bound
@@ -447,28 +464,28 @@ def test_warm_child_solves_match_cold_solves():
     for seed in range(18):
         n = 4 + seed % 9
         inst = generate_instance(n, max_conflict_pairs(n) // 5, 0, 2, seed=900 + seed)
-        root = MaskedCosts(inst.costs)
-        frontier = [(root, solve_ap(root))]
+        frontier = [(bits(range(n * n)), solve_ap(MaskedCosts(inst.costs)))]
         for _ in range(6):
             deeper = []
-            for masks, res in frontier[:24]:
+            for node, res in frontier[:24]:
                 edge = find_violated_conflict(res[0], inst)
                 if edge is None:
                     continue
-                for takes, child in enumerate(branch(masks, edge, inst.partner_masks)):
+                for takes, child in enumerate(branch(node, edge, inst)):
                     if child is None:
                         # a dropped child holds no feasible solution of the
                         # node on its side: avoiding the edge, or taking it
                         dropped[takes] += 1
                         if n <= 7:
                             assert not any(
-                                _obeys(p, masks)
+                                _obeys(p, node)
                                 and (p[edge // n] == edge % n) == takes
                                 and check_feasible(inst, p).feasible
                                 for p in itertools.permutations(range(n))
-                            ), (seed, masks, edge, takes)
+                            ), (seed, node, edge, takes)
                         continue
-                    warm, cold = solve_ap(child, res), solve_ap(child)
+                    mc = MaskedCosts(inst.costs, child)
+                    warm, cold = solve_ap(mc, res), solve_ap(mc)
                     assert (warm is None) == (cold is None), (seed, child)
                     warm_solves += 1
                     if warm is None:
@@ -488,8 +505,8 @@ def test_warm_child_solves_match_cold_solves():
 
 def test_solve_exact_branches_on_the_scanned_edge(monkeypatch):
     # The rule the scan tests pin is the one the search branches on: every
-    # split takes the edge the preceding scan returned, with the instance's
-    # partner bitsets.
+    # split takes the edge the preceding scan returned, on the instance
+    # being solved.
     events = []
     scan, split = apc.exact.find_violated_conflict, apc.exact.branch
 
@@ -498,9 +515,9 @@ def test_solve_exact_branches_on_the_scanned_edge(monkeypatch):
         events.append(("scan", edge))
         return edge
 
-    def branch_spy(masks, edge, partner_masks):
-        events.append(("branch", edge, partner_masks))
-        return split(masks, edge, partner_masks)
+    def branch_spy(allowed, edge, inst):
+        events.append(("branch", edge, inst))
+        return split(allowed, edge, inst)
 
     monkeypatch.setattr("apc.exact.find_violated_conflict", scan_spy)
     monkeypatch.setattr("apc.exact.branch", branch_spy)
@@ -512,9 +529,9 @@ def test_solve_exact_branches_on_the_scanned_edge(monkeypatch):
         assert sol.status is SolveStatus.OPTIMAL
         for before, event in zip(events, events[1:]):
             if event[0] == "branch":
-                _, edge, partner_masks = event
+                _, edge, solved = event
                 assert before == ("scan", edge) and edge is not None
-                assert partner_masks is inst.partner_masks
+                assert solved is inst
                 splits += 1
         assert sum(e[0] == "branch" for e in events) == sum(
             e[0] == "scan" and e[1] is not None for e in events

@@ -62,16 +62,17 @@ def certified_optimal(mc, result):
     ones, which is LP duality's certificate.
     """
     assignment, value, (u, v) = result
-    n, allowed = mc.n, ids(mc.allowed)
+    base, allowed = mc
+    n, allowed = len(base), ids(allowed)
     if sorted(assignment) != list(range(n)) or value != sum(
-        mc.base[i][assignment[i]] for i in range(n)
+        base[i][assignment[i]] for i in range(n)
     ):
         return False
     if any(i * n + j not in allowed for i, j in enumerate(assignment)):
         return False
     for i in range(n):
         for j in range(n):
-            slack = mc.base[i][j] - u[i] - v[j]
+            slack = base[i][j] - u[i] - v[j]
             if i * n + j in allowed and slack < 0:
                 return False
             if assignment[i] == j and slack != 0:
@@ -158,12 +159,12 @@ def test_allowed_bitset_is_validated():
         with pytest.raises(ValueError):
             MaskedCosts(costs, allowed=mask)
     # the highest edge id is a valid bit, and so is every bit below it
-    assert MaskedCosts(costs, allowed=bits({8})).allowed == 1 << 8
+    assert MaskedCosts(costs, allowed=bits({8})) == (costs, 1 << 8)
     all_but_4 = bits(range(9)) ^ bits({4})
-    assert MaskedCosts(costs, allowed=all_but_4).allowed == all_but_4
+    assert MaskedCosts(costs, allowed=all_but_4) == (costs, all_but_4)
     # no mask, the default, allows every edge; 0 allows none
-    assert MaskedCosts(costs).allowed == MaskedCosts(costs, None).allowed == bits(range(9))
-    assert MaskedCosts(costs, 0).allowed == 0
+    assert MaskedCosts(costs) == MaskedCosts(costs, None) == (costs, bits(range(9)))
+    assert MaskedCosts(costs, 0) == (costs, 0)
     with pytest.raises(TypeError):  # a set of ids is not a bitset
         MaskedCosts(costs, allowed=frozenset({0}))
 
@@ -171,7 +172,8 @@ def test_allowed_bitset_is_validated():
 def test_masked_costs_is_an_immutable_pair():
     costs = ((1, 2), (3, 4))
     mc = MaskedCosts(costs, bits({1}))
-    assert tuple(mc) == (costs, 2) and mc.base is costs and mc.n == 2
+    base, allowed = mc
+    assert tuple(mc) == (costs, 2) and base is costs and allowed == 2
     assert MaskedCosts(costs) == (costs, bits(range(4)))
     for attr in ("base", "allowed", "n", "other"):
         with pytest.raises(AttributeError):

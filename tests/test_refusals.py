@@ -2,14 +2,15 @@
 
 Faults in instance data raise `FormatError` subclasses (see test_instance.py);
 every `raise ValueError` site in the package is one (call, message fragment)
-row here, so the message is what tells the refusals apart.
+row here, so the message is what tells the refusals apart. A count that is
+not an int raises TypeError instead, before any work.
 """
 
 import re
 
 import pytest
 
-from apc.bench import InstanceResult, emit_table, run_benchmark, run_method
+from apc.bench import KNOWN_METHODS, InstanceResult, emit_table, run_benchmark, run_method
 from apc.exact import branch, solve_exact
 from apc.heuristic import LSConfig, gap_percent, local_search
 from apc.hungarian import MaskedCosts, solve_ap
@@ -60,7 +61,7 @@ REFUSALS = [
         "group 'a' has no 'heuristic' record",
     ),
     # apc.exact
-    (lambda: branch(MaskedCosts(DIAG.costs, 0b0111), 3, {}), "edge 3 is not allowed at this node"),
+    (lambda: branch(0b0111, 3, DIAG), "edge 3 is not allowed at this node"),
     (lambda: solve_exact(DIAG, time_limit=-1), "time_limit must be positive, got -1"),
     (lambda: solve_exact(DIAG, node_limit=-5), "node_limit must be >= 0, got -5"),
     # apc.heuristic
@@ -69,6 +70,8 @@ REFUSALS = [
     (lambda: gap_percent(5, -3), "reference optimum must be positive, got -3"),
     # apc.hungarian
     (lambda: MaskedCosts(DIAG.costs, 1 << 4), "allowed bits must lie in 0..3"),
+    (lambda: MaskedCosts(DIAG.costs, -1), "allowed bits must lie in 0..3, got a negative mask"),
+    (lambda: MaskedCosts(DIAG.costs, 1 << 16), "allowed bits must lie in 0..3, got bit 16 set"),
     (
         lambda: solve_ap(MaskedCosts(DIAG.costs), ((0, 0), 2, ((0, 0), (0, 0)))),
         "start is no result for the 2x2 matrix",
@@ -108,3 +111,19 @@ def test_refusal_is_a_plain_value_error_naming_the_value(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)) as excinfo:
         call()
     assert excinfo.type is ValueError
+
+
+@pytest.mark.parametrize("method", KNOWN_METHODS)
+def test_run_method_refuses_a_node_limit_that_is_not_an_int(method):
+    # oracle and heuristic take no node limit, but refuse a bad one as exact does
+    with pytest.raises(TypeError):
+        run_method(DIAG, method, 1.0, 0, node_limit=2.5)
+
+
+def test_run_benchmark_refuses_a_job_count_that_is_not_an_int(tmp_path):
+    # refused before the CSV is opened, so an existing file is left as it was
+    csv_path = tmp_path / "bench.csv"
+    csv_path.write_text("kept\n")
+    with pytest.raises(TypeError):
+        run_benchmark(ROWS, ("exact",), 1.0, jobs=2.5, csv_path=csv_path)
+    assert csv_path.read_text() == "kept\n"
