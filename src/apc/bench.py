@@ -213,7 +213,9 @@ def run_benchmark(
     everything already solved. `reference_optima` maps (group label, seed) to
     a known optimum for heuristic gaps when no exact method proves one. With
     jobs > 1 a process pool solves the instances; parallelism never changes
-    the output.
+    the output. Every argument is checked before `csv_path` is opened: a
+    refused one raises ValueError, and a row, seed or job count that is not
+    an int TypeError.
     """
     methods = tuple(methods)
     if not methods:
@@ -231,8 +233,10 @@ def run_benchmark(
         raise ValueError(f"rows must not repeat, got {rows}")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds must not repeat, got {seeds}")
+    for seed in seeds:
+        operator.index(seed)  # TypeError for a seed that is not an int
     for n, m in rows:
-        if n < 1 or not 0 <= m <= max_conflict_pairs(n):
+        if operator.index(n) < 1 or not 0 <= operator.index(m) <= max_conflict_pairs(n):
             raise ValueError(f"group '{n}/{m}' needs n >= 1, 0 <= m <= n*n*(n*n-1)/2")
     if "oracle" in methods:
         for n, m in rows:

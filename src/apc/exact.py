@@ -13,7 +13,7 @@ edge, the other commits to it, which forbids the rest of its row and column
 and every edge it conflicts with. The children are disjoint, and together
 they keep every conflict-feasible solution of the node. Every node is
 closed under one line rule, since a perfect matching takes one edge of each
-row and column: a row or column left with at most two allowed edges forbids
+row and column: a row or column left with at most four allowed edges forbids
 every edge that no matching can hold beside any of them, so a lone edge is
 committed to. `solve_exact` closes the root and `branch` the commit child
 from every line; the avoid child starts from the forbidden edge's row and
@@ -22,12 +22,13 @@ allowed edge is dropped before any AP work. A child only tightens its
 parent: its allowed bitset is a subset of the parent's
 (``child & parent == child``), so its assignment problem is re-optimized
 from the parent's potentials instead of solved from scratch.
-Conflicts are read as bitsets too: ``Instance.partner_masks[e]`` has bit f
-set for every partner f of edge e, so a commit clears all of them with one
-``& ~`` and the violation scan counts an edge's violated pairs with one ``&``
-and a popcount. The search starts from the incumbent of a two-restart
-`run_heuristic`, bounded only by the solve's time limit, so a node or time
-limit that stops it early can still report a solution.
+Conflicts are read as bitsets too: ``Instance.exclusion_masks[e]`` has bit
+f set for every other edge f of e's row and column and every partner f of
+e, so a commit clears all of them with one ``& ~``, the line rule intersects
+one cached mask per edge, and the violation scan counts an edge's violated
+pairs with one ``&`` and a popcount. The search starts from the incumbent
+of a two-restart `run_heuristic`, bounded only by the solve's time limit,
+so a node or time limit that stops it early can still report a solution.
 Inside the search an edge (a, b) is the int id ``a*n + b``, and a line, a
 row or a column, is its bitset from `line_masks`.
 """
@@ -51,11 +52,13 @@ def find_violated_conflict(assignment, inst: Instance) -> int | None:
     violated conflict pairs, breaking ties by higher cost, then by smaller
     id. Returns None exactly when the feasibility checker reports no violated
     conflicts. The selected edges form one bitset, and each one's violated
-    pairs are the popcount of its AND with the edge's partner bitset
-    (`Instance.partner_masks`), so only the n selected edges' masks are read.
+    pairs are the popcount of its AND with the edge's exclusion bitset
+    (`Instance.exclusion_masks`): a permutation selects no other edge of the
+    edge's row or column, so only partners count. Only the n selected
+    edges' masks are read.
     """
     _require_permutation(inst.n, assignment)
-    n, costs, masks = inst.n, inst.costs, inst.partner_masks
+    n, costs, masks = inst.n, inst.costs, inst.exclusion_masks
     selected = sum(1 << a * n + b for a, b in enumerate(assignment))
     best = None  # (-violated pairs, -cost, id): the minimum is the edge
     for a, b in enumerate(assignment):
@@ -68,33 +71,33 @@ def find_violated_conflict(assignment, inst: Instance) -> int | None:
     return None if best is None else best[2]
 
 
-def _close(allowed, todo, lines, partner_masks) -> int | None:
+def _close(allowed, todo, lines, exclusion_masks) -> int | None:
     """Close an allowed-edge bitset under the line rule, from the lines in
     `todo` (rows and columns, `lines` as in `line_masks`).
 
     Every perfect matching takes one allowed edge of each line. An edge
-    excludes the rest of its row and column and its partners, so a line with
-    at most two allowed edges forbids every edge that each of them excludes:
-    no matching holds it beside any edge the line may take. A lone edge is
-    thus committed to. Each line that loses an allowed edge is queued. A
-    child of a closed node needs only the lines that lost an allowed edge
-    since the parent: no other line's rule can be new. None when a line ends
-    up with no allowed edge.
+    excludes the edges of `Instance.exclusion_masks`, so a line with at most
+    four allowed edges forbids every edge that each of them excludes: no
+    matching holds it beside any edge the line may take. A lone edge is thus
+    committed to. A line's intersection stops once it is empty. Each line
+    that loses an allowed edge is queued. A child of a closed node needs
+    only the lines that lost an allowed edge since the parent: no other
+    line's rule can be new. None when a line ends up with no allowed edge.
     """
     n = len(lines) // 2
     while todo:
         k = todo.pop()
         cells = allowed & lines[k]
         count = cells.bit_count()
-        if count > 2:
+        if count > 4:  # a wider line seldom forbids an edge, at one mask per edge
             continue
         if not count:
             return None
         gone = allowed
-        while cells:
+        while cells and gone:
             e = cells.bit_length() - 1
             cells ^= 1 << e
-            gone &= (lines[e // n] | lines[n + e % n]) ^ 1 << e | partner_masks[e]
+            gone &= exclusion_masks[e]
         allowed ^= gone
         while gone:
             g = gone.bit_length() - 1
@@ -108,9 +111,10 @@ def branch(allowed: int, edge: int, inst: Instance) -> tuple[int | None, int | N
 
     `allowed` holds edge ids of `inst`'s n x n grid, and so does each child
     of the pair (avoid, commit). Each child is `allowed` with bits cleared,
-    so it only tightens the parent. The avoid child forbids `edge`. The commit child forces it: it
-    forbids the rest of the edge's row and column and its conflict partners
-    (`inst.partner_masks`). Each child is then closed under the line rule
+    so it only tightens the parent. The avoid child forbids `edge`. The
+    commit child forces it: it forbids every edge in
+    `inst.exclusion_masks[edge]`, the rest of the edge's row and column and
+    its conflict partners. Each child is then closed under the line rule
     (`_close`). The commit child, like the root, starts from every line, so
     it is closed whatever `allowed` is. The avoid child starts from the
     edge's row and column, the only lines its split touches, so it is closed
@@ -124,12 +128,11 @@ def branch(allowed: int, edge: int, inst: Instance) -> tuple[int | None, int | N
     """
     if not allowed >> edge & 1:
         raise ValueError(f"edge {edge} is not allowed at this node")
-    n, partner_masks = inst.n, inst.partner_masks
+    n, excl = inst.n, inst.exclusion_masks
     _, lines, _ = line_masks(n)
     a, b = divmod(edge, n)
-    avoid = _close(allowed ^ 1 << edge, {a, n + b}, lines, partner_masks)
-    commit = allowed & ~((lines[a] | lines[n + b]) ^ 1 << edge | partner_masks[edge])
-    return avoid, _close(commit, set(range(2 * n)), lines, partner_masks)
+    avoid = _close(allowed ^ 1 << edge, {a, n + b}, lines, excl)
+    return avoid, _close(allowed & ~excl[edge], set(range(2 * n)), lines, excl)
 
 
 def solve_exact(
@@ -169,14 +172,13 @@ def solve_exact(
             inc_assignment, inc_value = seeded.assignment, seeded.value
             sec_best = seed_start + seeded.sec_best  # when the seed found it
 
-    partner_masks = inst.partner_masks
     nodes = 0
     tiebreak = itertools.count()
     # (bound, -depth, tiebreak, allowed bitset, AP result): a child
     # re-optimizes from its parent's result instead of solving from scratch.
     heap: list[tuple] = []
     full, lines, _ = line_masks(inst.n)
-    allowed = _close(full, set(range(2 * inst.n)), lines, partner_masks)
+    allowed = _close(full, set(range(2 * inst.n)), lines, inst.exclusion_masks)
     if allowed is not None:
         root_res = solve_ap(MaskedCosts(inst.costs, allowed))
         if root_res is not None:

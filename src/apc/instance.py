@@ -37,6 +37,7 @@ from .errors import (
     MalformedHeaderError,
     NegativeCostError,
 )
+from .hungarian import line_masks
 
 
 class Edge(NamedTuple):
@@ -210,30 +211,34 @@ class Instance:
         return tuple(tuple(sorted(cols, key=row.__getitem__)) for row in self.costs)
 
     @cached_property
-    def partner_masks(self) -> dict[int, int]:
-        """The conflict index as bitsets: ``partner_masks[e]`` is the int with
-        bit f set for every f in ``partners[e]``.
+    def exclusion_masks(self) -> dict[int, int]:
+        """What each edge rules out, as bitsets: ``exclusion_masks[e]`` is the
+        int with bit f set for every other edge f of e's row and column and
+        for every f in ``partners[e]``, the edges no solution holds beside e.
 
         Empty until an edge is looked up; each edge's mask is built from
-        ``partners`` on its first lookup and kept. All n*n masks at once
-        would take up to n**4/8 bytes, so none is built ahead of use. Like
-        ``partners`` it is cached on the instance and ignored by equality
-        and hashing.
+        ``partners`` and the line bitsets of `line_masks` on its first lookup
+        and kept. All n*n masks at once would take up to n**4/8 bytes, so
+        none is built ahead of use. Like ``partners`` it is cached on the
+        instance and ignored by equality and hashing.
         """
-        return _PartnerMasks(self.partners)
+        return _ExclusionMasks(self.n, self.partners)
 
 
-class _PartnerMasks(dict):
-    """Edge id -> bitset of its conflict partners, filled on first lookup."""
+class _ExclusionMasks(dict):
+    """Edge id -> bitset of the edges it excludes, filled on first lookup."""
 
-    def __init__(self, partners: tuple[tuple[int, ...], ...]):
+    def __init__(self, n: int, partners: tuple[tuple[int, ...], ...]):
         super().__init__()
-        self.partners = partners
+        self.n, self.partners = n, partners
 
     def __missing__(self, e: int) -> int:
         if e < 0:  # a tuple index would wrap around
             raise KeyError(e)
-        mask = self[e] = sum(map((1).__lshift__, self.partners[e]))
+        partners, n = self.partners[e], self.n  # IndexError past the grid
+        lines = line_masks(n)[1]
+        own = (lines[e // n] | lines[n + e % n]) ^ 1 << e
+        mask = self[e] = own | sum(map((1).__lshift__, partners))
         return mask
 
 
@@ -422,8 +427,10 @@ def generate_instance(
 
     Costs are drawn row-major from [cost_lo, cost_hi]; conflicts are a uniform
     m-subset of all unordered pairs of distinct edges. The same parameters and
-    seed reproduce the identical instance on every platform.
+    seed reproduce the identical instance on every platform. An argument
+    other than `name` that is not an int raises TypeError.
     """
+    n, m, cost_lo, cost_hi, seed = map(operator.index, (n, m, cost_lo, cost_hi, seed))
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if cost_lo < 0:

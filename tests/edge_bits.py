@@ -1,6 +1,6 @@
 """Edge-id bitsets for the tests.
 
-A search node's allowed mask and an instance's partner masks are ints whose
+A search node's allowed mask and an instance's exclusion masks are ints whose
 bit e is set exactly when edge id e belongs to them; `ids` and `bits`
 convert between such an int and the set of ids it holds. A node forces an
 edge by disallowing the rest of its row and column: `allowed_bits` writes

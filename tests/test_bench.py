@@ -207,7 +207,7 @@ def test_incremental_csv(tmp_path):
 
 def test_csv_rows_carry_the_bound_and_the_node_count(tmp_path):
     # the two columns after opt hold the Solution's lower_bound and nodes:
-    # exact proves 10/600 seed 1 optimal at 247 in 54 nodes, and the
+    # exact proves 10/600 seed 1 optimal at 247 in 52 nodes, and the
     # heuristic proves no bound and explores no search nodes
     out = tmp_path / "runs.csv"
     results = run_benchmark(
@@ -216,10 +216,10 @@ def test_csv_rows_carry_the_bound_and_the_node_count(tmp_path):
     rows = list(csv.DictReader(out.read_text().splitlines()))
     exact, heuristic = rows
     assert exact["method"] == "exact" and exact["status"] == "Optimal"
-    assert (exact["value"], exact["lower_bound"], exact["nodes"]) == ("247", "247", "54")
+    assert (exact["value"], exact["lower_bound"], exact["nodes"]) == ("247", "247", "52")
     assert heuristic["method"] == "heuristic"
     assert (heuristic["lower_bound"], heuristic["nodes"]) == ("", "0")
-    assert [(r.lower_bound, r.nodes) for r in results] == [(247, 54), (None, 0)]
+    assert [(r.lower_bound, r.nodes) for r in results] == [(247, 52), (None, 0)]
 
 
 def mean(values):
@@ -231,8 +231,8 @@ def mean(values):
 # sec_best and sec_total, and per group and method the means of opt, value
 # and gap over the seeds and the statuses.
 GOLDEN = {
-    "all": "9ac277207bbf883cfbe6c0d44a1237cee696179f3bf92a693d89c9b7981089b4",
-    "reversed-parallel": "90f255b29ec093c6d814d20581056a52afd081f9529d7789f171dfa4c08efdf7",
+    "all": "f350d1fefd5bb9744500984803455a2da6f25d43dc54d5d6564c982275a9f29c",
+    "reversed-parallel": "d7e9451a11c3a47d03806496f6dd87b1ef8c47c0ec22863044f3279879b2a239",
     "reference": "f48e8ad52aa608789a91a7f5be3d950f7336655282f21bbfe839e6b8e0cfe45e",
 }
 

@@ -257,7 +257,7 @@ def test_lone_edge_closure_agrees_with_brute_force_on_dense_instances(monkeypatc
 def _closed(node, more, inst):
     # A child's allowed ids by the naive closure on a set of ids: allow the
     # node's ids less `more`, then sweep all 2n lines, recounting each from
-    # scratch; for a line with one or two allowed edges forbid every edge in
+    # scratch; for a line with one to four allowed edges forbid every edge in
     # the row, the column or the partners (`Instance.partners`) of each of
     # them, less the edge itself, until a sweep forbids nothing new. None
     # when a line has no allowed edge.
@@ -273,7 +273,7 @@ def _closed(node, more, inst):
             left = [f for f in cells if f in allowed]
             if not left:
                 return None
-            if len(left) > 2:
+            if len(left) > 4:
                 continue
             more = set.intersection(
                 *({*lines[e // n], *lines[n + e % n], *partners[e]} - {e} for e in left)
@@ -318,7 +318,7 @@ def test_both_children_match_the_naive_closure(monkeypatch):
 
     monkeypatch.setattr("apc.exact.branch", check)
     rng = random.Random(2020)
-    for _ in range(60):
+    for _ in range(100):
         n = rng.randint(3, 12)
         m = int(rng.uniform(0.05, 0.40) * max_conflict_pairs(n))
         inst = generate_instance(n, m, 1, 100, seed=rng.randrange(10**6))
@@ -365,6 +365,35 @@ def test_a_line_with_two_allowed_edges_forbids_their_common_partners():
         ]
 
 
+def test_a_line_with_three_allowed_edges_forbids_what_all_three_exclude():
+    # In this 5x5 node row 0 allows (0, 2) and (0, 3), and row 3 allows all
+    # five edges, each of which excludes (1, 4): (3, 4) shares its column,
+    # and the other four are its partners. The node is closed: no line of at
+    # most four edges has an exclusion common to all of them. Avoiding (0, 2)
+    # forces (0, 3), whose column and partner (3, 0) leave row 3 (3, 1),
+    # (3, 2) and (3, 4); committing to (0, 2) forbids column 2 and its
+    # partner (3, 4), which leaves (3, 0), (3, 1) and (3, 3). Either way row
+    # 3 keeps three edges that all exclude (1, 4), so no feasible solution
+    # of either child holds it, and the line rule forbids it. (2, 4)
+    # conflicts with (3, 0) alone and stays allowed.
+    costs = [[(3 * i + 7 * j) % 10 + 1 for j in range(5)] for i in range(5)]
+    conflicts = [((0, 2), (3, 4)), ((0, 3), (3, 0)), ((2, 4), (3, 0))]
+    inst = Instance(costs, conflicts + [((1, 4), (3, j)) for j in range(4)])
+    node = allowed_bits(5, {0, 1, 4})
+    assert _closed(node, (), inst) == ids(node)
+    children = branch(node, 2, inst)
+    for takes, (child, row3) in enumerate(zip(children, ({16, 17, 19}, {15, 16, 18}))):
+        allowed = ids(child)
+        assert allowed & set(range(15, 20)) == row3
+        assert 9 not in allowed and 14 in allowed
+        assert allowed == _closed(node, ids(node) - allowed, inst)
+        # the child keeps exactly the node's feasible solutions on its side
+        kept = [p for p, _ in enumerate_feasible(inst) if _obeys(p, child)]
+        assert kept == [
+            p for p, _ in enumerate_feasible(inst) if _obeys(p, node) and (p[0] == 2) == takes
+        ]
+
+
 def test_the_root_is_closed_before_any_ap_work(ap_work):
     # n = 2, the largest size whose root has a line of two edges. Row 0's two
     # edges share the partner (1, 1), so the root forbids it, which forces
@@ -389,8 +418,8 @@ def test_a_closed_child_without_a_perfect_matching_is_dropped(monkeypatch):
     # The line rule sees each row and column alone, so a child can keep an
     # allowed edge in every line and still violate Hall's condition: its
     # warm solve_ap finds no perfect matching and the child is dropped. On
-    # 10/1485 seed 37 that happens once, and the search still proves the
-    # instance infeasible (brute force agrees, but takes seconds).
+    # 9/810 seed 24 that happens twice, and the search still proves the
+    # optimum, 417 (brute force agrees, but takes over a second).
     ap = apc.exact.solve_ap
     calls = []
 
@@ -400,11 +429,11 @@ def test_a_closed_child_without_a_perfect_matching_is_dropped(monkeypatch):
         return res
 
     monkeypatch.setattr("apc.exact.solve_ap", spy)
-    sol = solve_exact(generate_instance(10, 1485, 1, 100, 37))
+    sol = solve_exact(generate_instance(9, 810, 1, 100, 24))
     assert (sol.status, sol.value, sol.lower_bound, sol.nodes) == (
-        SolveStatus.INFEASIBLE, None, None, 165
+        SolveStatus.OPTIMAL, 417, 417, 85
     )
-    assert Counter(calls) == {(True, False): 1, (False, False): 164, (False, True): 1}
+    assert Counter(calls) == {(True, False): 1, (False, False): 90, (False, True): 2}
 
 
 def _obeys(perm, allowed):
@@ -539,15 +568,16 @@ def test_solve_exact_branches_on_the_scanned_edge(monkeypatch):
     assert splits >= 20
 
 
-def test_search_builds_partner_masks_only_for_edges_it_reads():
-    # a partner bitset is built on an edge's first lookup: the root scan reads
-    # the n selected edges, and later nodes add only the edges they select
-    # or force, never all n*n masks at once
+def test_search_builds_exclusion_masks_only_for_edges_it_reads():
+    # an exclusion bitset is built on an edge's first lookup: the root scan
+    # reads the n selected edges, and later nodes add only the edges they
+    # select, force or find in a line of at most four, never all n*n masks
+    # at once
     inst = generate_instance(30, 8000, 1, 100, 1)
     solve_exact(inst, node_limit=1)
-    assert 30 <= len(inst.partner_masks) < 60
+    assert 30 <= len(inst.exclusion_masks) < 60
     solve_exact(inst, node_limit=50)
-    assert len(inst.partner_masks) < 900 // 4
+    assert len(inst.exclusion_masks) < 900 // 4
 
 
 def test_branch_completeness_on_dense_instance():
@@ -681,13 +711,13 @@ def test_search_end_states_are_pinned():
         (DIAG, {}, (opt, 20, 20, 1)),
         (BOTH_BLOCKED, {}, (infeas, None, None, 0)),
         (mid, {"node_limit": 1}, (nosol, None, 198, 1)),
-        (mid, {}, (opt, 375, 375, 13)),
+        (mid, {}, (opt, 375, 375, 12)),
         (generate_instance(3, 4, 1, 100, 1), {"node_limit": 0}, (opt, 109, 109, 0)),
-        (generate_instance(12, 3000, 1, 100, 1), {}, (infeas, None, None, 467)),
+        (generate_instance(12, 3000, 1, 100, 1), {}, (infeas, None, None, 270)),
         (
             generate_instance(15, 5000, 1, 100, 1),
             {"node_limit": 200},
-            (nosol, None, 309, 200),
+            (nosol, None, 310, 200),
         ),
         (
             generate_instance(30, 20000, 1, 100, 1),

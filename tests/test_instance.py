@@ -392,25 +392,30 @@ def test_partners_index_holds_each_pair_at_both_endpoints(n, m, seed):
     [(1, 0, 1), (3, 20, 2), (5, 150, 3), (7, 0, 4), (20, 600, 5), (30, 8000, 6)],
 )
 def test_partner_masks_are_the_bitsets_of_partners(n, m, seed):
+    # each exclusion mask is the bitset of the edge's partners and of the
+    # rest of its row and column (the name predates the row and column bits)
     inst = generate_instance(n, m, 1, 30, seed)
+    masks = inst.exclusion_masks
     for e in range(n * n):
-        assert inst.partner_masks[e] == sum(1 << f for f in inst.partners[e]), e
-    assert len(inst.partner_masks) == n * n
-    assert sum(mask.bit_count() for mask in inst.partner_masks.values()) == 2 * m
+        own = {f for f in range(n * n) if f != e and (f // n == e // n or f % n == e % n)}
+        assert masks[e] == sum(1 << f for f in own | set(inst.partners[e])), e
+    assert len(masks) == n * n
     with pytest.raises(IndexError):
-        inst.partner_masks[n * n]
+        masks[n * n]
     with pytest.raises(KeyError):
-        inst.partner_masks[-1]
+        masks[-1]
 
 
-def test_partner_masks_are_built_per_edge_on_first_lookup():
+def test_exclusion_masks_are_built_per_edge_on_first_lookup():
     inst = generate_instance(30, 8000, 1, 100, 1)
-    masks = inst.partner_masks
-    assert masks is inst.partner_masks and len(masks) == 0
+    masks = inst.exclusion_masks
+    assert masks is inst.exclusion_masks and len(masks) == 0
     e = 12 * 30 + 7
     mask = masks[e]
     assert list(masks) == [e] and masks[e] is mask
-    assert masks[e + 1] == sum(1 << f for f in inst.partners[e + 1])
+    row, col = sum(1 << 12 * 30 + j for j in range(30)), sum(1 << i * 30 + 8 for i in range(30))
+    partners = sum(1 << f for f in inst.partners[e + 1])
+    assert masks[e + 1] == (row | col) ^ 1 << e + 1 | partners
     assert list(masks) == [e, e + 1]
     # equality, hashing and pickling ignore the caches, as for partners
     fresh = generate_instance(30, 8000, 1, 100, 1)
@@ -419,7 +424,7 @@ def test_partner_masks_are_built_per_edge_on_first_lookup():
     for copy in (inst, fresh):
         again = pickle.loads(pickle.dumps(copy))
         assert again == inst and hash(again) == hash(inst)
-        assert again.partner_masks[e] == mask
+        assert again.exclusion_masks[e] == mask
         assert again.column_order == order
 
 

@@ -127,3 +127,23 @@ def test_run_benchmark_refuses_a_job_count_that_is_not_an_int(tmp_path):
     with pytest.raises(TypeError):
         run_benchmark(ROWS, ("exact",), 1.0, jobs=2.5, csv_path=csv_path)
     assert csv_path.read_text() == "kept\n"
+
+
+def test_generate_instance_refuses_an_argument_that_is_not_an_int():
+    # seed 1.5 used to draw an instance, as if any hashable seed would do,
+    # and so did cost_lo 1.0 before Python 3.12
+    for args in ((4.0, 3, 1, 9, 1), (4, 3.0, 1, 9, 1), (4, 3, 1.0, 9, 1), (4, 3, 1, 9.0, 1),
+                 (4, 3, 1, 9, 1.5)):
+        with pytest.raises(TypeError):
+            generate_instance(*args)
+
+
+def test_run_benchmark_refuses_a_row_or_seed_that_is_not_an_int(tmp_path):
+    # refused before the CSV is opened: seed 1.5 used to give a result row,
+    # and row (4.0, 3) to truncate the CSV before generate_instance failed
+    csv_path = tmp_path / "bench.csv"
+    csv_path.write_text("kept\n")
+    for rows, seeds in (([(4.0, 3)], (1,)), ([(4, 3.0)], (1,)), ([(4, 3)], (1.5,))):
+        with pytest.raises(TypeError):
+            run_benchmark(rows, ("exact",), 1.0, seeds=seeds, csv_path=csv_path)
+    assert csv_path.read_text() == "kept\n"
