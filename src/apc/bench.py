@@ -120,13 +120,15 @@ def run_method(
     """Solve `inst` by one of KNOWN_METHODS, as `apc solve` and `apc bench` do.
 
     `seed` and `restarts` reach only the heuristic, `node_limit` only exact,
-    and the oracle takes no limit; a time limit that is not positive, or a
-    node limit that is negative or not an int, is refused for every method.
+    and the oracle takes no limit; a time limit that is not positive, a node
+    limit that is negative, or a seed, restart count or node limit that is not
+    an int, is refused for every method.
     With the defaults this is the run that `run_benchmark` makes for the
     instance of a row and seed.
     """
     if not time_limit > 0:  # also rejects NaN
         raise ValueError(f"time_limit must be positive, got {time_limit}")
+    operator.index(seed), operator.index(restarts)  # TypeError for a non-int
     if node_limit is not None and operator.index(node_limit) < 0:
         raise ValueError(f"node_limit must be >= 0, got {node_limit}")
     if method == "oracle":

@@ -28,15 +28,18 @@ def _read_instance(path: Path):
         return parse_instance(fh)
 
 
+def _write(text: str, out: Path | None) -> None:
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        out.write_text(text, encoding="utf-8")
+
+
 def _cmd_generate(args) -> int:
     inst = generate_instance(
         args.n, args.conflicts, args.cost_lo, args.cost_hi, args.seed, name=args.name
     )
-    text = write_instance(inst)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
+    _write(write_instance(inst), args.out)
     return 0
 
 
@@ -62,11 +65,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_export(args) -> int:
     inst = _read_instance(args.instance)
-    text = export_lp(inst)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
+    _write(export_lp(inst), args.out)
     return 0
 
 

@@ -31,6 +31,7 @@ class LSConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        index(self.rng_seed)  # TypeError for a seed that is not an int
         if index(self.restarts) < 1 or not self.time_limit > 0:
             raise ValueError(f"all limits must be positive, got {self}")
 

@@ -28,15 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import (
-    DegenerateConflictError,
-    DimensionMismatchError,
-    DuplicateConflictError,
-    FormatError,
-    IndexOutOfRangeError,
-    MalformedHeaderError,
-    NegativeCostError,
-)
 from .hungarian import line_masks
 
 
@@ -67,9 +58,7 @@ class ConflictPair(_EdgePair):
         e1 = e1 if type(e1) is Edge else Edge(*e1)
         e2 = e2 if type(e2) is Edge else Edge(*e2)
         if e1 == e2:
-            raise DegenerateConflictError(
-                f"conflict pair needs two distinct edges, got {e1} twice"
-            )
+            raise ValueError(f"conflict pair needs two distinct edges, got {e1} twice")
         if e2 < e1:
             e1, e2 = e2, e1
         return super().__new__(cls, e1, e2)
@@ -93,8 +82,8 @@ class ConflictSet:
     def from_pairs(cls, n: int, pairs: Iterable) -> "ConflictSet":
         """Coerce any iterable of pairs of (a, b) edges.
 
-        Raises IndexOutOfRangeError for an edge outside the n x n grid and
-        DegenerateConflictError for a pair of one edge twice.
+        Raises ValueError for an edge outside the n x n grid or a pair of one
+        edge twice.
         """
         if isinstance(pairs, cls) and pairs.n == n:
             return pairs
@@ -103,12 +92,10 @@ class ConflictSet:
         for (a1, b1), (a2, b2) in pairs:
             a1, b1, a2, b2 = map(operator.index, (a1, b1, a2, b2))
             if not (0 <= a1 < n and 0 <= b1 < n and 0 <= a2 < n and 0 <= b2 < n):
-                raise IndexOutOfRangeError(
-                    f"conflict {(a1, b1)}-{(a2, b2)} outside the {n}x{n} grid"
-                )
+                raise ValueError(f"conflict {(a1, b1)}-{(a2, b2)} outside the {n}x{n} grid")
             u, v = a1 * n + b1, a2 * n + b2
             if u == v:
-                raise DegenerateConflictError(
+                raise ValueError(
                     f"conflict pair needs two distinct edges, got {Edge(a1, b1)} twice"
                 )
             keys.add(u * nn + v if u < v else v * nn + u)
@@ -139,12 +126,11 @@ class ConflictSet:
 class Instance:
     """Immutable problem data: cost matrix, conflict set, name.
 
-    Valid once built: ``n`` is the number of cost rows, and a matrix that is
-    empty or not square raises DimensionMismatchError, a negative cost
-    NegativeCostError and a cost that is not an integer TypeError.
-    ``conflicts`` takes any iterable of pairs and holds it as a
-    :class:`ConflictSet`; an edge outside the n x n grid raises
-    IndexOutOfRangeError and a pair of one edge twice DegenerateConflictError.
+    Valid once built: ``n`` is the number of cost rows, a matrix that is
+    empty or not square or holds a negative cost raises ValueError, and a
+    cost that is not an integer TypeError. ``conflicts`` takes any iterable
+    of pairs and holds it as a :class:`ConflictSet`; an edge outside the
+    n x n grid or a pair of one edge twice raises ValueError.
     """
 
     costs: tuple[tuple[int, ...], ...]
@@ -161,15 +147,13 @@ class Instance:
         )
         n = len(costs)
         if n == 0:
-            raise DimensionMismatchError("cost matrix has no rows")
+            raise ValueError("cost matrix has no rows")
         for i, row in enumerate(costs):
             if len(row) != n:
-                raise DimensionMismatchError(
-                    f"cost row {i} has {len(row)} entries, expected {n}"
-                )
+                raise ValueError(f"cost row {i} has {len(row)} entries, expected {n}")
             if min(row) < 0:
                 j = next(j for j, value in enumerate(row) if value < 0)
-                raise NegativeCostError(f"cost[{i}][{j}] = {row[j]} < 0")
+                raise ValueError(f"cost[{i}][{j}] = {row[j]} < 0")
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "conflicts", ConflictSet.from_pairs(n, self.conflicts))
 
@@ -251,11 +235,9 @@ def max_conflict_pairs(n: int) -> int:
 def parse_instance(source: str | IO[str]) -> Instance:
     """Parse an instance document.
 
-    Accepts a string or a readable text stream. Raises a
-    :class:`~apc.errors.FormatError` subclass naming the first problem found:
-    MalformedHeaderError, DimensionMismatchError, IndexOutOfRangeError,
-    DegenerateConflictError, DuplicateConflictError or NegativeCostError.
-    Duplicate conflict lines are an error, never merged silently.
+    Accepts a string or a readable text stream. Raises ValueError naming the
+    first problem found and its line, or saying that the document ended
+    early. Duplicate conflict lines are an error, never merged silently.
     """
     text = source.read() if hasattr(source, "read") else source
     name = ""
@@ -272,14 +254,14 @@ def parse_instance(source: str | IO[str]) -> Instance:
             return False
         return line != ""
 
-    def take(missing: str, error: type[FormatError] = MalformedHeaderError):
+    def take(missing: str):
         # (line number, stripped line) of the next non-blank, non-comment
-        # line; error(missing) when the document ends first
+        # line; ValueError(missing) when the document ends first
         for lineno, raw in numbered:
             line = raw.strip()
             if is_data(line):
                 return lineno, line
-        raise error(missing)
+        raise ValueError(missing)
 
     def ints(tokens: list[str]) -> tuple[int, ...] | None:
         try:
@@ -290,47 +272,41 @@ def parse_instance(source: str | IO[str]) -> Instance:
     at_end = "unexpected end of document, expected"
     lineno, line = take(f"{at_end} magic line 'APC 1'")
     if line.split() != ["APC", "1"]:
-        raise MalformedHeaderError(f"line {lineno}: expected 'APC 1', got {line!r}")
+        raise ValueError(f"line {lineno}: expected 'APC 1', got {line!r}")
 
     lineno, line = take(f"{at_end} size line 'n <N>'")
     tokens = line.split()
     size = ints(tokens[1:]) if tokens[0] == "n" else None
     if size is None or len(size) != 1:
-        raise MalformedHeaderError(f"line {lineno}: expected 'n <N>', got {line!r}")
+        raise ValueError(f"line {lineno}: expected 'n <N>', got {line!r}")
     (n,) = size
     if n < 1:
-        raise MalformedHeaderError(f"line {lineno}: n must be positive, got {n}")
+        raise ValueError(f"line {lineno}: n must be positive, got {n}")
 
     lineno, line = take(f"{at_end} 'costs' keyword")
     if line.split() != ["costs"]:
-        raise MalformedHeaderError(f"line {lineno}: expected 'costs', got {line!r}")
+        raise ValueError(f"line {lineno}: expected 'costs', got {line!r}")
 
     costs: list[tuple[int, ...]] = []
     for i in range(n):
-        lineno, line = take(
-            f"cost block has {i} rows, expected {n}", DimensionMismatchError
-        )
+        lineno, line = take(f"cost block has {i} rows, expected {n}")
         row = ints(line.split())
         if row is None or len(row) != n:
-            raise DimensionMismatchError(
+            raise ValueError(
                 f"line {lineno}: cost row {i} must hold exactly {n} integers, got {line!r}"
             )
         if min(row) < 0:
             j = next(j for j, value in enumerate(row) if value < 0)
-            raise NegativeCostError(f"line {lineno}: cost[{i}][{j}] = {row[j]} < 0")
+            raise ValueError(f"line {lineno}: cost[{i}][{j}] = {row[j]} < 0")
         costs.append(row)
 
     lineno, line = take(f"{at_end} conflict count line 'conflicts <M>'")
     tokens = line.split()
     count = ints(tokens[1:]) if tokens[0] == "conflicts" else None
     if count is None and ints(tokens) is not None:
-        raise DimensionMismatchError(
-            f"line {lineno}: more than {n}x{n} cost entries (extra row {line!r})"
-        )
+        raise ValueError(f"line {lineno}: more than {n}x{n} cost entries (extra row {line!r})")
     if count is None or len(count) != 1 or count[0] < 0:
-        raise MalformedHeaderError(
-            f"line {lineno}: expected 'conflicts <M>', got {line!r}"
-        )
+        raise ValueError(f"line {lineno}: expected 'conflicts <M>', got {line!r}")
     (m,) = count
 
     # the rest of the document, read from the same numbered lines: each token
@@ -354,26 +330,24 @@ def parse_instance(source: str | IO[str]) -> Instance:
                 try:
                     a1, b1, a2, b2 = map(int, line.split())
                 except ValueError:  # a token that is not an int, or not 4 tokens
-                    raise MalformedHeaderError(
+                    raise ValueError(
                         f"line {lineno}: conflict line must hold 4 integers, got {line!r}"
                     ) from None
                 if not (0 <= a1 < n and 0 <= b1 < n and 0 <= a2 < n and 0 <= b2 < n):
                     bad = next(i for i in (a1, b1, a2, b2) if not 0 <= i < n)
-                    raise IndexOutOfRangeError(f"line {lineno}: index {bad} outside [0, {n})")
+                    raise ValueError(f"line {lineno}: index {bad} outside [0, {n})")
                 u, v = a1 * n + b1, a2 * n + b2
         found = len(keys)
         if found == m:
-            raise MalformedHeaderError(
-                f"line {lineno}: unexpected trailing content {raw.strip()!r}"
-            )
+            raise ValueError(f"line {lineno}: unexpected trailing content {raw.strip()!r}")
         if u == v:
-            raise DegenerateConflictError(
+            raise ValueError(
                 f"line {lineno}: conflict pair needs two distinct edges, "
                 f"got {Edge(*divmod(u, n))} twice"
             )
         keys.add(u * nn + v if u < v else v * nn + u)
         if len(keys) == found:
-            raise DuplicateConflictError(f"line {lineno}: duplicate conflict {raw.strip()!r}")
+            raise ValueError(f"line {lineno}: duplicate conflict {raw.strip()!r}")
     if len(keys) < m:  # the lines ran out, so take() raises
         take(f"{at_end} conflict line {len(keys) + 1} of {m}")
 

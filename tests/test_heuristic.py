@@ -359,9 +359,11 @@ def test_lsconfig_rejects_bad_limits():
 
 
 def test_lsconfig_rejects_a_restart_count_that_is_not_an_int():
-    # a float count would build and then fail inside range() on the first run
-    with pytest.raises(TypeError):
-        LSConfig(restarts=2.5)
+    # a float count would build and then fail inside range() on the first run;
+    # a float or str seed would seed the restarts' random.Random all the same
+    for bad in ({"restarts": 2.5}, {"rng_seed": 1.5}, {"rng_seed": "abc"}):
+        with pytest.raises(TypeError):
+            LSConfig(**bad)
     assert LSConfig(restarts=2).restarts == 2
 
 

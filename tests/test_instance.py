@@ -1,5 +1,6 @@
 """Instance types, text format, generator and validator."""
 
+import contextlib
 import gc
 import hashlib
 import itertools
@@ -12,14 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apc.errors import (
-    DegenerateConflictError,
-    DimensionMismatchError,
-    DuplicateConflictError,
-    IndexOutOfRangeError,
-    MalformedHeaderError,
-    NegativeCostError,
-)
 from apc.instance import (
     ConflictPair,
     Edge,
@@ -30,6 +23,15 @@ from apc.instance import (
     parse_instance,
     write_instance,
 )
+
+
+@contextlib.contextmanager
+def refused(message):
+    """Expect exactly a ValueError, not a subclass, whose message is `message`."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
+        yield
+    assert excinfo.type is ValueError
+
 
 SMALLEST_DOC = """\
 APC 1
@@ -71,89 +73,92 @@ def test_parse_ignores_one_leading_byte_order_mark():
     doc = "APC 1\r\n# name: b\r\nn 2\r\ncosts\r\n1 2\r\n3 4\r\nconflicts 1\r\n0 0 1 1\r\n"
     assert parse_instance("\ufeff" + doc) == parse_instance(doc)
     message = "line 1: expected 'APC 1', got '\\ufeffAPC 1'"  # the repr of the line
-    with pytest.raises(MalformedHeaderError, match=f"^{re.escape(message)}$"):
+    with refused(message):
         parse_instance("\ufeff\ufeff" + doc)
 
 
 _HEAD_2 = "APC 1\nn 2\ncosts\n1 2\n3 4\n"
 
-# each header, cost-block and conflict-block error: the document, the error
-# class and the full message the parser reports
+# each header, cost-block and conflict-block error: the document, the kind of
+# fault, which only names the test id, and the full message of the ValueError
+# the parser raises
 PARSE_ERRORS = [
-    ("", MalformedHeaderError, "unexpected end of document, expected magic line 'APC 1'"),
-    ("APX 1\nn 1\ncosts\n7\nconflicts 0\n", MalformedHeaderError,
+    ("", "MalformedHeaderError", "unexpected end of document, expected magic line 'APC 1'"),
+    ("APX 1\nn 1\ncosts\n7\nconflicts 0\n", "MalformedHeaderError",
      "line 1: expected 'APC 1', got 'APX 1'"),
-    ("APC 2\nn 1\ncosts\n7\nconflicts 0\n", MalformedHeaderError,
+    ("APC 2\nn 1\ncosts\n7\nconflicts 0\n", "MalformedHeaderError",
      "line 1: expected 'APC 1', got 'APC 2'"),
-    ("APC 1\n", MalformedHeaderError, "unexpected end of document, expected size line 'n <N>'"),
-    ("APC 1\nn 0\ncosts\nconflicts 0\n", MalformedHeaderError,
+    ("APC 1\n", "MalformedHeaderError", "unexpected end of document, expected size line 'n <N>'"),
+    ("APC 1\nn 0\ncosts\nconflicts 0\n", "MalformedHeaderError",
      "line 2: n must be positive, got 0"),
-    ("APC 1\nn x\ncosts\n7\nconflicts 0\n", MalformedHeaderError,
+    ("APC 1\nn x\ncosts\n7\nconflicts 0\n", "MalformedHeaderError",
      "line 2: expected 'n <N>', got 'n x'"),
-    ("APC 1\nn 1\n", MalformedHeaderError,
+    ("APC 1\nn 1\n", "MalformedHeaderError",
      "unexpected end of document, expected 'costs' keyword"),
-    ("APC 1\nn 1\ncost\n7\nconflicts 0\n", MalformedHeaderError,
+    ("APC 1\nn 1\ncost\n7\nconflicts 0\n", "MalformedHeaderError",
      "line 3: expected 'costs', got 'cost'"),
-    ("APC 1\nn 2\ncosts\n1 2\n", DimensionMismatchError, "cost block has 1 rows, expected 2"),
-    ("APC 1\nn 2\ncosts\n1 2\nconflicts 0\n", DimensionMismatchError,
+    ("APC 1\nn 2\ncosts\n1 2\n", "DimensionMismatchError", "cost block has 1 rows, expected 2"),
+    ("APC 1\nn 2\ncosts\n1 2\nconflicts 0\n", "DimensionMismatchError",
      "line 5: cost row 1 must hold exactly 2 integers, got 'conflicts 0'"),
-    ("APC 1\nn 2\ncosts\n1 2 3\n4 5\nconflicts 0\n", DimensionMismatchError,
+    ("APC 1\nn 2\ncosts\n1 2 3\n4 5\nconflicts 0\n", "DimensionMismatchError",
      "line 4: cost row 0 must hold exactly 2 integers, got '1 2 3'"),
-    ("APC 1\nn 2\ncosts\n1 x\n3 4\nconflicts 0\n", DimensionMismatchError,
+    ("APC 1\nn 2\ncosts\n1 x\n3 4\nconflicts 0\n", "DimensionMismatchError",
      "line 4: cost row 0 must hold exactly 2 integers, got '1 x'"),
-    ("APC 1\nn 1\ncosts\n-7\nconflicts 0\n", NegativeCostError, "line 4: cost[0][0] = -7 < 0"),
-    ("APC 1\nn 2\ncosts\n1 2\n3 4\n5 6\nconflicts 0\n", DimensionMismatchError,
+    ("APC 1\nn 1\ncosts\n-7\nconflicts 0\n", "NegativeCostError", "line 4: cost[0][0] = -7 < 0"),
+    ("APC 1\nn 2\ncosts\n1 2\n3 4\n5 6\nconflicts 0\n", "DimensionMismatchError",
      "line 6: more than 2x2 cost entries (extra row '5 6')"),
-    ("APC 1\nn 1\ncosts\n7\n", MalformedHeaderError,
+    ("APC 1\nn 1\ncosts\n7\n", "MalformedHeaderError",
      "unexpected end of document, expected conflict count line 'conflicts <M>'"),
-    ("APC 1\nn 1\ncosts\n7\nconflicts x\n", MalformedHeaderError,
+    ("APC 1\nn 1\ncosts\n7\nconflicts x\n", "MalformedHeaderError",
      "line 5: expected 'conflicts <M>', got 'conflicts x'"),
-    ("APC 1\nn 1\ncosts\n7\nconflicts -1\n", MalformedHeaderError,
+    ("APC 1\nn 1\ncosts\n7\nconflicts -1\n", "MalformedHeaderError",
      "line 5: expected 'conflicts <M>', got 'conflicts -1'"),
-    ("APC 1\nn 1\ncosts\n7\nconflicts 0\ntrailing junk\n", MalformedHeaderError,
+    ("APC 1\nn 1\ncosts\n7\nconflicts 0\ntrailing junk\n", "MalformedHeaderError",
      "line 6: unexpected trailing content 'trailing junk'"),
-    (_HEAD_2 + "conflicts 1\n0 0 1\n", MalformedHeaderError,
+    (_HEAD_2 + "conflicts 1\n0 0 1\n", "MalformedHeaderError",
      "line 7: conflict line must hold 4 integers, got '0 0 1'"),
-    (_HEAD_2 + "conflicts 1\n0 0 1 1 0\n", MalformedHeaderError,
+    (_HEAD_2 + "conflicts 1\n0 0 1 1 0\n", "MalformedHeaderError",
      "line 7: conflict line must hold 4 integers, got '0 0 1 1 0'"),
-    (_HEAD_2 + "conflicts 1\n0 0 1 y\n", MalformedHeaderError,
+    (_HEAD_2 + "conflicts 1\n0 0 1 y\n", "MalformedHeaderError",
      "line 7: conflict line must hold 4 integers, got '0 0 1 y'"),
-    (_HEAD_2 + "conflicts 1\n0 5 7 1\n", IndexOutOfRangeError, "line 7: index 5 outside [0, 2)"),
-    (_HEAD_2 + "conflicts 1\n0 0 2 1\n", IndexOutOfRangeError, "line 7: index 2 outside [0, 2)"),
-    (_HEAD_2 + "conflicts 1\n0 -1 1 1\n", IndexOutOfRangeError,
+    (_HEAD_2 + "conflicts 1\n0 5 7 1\n", "IndexOutOfRangeError", "line 7: index 5 outside [0, 2)"),
+    (_HEAD_2 + "conflicts 1\n0 0 2 1\n", "IndexOutOfRangeError", "line 7: index 2 outside [0, 2)"),
+    (_HEAD_2 + "conflicts 1\n0 -1 1 1\n", "IndexOutOfRangeError",
      "line 7: index -1 outside [0, 2)"),
-    (_HEAD_2 + "conflicts 2\n0 0 1 1\n", MalformedHeaderError,
+    (_HEAD_2 + "conflicts 2\n0 0 1 1\n", "MalformedHeaderError",
      "unexpected end of document, expected conflict line 2 of 2"),
-    ("APC 1\nn 1\ncosts\n7\nconflicts 1\n", MalformedHeaderError,
+    ("APC 1\nn 1\ncosts\n7\nconflicts 1\n", "MalformedHeaderError",
      "unexpected end of document, expected conflict line 1 of 1"),
-    (_HEAD_2 + "conflicts 1\n0 0 0 0\n", DegenerateConflictError,
+    (_HEAD_2 + "conflicts 1\n0 0 0 0\n", "DegenerateConflictError",
      "line 7: conflict pair needs two distinct edges, got Edge(a=0, b=0) twice"),
-    (_HEAD_2 + "conflicts 2\n0 0 1 1\n0 0 1 1\n", DuplicateConflictError,
+    (_HEAD_2 + "conflicts 2\n0 0 1 1\n0 0 1 1\n", "DuplicateConflictError",
      "line 8: duplicate conflict '0 0 1 1'"),
     # the same pair written with the edges swapped is still a duplicate
-    (_HEAD_2 + "conflicts 2\n0 0 1 1\n1 1 0 0\n", DuplicateConflictError,
+    (_HEAD_2 + "conflicts 2\n0 0 1 1\n1 1 0 0\n", "DuplicateConflictError",
      "line 8: duplicate conflict '1 1 0 0'"),
     # a comment and a blank line before the bad line move its number
-    (_HEAD_2 + "conflicts 2\n0 0 1 1\n# note\n\n0 5 7 1\n", IndexOutOfRangeError,
+    (_HEAD_2 + "conflicts 2\n0 0 1 1\n# note\n\n0 5 7 1\n", "IndexOutOfRangeError",
      "line 10: index 5 outside [0, 2)"),
     # a padded or signed token is read by int(), then range-checked
-    (_HEAD_2 + "conflicts 1\n0 0 02 1\n", IndexOutOfRangeError, "line 7: index 2 outside [0, 2)"),
-    (_HEAD_2 + "conflicts 1\n0 0 +2 1\n", IndexOutOfRangeError, "line 7: index 2 outside [0, 2)"),
+    (_HEAD_2 + "conflicts 1\n0 0 02 1\n", "IndexOutOfRangeError",
+     "line 7: index 2 outside [0, 2)"),
+    (_HEAD_2 + "conflicts 1\n0 0 +2 1\n", "IndexOutOfRangeError",
+     "line 7: index 2 outside [0, 2)"),
     # '00' and '-0' are the edge index 0
-    (_HEAD_2 + "conflicts 1\n00 0 -0 0\n", DegenerateConflictError,
+    (_HEAD_2 + "conflicts 1\n00 0 -0 0\n", "DegenerateConflictError",
      "line 7: conflict pair needs two distinct edges, got Edge(a=0, b=0) twice"),
-    (_HEAD_2 + "conflicts 2\n0 0 1 1\n00 -0 1 1\n", DuplicateConflictError,
+    (_HEAD_2 + "conflicts 2\n0 0 1 1\n00 -0 1 1\n", "DuplicateConflictError",
      "line 8: duplicate conflict '00 -0 1 1'"),
 ]
 
 
 @pytest.mark.parametrize(
-    "doc,error,message",
-    PARSE_ERRORS,
-    ids=[f"{doc}-{error.__name__}" for doc, error, _ in PARSE_ERRORS],  # no message
+    "doc,message",
+    [(doc, message) for doc, _, message in PARSE_ERRORS],
+    ids=[f"{doc}-{kind}" for doc, kind, _ in PARSE_ERRORS],  # no message
 )
-def test_parse_errors(doc, error, message):
-    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+def test_parse_errors(doc, message):
+    with refused(message):
         parse_instance(doc)
 
 
@@ -261,10 +266,10 @@ def test_instance_and_pair_survive_pickling():
 
 
 def test_conflict_pair_rejects_equal_edges():
-    with pytest.raises(DegenerateConflictError):
-        ConflictPair(Edge(1, 1), Edge(1, 1))
     message = "conflict pair needs two distinct edges, got Edge(a=1, b=1) twice"
-    with pytest.raises(DegenerateConflictError, match=f"^{re.escape(message)}$"):
+    with refused(message):
+        ConflictPair(Edge(1, 1), Edge(1, 1))
+    with refused(message):
         Instance([[1, 2], [3, 4]], [((0, 0), (1, 0)), ((1, 1), (1, 1))])
 
 
@@ -494,7 +499,7 @@ def test_sparse_instance_memory_does_not_scale_with_the_grid():
 def test_partners_index_rejects_out_of_range_conflicts():
     # the conflict set is range-checked when the instance is built, before
     # any index over it can be compiled
-    with pytest.raises(IndexOutOfRangeError):
+    with refused("conflict (0, 0)-(1, 2) outside the 2x2 grid"):
         Instance([[1, 2], [3, 4]], [((0, 0), (1, 2))])
 
 
@@ -527,7 +532,7 @@ def test_validate_ok():
 
 def test_validate_index_out_of_range():
     # a conflict outside the grid is rejected when the instance is built
-    with pytest.raises(IndexOutOfRangeError):
+    with refused("conflict (5, 0)-(0, 0) outside the 3x3 grid"):
         Instance([[1] * 3] * 3, [((5, 0), (0, 0))])
 
 
@@ -566,21 +571,19 @@ def test_instance_derives_n_and_coerces_costs():
 
 
 def test_instance_rejects_empty_costs():
-    with pytest.raises(DimensionMismatchError, match="^cost matrix has no rows$"):
+    with refused("cost matrix has no rows"):
         Instance(())
 
 
 def test_instance_rejects_ragged_costs():
-    with pytest.raises(
-        DimensionMismatchError, match=r"^cost row 0 has 3 entries, expected 2$"
-    ):
+    with refused("cost row 0 has 3 entries, expected 2"):
         Instance(((1, 2, 3), (4,)))
-    with pytest.raises(DimensionMismatchError, match=r"^cost row 1 has 1 entries"):
+    with refused("cost row 1 has 1 entries, expected 2"):
         Instance(((1, 2), (4,)))
 
 
 def test_instance_rejects_negative_cost():
-    with pytest.raises(NegativeCostError, match=r"^cost\[1\]\[0\] = -3 < 0$"):
+    with refused("cost[1][0] = -3 < 0"):
         Instance([[1, 2], [-3, 4]])
 
 

@@ -1,9 +1,10 @@
-"""Every refusal outside the parser: a plain ValueError naming what it refused.
+"""Every refusal: a plain ValueError naming what it refused.
 
-Faults in instance data raise `FormatError` subclasses (see test_instance.py);
-every `raise ValueError` site in the package is one (call, message fragment)
-row here, so the message is what tells the refusals apart. A count that is
-not an int raises TypeError instead, before any work.
+Every `raise ValueError` site in the package outside `parse_instance` is one
+(call, message fragment) row here, so the message is what tells the refusals
+apart; the parser's, which name the line, are test_instance.py's
+PARSE_ERRORS. A count or seed that is not an int raises TypeError instead,
+before any work.
 """
 
 import re
@@ -14,7 +15,13 @@ from apc.bench import KNOWN_METHODS, InstanceResult, emit_table, run_benchmark, 
 from apc.exact import branch, solve_exact
 from apc.heuristic import LSConfig, gap_percent, local_search
 from apc.hungarian import MaskedCosts, solve_ap
-from apc.instance import Instance, generate_instance, write_instance
+from apc.instance import (
+    ConflictPair,
+    ConflictSet,
+    Instance,
+    generate_instance,
+    write_instance,
+)
 from apc.model import check_feasible, evaluate
 from apc.oracle import brute_force, enumerate_feasible
 from apc.solution import SolveStatus
@@ -77,6 +84,21 @@ REFUSALS = [
         "start is no result for the 2x2 matrix",
     ),
     # apc.instance
+    (lambda: Instance(()), "cost matrix has no rows"),
+    (lambda: Instance(((1, 2, 3), (4,))), "cost row 0 has 3 entries, expected 2"),
+    (lambda: Instance([[1, 2], [-3, 4]]), "cost[1][0] = -3 < 0"),
+    (
+        lambda: Instance([[1, 2], [3, 4]], [((0, 0), (1, 2))]),
+        "conflict (0, 0)-(1, 2) outside the 2x2 grid",
+    ),
+    (
+        lambda: ConflictSet.from_pairs(2, [((1, 1), (1, 1))]),
+        "conflict pair needs two distinct edges, got Edge(a=1, b=1) twice",
+    ),
+    (
+        lambda: ConflictPair((0, 1), (0, 1)),
+        "conflict pair needs two distinct edges, got Edge(a=0, b=1) twice",
+    ),
     (
         lambda: write_instance(Instance([[1]], name=" padded")),
         "instance name ' padded' must be one line",
@@ -115,9 +137,16 @@ def test_refusal_is_a_plain_value_error_naming_the_value(call, fragment):
 
 @pytest.mark.parametrize("method", KNOWN_METHODS)
 def test_run_method_refuses_a_node_limit_that_is_not_an_int(method):
-    # oracle and heuristic take no node limit, but refuse a bad one as exact does
-    with pytest.raises(TypeError):
-        run_method(DIAG, method, 1.0, 0, node_limit=2.5)
+    # oracle and heuristic take no node limit, and only the heuristic takes a
+    # seed or a restart count, but every method refuses a bad one
+    for seed, limits in (
+        (0, {"node_limit": 2.5}),
+        ("abc", {}),
+        (1.5, {}),
+        (0, {"restarts": 2.5}),
+    ):
+        with pytest.raises(TypeError):
+            run_method(DIAG, method, 1.0, seed, **limits)
 
 
 def test_run_benchmark_refuses_a_job_count_that_is_not_an_int(tmp_path):
