@@ -7,21 +7,24 @@ lower bound, and the bitset meets the cost matrix only as the argument of
 so a node forces an edge by disallowing the rest of its row and column, and
 needs no second bitset.
 Best-first node selection means the first conflict-feasible relaxation
-popped is globally optimal. The search branches fail-first on the selected
-edge that sits in the most violated conflict pairs: one child forbids that
-edge, the other commits to it, which forbids the rest of its row and column
-and every edge it conflicts with. The children are disjoint, and together
-they keep every conflict-feasible solution of the node. Every node is
-closed under one line rule, since a perfect matching takes one edge of each
-row and column: a row or column left with at most four allowed edges forbids
-every edge that no matching can hold beside any of them, so a lone edge is
-committed to. `solve_exact` closes the root and `branch` the commit child
-from every line; the avoid child starts from the forbidden edge's row and
-column, the only lines its split touches. A node with a line that has no
-allowed edge is dropped before any AP work. A child only tightens its
-parent: its allowed bitset is a subset of the parent's
-(``child & parent == child``), so its assignment problem is re-optimized
-from the parent's potentials instead of solved from scratch.
+popped is globally optimal. The search branches fail-first. A row or
+column is one variable whose domain is its allowed edges, and a perfect
+matching takes exactly one edge of each. So when a row or column of a
+selected edge in a violated conflict pair is short, with at most
+`SHORT_LINE` (four) allowed edges, the node splits d-way on the shortest
+such line: one child commits to each of its edges, which forbids the rest
+of that edge's row and column and every edge it conflicts with. Otherwise
+it splits on the selected edge that sits in the most violated pairs: one
+child forbids that edge, the other commits to it. The children are
+disjoint, and together they keep every conflict-feasible solution of the
+node. Every node is closed under one line rule: a short line forbids every
+edge that no matching can hold beside any of its edges, so a lone edge is
+committed to. `solve_exact` closes the root and `branch` each commit child
+from every line; the avoid child starts from the lines its split touches.
+A node with a line that has no allowed edge is dropped before any AP work.
+A child only tightens its parent: its allowed bitset is a subset of the
+parent's (``child & parent == child``), so its assignment problem is
+re-optimized from the parent's potentials instead of solved from scratch.
 Conflicts are read as bitsets too: ``Instance.exclusion_masks[e]`` has bit
 f set for every other edge f of e's row and column and every partner f of
 e, so a commit clears all of them with one ``& ~``, the line rule intersects
@@ -45,22 +48,34 @@ from .model import _require_permutation
 from .solution import Solution, SolveStatus
 
 
-def find_violated_conflict(assignment, inst: Instance) -> int | None:
-    """The id of the edge worth branching on, or None if no pair is violated.
+# A short line has at most this many allowed edges. The line rule closes
+# only short lines, and the search splits on a short line one child per edge.
+SHORT_LINE = 4
 
-    Among the edges the assignment selects, picks the one in the most
-    violated conflict pairs, breaking ties by higher cost, then by smaller
-    id. Returns None exactly when the feasibility checker reports no violated
+
+def find_violated_conflict(assignment, inst: Instance, allowed: int) -> int | None:
+    """The split to branch on, allowed edges of one line, or None if no
+    pair is violated.
+
+    The candidate lines are the rows and columns of the selected edges in
+    violated conflict pairs, each edge's row before its column, in
+    assignment order. When the first of them with the fewest allowed edges
+    (bits of `allowed`) is short, with at most `SHORT_LINE`, the split is
+    all of its allowed edges. Otherwise it is the one edge in the most
+    violated pairs, breaking ties by higher cost, then by smaller id.
+    Returns None exactly when the feasibility checker reports no violated
     conflicts. The selected edges form one bitset, and each one's violated
     pairs are the popcount of its AND with the edge's exclusion bitset
     (`Instance.exclusion_masks`): a permutation selects no other edge of the
-    edge's row or column, so only partners count. Only the n selected
-    edges' masks are read.
+    edge's row or column, so only partners count. One pass reads only the n
+    selected edges' masks.
     """
     _require_permutation(inst.n, assignment)
     n, costs, masks = inst.n, inst.costs, inst.exclusion_masks
+    _, lines, _ = line_masks(n)
     selected = sum(1 << a * n + b for a, b in enumerate(assignment))
     best = None  # (-violated pairs, -cost, id): the minimum is the edge
+    fewest = n + 1  # allowed edges of the shortest candidate line so far
     for a, b in enumerate(assignment):
         e = a * n + b
         count = (selected & masks[e]).bit_count()
@@ -68,7 +83,15 @@ def find_violated_conflict(assignment, inst: Instance) -> int | None:
             key = (-count, -costs[a][b], e)
             if best is None or key < best:
                 best = key
-    return None if best is None else best[2]
+            row = allowed & lines[a]
+            if (k := row.bit_count()) < fewest:
+                fewest, line = k, row
+            column = allowed & lines[n + b]
+            if (k := column.bit_count()) < fewest:
+                fewest, line = k, column
+    if best is None:
+        return None
+    return line if fewest <= SHORT_LINE else 1 << best[2]
 
 
 def _close(allowed, todo, lines, exclusion_masks) -> int | None:
@@ -76,12 +99,12 @@ def _close(allowed, todo, lines, exclusion_masks) -> int | None:
     `todo` (rows and columns, `lines` as in `line_masks`).
 
     Every perfect matching takes one allowed edge of each line. An edge
-    excludes the edges of `Instance.exclusion_masks`, so a line with at most
-    four allowed edges forbids every edge that each of them excludes: no
-    matching holds it beside any edge the line may take. A lone edge is thus
-    committed to. A line's intersection stops once it is empty. Each line
-    that loses an allowed edge is queued. A child of a closed node needs
-    only the lines that lost an allowed edge since the parent: no other
+    excludes the edges of `Instance.exclusion_masks`, so a short line, with
+    at most `SHORT_LINE` allowed edges, forbids every edge that each of them
+    excludes: no matching holds it beside any edge the line may take. A lone
+    edge is thus committed to. A line's intersection stops once it is empty.
+    Each line that loses an allowed edge is queued. A child of a closed node
+    needs only the lines that lost an allowed edge since the parent: no other
     line's rule can be new. None when a line ends up with no allowed edge.
     """
     n = len(lines) // 2
@@ -89,7 +112,7 @@ def _close(allowed, todo, lines, exclusion_masks) -> int | None:
         k = todo.pop()
         cells = allowed & lines[k]
         count = cells.bit_count()
-        if count > 4:  # a wider line seldom forbids an edge, at one mask per edge
+        if count > SHORT_LINE:  # seldom forbids an edge, at one mask per edge
             continue
         if not count:
             return None
@@ -106,33 +129,48 @@ def _close(allowed, todo, lines, exclusion_masks) -> int | None:
     return allowed
 
 
-def branch(allowed: int, edge: int, inst: Instance) -> tuple[int | None, int | None]:
-    """Split a node's allowed bitset on `edge` into two disjoint children.
+def branch(allowed: int, split: int, inst: Instance) -> tuple[int | None, ...]:
+    """Split a node's allowed bitset on `split`, allowed edges of one line,
+    into disjoint children: the avoid child, then one commit child per edge
+    of `split` in ascending id.
 
-    `allowed` holds edge ids of `inst`'s n x n grid, and so does each child
-    of the pair (avoid, commit). Each child is `allowed` with bits cleared,
-    so it only tightens the parent. The avoid child forbids `edge`. The
-    commit child forces it: it forbids every edge in
-    `inst.exclusion_masks[edge]`, the rest of the edge's row and column and
-    its conflict partners. Each child is then closed under the line rule
-    (`_close`). The commit child, like the root, starts from every line, so
-    it is closed whatever `allowed` is. The avoid child starts from the
-    edge's row and column, the only lines its split touches, so it is closed
-    when `allowed` is; from a bitset that is not, it may be left unclosed. A
-    child is None when a line ends up with no allowed edge, so it holds no
-    conflict-feasible solution and needs no AP solve. Every conflict-feasible
-    solution within `allowed` lies in exactly one child. Splitting on an edge
-    that `allowed` does not hold, one outside the n x n grid included, raises
-    ValueError before any work; the solver never asks for one, because it
-    branches on an edge of the node's own relaxation.
+    Each child is `allowed` with bits cleared, so it only tightens the
+    parent. The avoid child forbids every edge of `split`; it is None, at no
+    closure cost, when `split` holds every allowed edge of its line. A
+    commit child forces its edge e: it forbids `inst.exclusion_masks[e]`,
+    the rest of e's row and column and its conflict partners. Each child is
+    closed under the line rule (`_close`): a commit child, like the root,
+    from every line, so it is closed whatever `allowed` is; the avoid child
+    from the lines the split touches, which closes it when `allowed` is
+    closed. A child is None when a line ends up with no allowed edge, so it
+    needs no AP solve. Every perfect matching takes one edge of the split's
+    line, so every conflict-feasible solution within `allowed` lies in
+    exactly one child, and a one-edge split gives the pair (avoid, commit).
+    An empty split, one holding an edge that `allowed` lacks (an id outside
+    the n x n grid included) or one spanning more than one row or column
+    raises ValueError before any work; the solver never asks for one.
     """
-    if not allowed >> edge & 1:
-        raise ValueError(f"edge {edge} is not allowed at this node")
+    if not split:
+        raise ValueError("split holds no edge")
+    bad = split & ~allowed
+    if bad:
+        raise ValueError(f"edge {(bad & -bad).bit_length() - 1} is not allowed at this node")
     n, excl = inst.n, inst.exclusion_masks
     _, lines, _ = line_masks(n)
-    a, b = divmod(edge, n)
-    avoid = _close(allowed ^ 1 << edge, {a, n + b}, lines, excl)
-    return avoid, _close(allowed & ~excl[edge], set(range(2 * n)), lines, excl)
+    edges, left = [], split
+    while left:
+        e = (left & -left).bit_length() - 1
+        edges.append(e)
+        left ^= 1 << e
+    a, b = divmod(edges[0], n)
+    line = lines[a] if split & lines[a] == split else lines[n + b]
+    if split & line != split:
+        raise ValueError(f"split on edges {edges} spans more than one line")
+    avoid = None
+    if allowed & line != split:
+        touched = {k for e in edges for k in (e // n, n + e % n)}
+        avoid = _close(allowed ^ split, touched, lines, excl)
+    return avoid, *(_close(allowed & ~excl[e], set(range(2 * n)), lines, excl) for e in edges)
 
 
 def solve_exact(
@@ -198,17 +236,16 @@ def solve_exact(
             # Best-first: every open node is at least this bound, so the
             # incumbent is proven optimal.
             break
-        edge = find_violated_conflict(res[0], inst)
-        if edge is None:
+        split = find_violated_conflict(res[0], inst, allowed)
+        if split is None:
             # the best open relaxation is conflict-free, so it is optimal
             inc_assignment, inc_value = res[0], bound
             sec_best = time.perf_counter() - start
             break
-        # Disjoint dichotomy on the edge in the most violated pairs: drop it
-        # entirely, or commit to it (which excludes every edge it conflicts
-        # with). Committing prunes far harder than a second forbid on dense
-        # conflict sets.
-        for child in branch(allowed, edge, inst):
+        # Disjoint split: avoid every edge of the split, or commit to one of
+        # them (which excludes every edge it conflicts with). Committing
+        # prunes far harder than a second forbid on dense conflict sets.
+        for child in branch(allowed, split, inst):
             if child is None:
                 continue
             child_res = solve_ap(MaskedCosts(inst.costs, child), res)

@@ -207,7 +207,7 @@ def test_incremental_csv(tmp_path):
 
 def test_csv_rows_carry_the_bound_and_the_node_count(tmp_path):
     # the two columns after opt hold the Solution's lower_bound and nodes:
-    # exact proves 10/600 seed 1 optimal at 247 in 52 nodes, and the
+    # exact proves 10/600 seed 1 optimal at 247 in 50 nodes, and the
     # heuristic proves no bound and explores no search nodes
     out = tmp_path / "runs.csv"
     results = run_benchmark(
@@ -216,10 +216,10 @@ def test_csv_rows_carry_the_bound_and_the_node_count(tmp_path):
     rows = list(csv.DictReader(out.read_text().splitlines()))
     exact, heuristic = rows
     assert exact["method"] == "exact" and exact["status"] == "Optimal"
-    assert (exact["value"], exact["lower_bound"], exact["nodes"]) == ("247", "247", "52")
+    assert (exact["value"], exact["lower_bound"], exact["nodes"]) == ("247", "247", "50")
     assert heuristic["method"] == "heuristic"
     assert (heuristic["lower_bound"], heuristic["nodes"]) == ("", "0")
-    assert [(r.lower_bound, r.nodes) for r in results] == [(247, 52), (None, 0)]
+    assert [(r.lower_bound, r.nodes) for r in results] == [(247, 50), (None, 0)]
 
 
 def mean(values):

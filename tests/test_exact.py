@@ -62,59 +62,114 @@ def test_optimal_solutions_verify():
 
 
 def test_find_violated_conflict_basics():
-    # both edges of the one violated pair tie on count and cost: smaller id
-    assert find_violated_conflict([0, 1], DIAG) == 0
-    assert find_violated_conflict([1, 0], DIAG) is None
+    # every line of a 2x2 node is short: the split is row 0's allowed edges,
+    # the first of the tied lines of the violated edges (0, 0) and (1, 1)
+    full = bits(range(4))
+    assert find_violated_conflict([0, 1], DIAG, full) == bits({0, 1})
+    assert find_violated_conflict([1, 0], DIAG, full) is None
+    # with (1, 0) forbidden, column 0 holds (0, 0) alone, fewer than row 0
+    assert find_violated_conflict([0, 1], DIAG, allowed_bits(2, {2})) == bits({0})
+
+
+def _padded(costs, conflicts, n=5):
+    # the costs and conflicts in the top-left corner of an n x n instance of
+    # unit costs, so a full node's lines have n > 4 edges and are not short
+    return Instance(
+        [list(row) + [1] * (n - len(row)) for row in costs]
+        + [[1] * n for _ in range(n - len(costs))],
+        conflicts,
+    )
 
 
 def test_find_violated_conflict_prefers_count_then_cost():
     costs = [[5, 1, 1], [1, 50, 1], [1, 1, 1]]
+    full, perm = bits(range(25)), list(range(5))
     # the cheap edge (2, 2) sits in two violated pairs, the costly (1, 1) in one
-    inst = Instance(costs, [((0, 0), (2, 2)), ((1, 1), (2, 2))])
-    assert find_violated_conflict([0, 1, 2], inst) == 2 * 3 + 2
+    inst = _padded(costs, [((0, 0), (2, 2)), ((1, 1), (2, 2))])
+    assert find_violated_conflict(perm, inst, full) == 1 << 2 * 5 + 2
     # all three edges sit in two violated pairs: the costliest wins
     triangle = [((0, 0), (1, 1)), ((0, 0), (2, 2)), ((1, 1), (2, 2))]
-    inst = Instance(costs, triangle)
-    assert find_violated_conflict([0, 1, 2], inst) == 1 * 3 + 1
+    inst = _padded(costs, triangle)
+    assert find_violated_conflict(perm, inst, full) == 1 << 1 * 5 + 1
     # count and cost tie between (0, 0) and (1, 1): the smaller id wins
-    inst = Instance([[7, 1, 1], [1, 7, 1], [1, 1, 1]], triangle)
-    assert find_violated_conflict([0, 1, 2], inst) == 0
+    inst = _padded([[7, 1, 1], [1, 7, 1], [1, 1, 1]], triangle)
+    assert find_violated_conflict(perm, inst, full) == 1 << 0
+
+
+def test_find_violated_conflict_splits_the_first_shortest_line():
+    # The candidates are the rows and columns of the violated edges (0, 0),
+    # (1, 1) and (2, 2), each edge's row before its column, in assignment
+    # order. The first with the fewest allowed edges is the split when it
+    # has at most four; otherwise the edge rule picks (1, 1), in two pairs.
+    inst = _padded([[1] * 3] * 3, [((0, 0), (1, 1)), ((1, 1), (2, 2))])
+
+    def scan(*forbidden):
+        return find_violated_conflict(list(range(5)), inst, allowed_bits(5, forbidden))
+
+    assert scan() == scan(24) == 1 << 6  # no candidate line loses an edge
+    assert scan(13) == bits({10, 11, 12, 14})  # row 2 keeps four
+    # column 1 keeps three, fewer than row 2's four
+    assert scan(11, 16) == bits({1, 6, 21})
+    # row 2 keeps three as well, but column 1 comes first
+    assert scan(11, 13, 16) == bits({1, 6, 21})
+    # column 0 keeps three too, and it comes before both
+    assert scan(5, 11, 13, 16, 20) == bits({0, 10, 15})
 
 
 def test_find_violated_conflict_rejects_non_permutation():
     with pytest.raises(ValueError, match=r"^assignment \[0, 0\] is not a permutation of 0\.\.1$"):
-        find_violated_conflict([0, 0], DIAG)
+        find_violated_conflict([0, 0], DIAG, bits(range(4)))
 
 
 def test_find_violated_agrees_with_feasibility_checker():
-    # The selected edge in the most violated pairs, ties broken by higher
-    # cost, then smaller id; costs in {1, 2} on odd seeds make equal counts
-    # and equal costs among the leaders common.
+    # The split of random nodes on random instances, spelled out over the
+    # feasibility checker's violated pairs: the first shortest candidate
+    # line's allowed edges when it has at most four, else the selected edge
+    # in the most violated pairs, ties broken by higher cost, then smaller
+    # id. Costs in {1, 2} on odd seeds make equal counts and equal costs
+    # among the edge rule's leaders common. Each edge off the assignment is
+    # forbidden with probability 1/8 (on half the nodes), 1/4 or 1/2, which
+    # leaves short lines on some nodes and none on others.
     rng = random.Random(12)
-    count_ties = cost_ties = 0
-    for seed in range(100):
-        n = rng.randint(3, 7)
+    count_ties = cost_ties = line_splits = 0
+    for seed in range(300):
+        n = rng.randint(4, 10)
         m = rng.randint(0, max_conflict_pairs(n) // 2)
         inst = generate_instance(n, m, 1, 2 if seed % 2 else 50, seed=seed)
         perm = list(range(n))
         rng.shuffle(perm)
+        keep = rng.choice((1, 3, 7, 7))
+        allowed = bits(
+            e for e in range(n * n) if perm[e // n] == e % n or rng.getrandbits(3) & keep
+        )
+        split = find_violated_conflict(perm, inst, allowed)
         violated = check_feasible(inst, perm).violated_conflicts
-        keys = []
+        keys, lines = [], []
         for a, b in enumerate(perm):
             count = sum((a, b) in pair for pair in violated)
             if count:
                 keys.append((-count, -inst.costs[a][b], a * n + b))
-        expected = min(keys, default=(None, None, None))
-        assert find_violated_conflict(perm, inst) == expected[2]
-        if keys:
-            count_ties += [k[0] for k in keys].count(expected[0]) > 1
-            cost_ties += [k[:2] for k in keys].count(expected[:2]) > 1
-    assert count_ties >= 10 and cost_ties >= 10
+                lines.append(bits(e for e in ids(allowed) if e // n == a))
+                lines.append(bits(e for e in ids(allowed) if e % n == b))
+        if not keys:
+            assert split is None
+            continue
+        line, leader = min(lines, key=int.bit_count), min(keys)
+        if line.bit_count() <= 4:
+            assert split == line
+            line_splits += 1
+            continue
+        assert split == 1 << leader[2]
+        count_ties += [k[0] for k in keys].count(leader[0]) > 1
+        cost_ties += [k[:2] for k in keys].count(leader[:2]) > 1
+    assert count_ties >= 10 and cost_ties >= 10 and line_splits >= 20, (
+        count_ties, cost_ties, line_splits
+    )
 
 
 def test_branch_children():
     root = bits(range(4))
-    avoid, commit = branch(root, 0, DIAG)
+    avoid, commit = branch(root, 1 << 0, DIAG)
     assert DIAG.partners[0] == (3,)  # edge (0, 0) conflicts with (1, 1)
     # forbidding (0, 0) leaves row 0 one edge, (0, 1), and forcing it leaves
     # row 1 one edge, (1, 0)
@@ -123,17 +178,23 @@ def test_branch_children():
     # column, and its partner (1, 1), which empties row 1
     assert commit is None
     # (1, 0) has no partner: committing to it forces (0, 1) as well
-    avoid, commit = branch(root, 2, DIAG)
+    avoid, commit = branch(root, 1 << 2, DIAG)
     assert ids(commit) == {1, 2} and forced_ids(2, commit) == {1, 2}
     # avoiding it leaves (0, 0) and (1, 1), a conflicting pair: the avoid
     # child is dropped
     assert avoid is None
+    # a split on all of row 0 has no avoid child and one commit child per
+    # edge, in ascending id: (0, 0) empties row 1, (0, 1) forces (1, 0)
+    assert branch(root, bits({0, 1}), DIAG) == (None, None, bits({1, 2}))
+    # so does a split on all of column 0, whose (1, 0) forces (0, 1)
+    assert branch(root, bits({0, 2}), DIAG) == (None, None, bits({1, 2}))
 
 
 def test_branch_rejects_contradictory_split():
     # Splitting on an edge the node does not allow fails loudly instead of
     # dropping a child, and an id past the grid fails before any closure work
-    # rather than with an IndexError from the partner lookup.
+    # rather than with an IndexError from the partner lookup. So do an empty
+    # split and one whose edges share no row or column.
     n = DIAG.n
     for mask, edge in [
         (allowed_bits(2, {0}), 0),  # the edge (0, 0) itself is forbidden
@@ -142,9 +203,18 @@ def test_branch_rejects_contradictory_split():
         (bits(range(n * n)), n * n + 2),
     ]:
         with pytest.raises(ValueError, match=f"edge {edge} is not allowed"):
-            branch(mask, edge, DIAG)
+            branch(mask, 1 << edge, DIAG)
+    # the lowest edge the node lacks is named, wherever the split lies
+    with pytest.raises(ValueError, match="^edge 1 is not allowed at this node$"):
+        branch(allowed_bits(2, {1}), bits({0, 1}), DIAG)
+    with pytest.raises(ValueError, match="^split holds no edge$"):
+        branch(bits(range(n * n)), 0, DIAG)
+    for split in (bits({0, 3}), bits({1, 2})):  # the two diagonals
+        spans = r"^split on edges \[\d, \d\] spans more than one line$"
+        with pytest.raises(ValueError, match=spans):
+            branch(bits(range(n * n)), split, DIAG)
     # A forced conflict partner, (1, 1), leaves both children an empty line.
-    assert branch(allowed_bits(2, forced={3}), 0, DIAG) == (None, None)
+    assert branch(allowed_bits(2, forced={3}), 1 << 0, DIAG) == (None, None)
 
 
 @pytest.fixture
@@ -177,10 +247,10 @@ def test_emptied_line_drops_the_child_before_masks_and_ap_solve(ap_work):
     # lines, which empties row 1 too: the commit child is dropped the same
     # way. branch itself makes no MaskedCosts or solve_ap call.
     built, solved = ap_work
-    assert branch(bits(range(4)), 0, BOTH_BLOCKED) == (None, None)
+    assert branch(bits(range(4)), 1 << 0, BOTH_BLOCKED) == (None, None)
     assert not built and not solved
     # with (0, 1) already forbidden, avoiding (0, 0) empties row 0 at once
-    avoid, _ = branch(allowed_bits(2, {1}), 0, DIAG)
+    avoid, _ = branch(allowed_bits(2, {1}), 1 << 0, DIAG)
     assert avoid is None and not built and not solved
 
     # Row 0 of BOTH_BLOCKED allows (0, 0) and (0, 1), and each of them
@@ -206,7 +276,7 @@ def test_lone_edges_are_forced_in_a_chain():
         [((0, 1), (1, 2)), ((1, 3), (2, 0))],
     )
     node = allowed_bits(4, {2, 3, 4})  # (0,2) (0,3) (1,0)
-    avoid, commit = branch(node, 0, inst)
+    avoid, commit = branch(node, 1 << 0, inst)
     # the four forced edges make a permutation, so every other edge is forbidden
     assert forced_ids(4, avoid) == {1, 7, 10, 12}
     assert ids(avoid) == {1, 7, 10, 12}
@@ -228,17 +298,19 @@ def test_lone_edges_are_forced_in_a_chain():
 
 def test_lone_edge_closure_agrees_with_brute_force_on_dense_instances(monkeypatch):
     # Dense conflicts leave lines with one allowed edge or none, so the
-    # closure runs, both dropping avoid children and forcing edges.
-    split = apc.exact.branch
+    # closure runs, both dropping children and forcing edges. A split of a
+    # whole line has no avoid child to close, so only its commits count.
+    split_on = apc.exact.branch
     outcomes = []
 
-    def spy(allowed, edge, inst):
-        avoid, commit = split(allowed, edge, inst)
-        added = None if avoid is None else len(
-            forced_ids(inst.n, avoid) - forced_ids(inst.n, allowed)
-        )
-        outcomes.append(added)
-        return avoid, commit
+    def spy(allowed, split, inst):
+        children = split_on(allowed, split, inst)
+        for child in children if split.bit_count() == 1 else children[1:]:
+            added = None if child is None else len(
+                forced_ids(inst.n, child) - forced_ids(inst.n, allowed)
+            )
+            outcomes.append(added)
+        return children
 
     monkeypatch.setattr("apc.exact.branch", spy)
     statuses = set()
@@ -287,43 +359,49 @@ def test_both_children_match_the_naive_closure(monkeypatch):
     # At every split solve_exact makes on random instances, each child is
     # dropped exactly when the naive closure of the node plus its split
     # empties a line, and otherwise forbids exactly the edges that closure
-    # forbids: the avoid child's split is the edge, the commit child's the
-    # rest of the edge's row and column and its partners. The commit child
-    # starts from every line, as the root does, so it matches that closure
-    # on random masks that are not closed too.
-    split = apc.exact.branch
+    # forbids: the avoid child's split is the split's edges, a commit
+    # child's the rest of its edge's row and column and its partners. A
+    # commit child starts from every line, as the root does, so it matches
+    # that closure on random masks that are not closed too, split on one
+    # edge or on all of a line's allowed edges.
+    split_on = apc.exact.branch
     checked, closed, dropped = [], Counter(), Counter()
 
-    def check(node, edge, inst, unclosed=False):
-        children = split(node, edge, inst)
+    def check(node, split, inst, unclosed=False):
+        children = split_on(node, split, inst)
         n = inst.n
-        a, b = divmod(edge, n)
-        rest = {a * n + j for j in range(n)} | {i * n + b for i in range(n)}
-        splits = {"avoid": {edge}, "commit": (rest - {edge}) | set(inst.partners[edge])}
-        for (side, more), child in zip(splits.items(), children):
-            if unclosed:  # only the commit child is closed from any mask
+        edges = sorted(ids(split))
+        sides = [("avoid", set(edges))]
+        for e in edges:
+            a, b = divmod(e, n)
+            rest = {a * n + j for j in range(n)} | {i * n + b for i in range(n)}
+            sides.append(("commit", (rest - {e}) | set(inst.partners[e])))
+        assert len(children) == len(sides)
+        for (side, more), child in zip(sides, children):
+            if unclosed:  # only the commit children are closed from any mask
                 if side == "avoid":
                     continue
                 side = "unclosed"
             ref = _closed(node, more, inst)
-            assert (child is None) == (ref is None), (side, node, edge)
+            assert (child is None) == (ref is None), (side, node, split)
             if child is None:
                 dropped[side] += 1
                 continue
-            assert ids(child) == ref, (side, node, edge)
+            assert ids(child) == ref, (side, node, split)
             if ref != ids(node) - more:
                 closed[side] += 1
-        checked.append(edge)
+        checked.append(split)
         return children
 
     monkeypatch.setattr("apc.exact.branch", check)
     rng = random.Random(2020)
-    for _ in range(100):
+    for _ in range(160):
         n = rng.randint(3, 12)
         m = int(rng.uniform(0.05, 0.40) * max_conflict_pairs(n))
         inst = generate_instance(n, m, 1, 100, seed=rng.randrange(10**6))
         solve_exact(inst, node_limit=400)
-    assert len(checked) >= 5000
+    line_splits = sum(split.bit_count() > 1 for split in checked)
+    assert len(checked) >= 5000 and line_splits >= 1000
     for _ in range(100):
         n = rng.randint(3, 8)
         m = int(rng.uniform(0.05, 0.40) * max_conflict_pairs(n))
@@ -332,7 +410,10 @@ def test_both_children_match_the_naive_closure(monkeypatch):
             forbidden = rng.getrandbits(n * n) & rng.getrandbits(n * n)
             allowed = [e for e in range(n * n) if not forbidden >> e & 1]
             if allowed:
-                check(bits(allowed), rng.choice(allowed), inst, unclosed=True)
+                e = rng.choice(allowed)
+                row = bits(f for f in allowed if f // n == e // n)
+                column = bits(f for f in allowed if f % n == e % n)
+                check(bits(allowed), rng.choice((1 << e, row, column)), inst, unclosed=True)
     assert len(checked) >= 8000
     assert min(closed.values()) >= 100, closed
     assert min(dropped.values()) >= 400, dropped
@@ -351,7 +432,7 @@ def test_a_line_with_two_allowed_edges_forbids_their_common_partners():
     conflicts = [((0, 3), (3, 2)), ((1, 4), (3, 0)), ((1, 4), (3, 1)), ((2, 4), (3, 0))]
     inst = Instance(costs, conflicts + [((4, 0), (3, 1))])
     node = allowed_bits(5, {0, 1, 4, 18, 19})
-    children = branch(node, 2, inst)
+    children = branch(node, 1 << 2, inst)
     for takes, child in enumerate(children):
         allowed = ids(child)
         assert allowed & {15, 16, 17} == {15, 16}  # row 3 keeps two
@@ -381,7 +462,7 @@ def test_a_line_with_three_allowed_edges_forbids_what_all_three_exclude():
     inst = Instance(costs, conflicts + [((1, 4), (3, j)) for j in range(4)])
     node = allowed_bits(5, {0, 1, 4})
     assert _closed(node, (), inst) == ids(node)
-    children = branch(node, 2, inst)
+    children = branch(node, 1 << 2, inst)
     for takes, (child, row3) in enumerate(zip(children, ({16, 17, 19}, {15, 16, 18}))):
         allowed = ids(child)
         assert allowed & set(range(15, 20)) == row3
@@ -418,8 +499,8 @@ def test_a_closed_child_without_a_perfect_matching_is_dropped(monkeypatch):
     # The line rule sees each row and column alone, so a child can keep an
     # allowed edge in every line and still violate Hall's condition: its
     # warm solve_ap finds no perfect matching and the child is dropped. On
-    # 9/810 seed 24 that happens twice, and the search still proves the
-    # optimum, 417 (brute force agrees, but takes over a second).
+    # 15/4500 seed 2 that happens once, in the 975th expansion; the full
+    # search proves the optimum, 473 (HiGHS agrees), in 3,535 nodes.
     ap = apc.exact.solve_ap
     calls = []
 
@@ -429,11 +510,11 @@ def test_a_closed_child_without_a_perfect_matching_is_dropped(monkeypatch):
         return res
 
     monkeypatch.setattr("apc.exact.solve_ap", spy)
-    sol = solve_exact(generate_instance(9, 810, 1, 100, 24))
+    sol = solve_exact(generate_instance(15, 4500, 1, 100, 2), node_limit=975)
     assert (sol.status, sol.value, sol.lower_bound, sol.nodes) == (
-        SolveStatus.OPTIMAL, 417, 417, 85
+        SolveStatus.NO_SOLUTION, None, 402, 975
     )
-    assert Counter(calls) == {(True, False): 1, (False, False): 90, (False, True): 2}
+    assert Counter(calls) == {(True, False): 1, (False, False): 2113, (False, True): 1}
 
 
 def _obeys(perm, allowed):
@@ -441,11 +522,20 @@ def _obeys(perm, allowed):
     return all(allowed >> a * n + b & 1 for a, b in enumerate(perm))
 
 
+def _child_of(perm, edges, n):
+    # the index of the child of a split on the ascending ids `edges` that
+    # keeps `perm`: 1 + the index of the split edge it takes, or 0, the avoid
+    # child, when it takes none
+    return next((i + 1 for i, e in enumerate(edges) if perm[e // n] == e % n), 0)
+
+
 def test_branch_is_a_dichotomy():
     # Follow solve_exact's split a few levels deep: every feasible solution
-    # inside a node lies in exactly one child, and child bounds never drop.
-    splits = 0
-    dropped = Counter()
+    # inside a node lies in exactly one child, the one on its side (avoiding
+    # every edge of the split, or taking one of them), so a dropped child
+    # holds none; and child bounds never drop. A split on a short line has no
+    # avoid child and one commit child per allowed edge of the line.
+    splits, dropped = Counter(), Counter()
     for seed in range(16):
         n = 4 + seed % 4
         inst = generate_instance(n, max_conflict_pairs(n) // 6, 1, 50, seed=700 + seed)
@@ -456,25 +546,28 @@ def test_branch_is_a_dichotomy():
         for _ in range(4):
             deeper = []
             for node, bound, relaxed in frontier:
-                edge = find_violated_conflict(relaxed, inst)
-                if edge is None:
+                split = find_violated_conflict(relaxed, inst, node)
+                if split is None:
                     continue
-                children = branch(node, edge, inst)
-                assert len(children) == 2
-                splits += 1
+                edges = sorted(ids(split))
+                children = branch(node, split, inst)
+                assert len(children) == 1 + len(edges)
+                splits["line" if len(edges) > 1 else "edge"] += 1
+                if len(edges) > 1:  # all of a short line's allowed edges
+                    a, b = divmod(edges[0], n)
+                    row = bits(e for e in ids(node) if e // n == a)
+                    column = bits(e for e in ids(node) if e % n == b)
+                    assert split in (row, column) and len(edges) <= 4
+                    assert children[0] is None
                 for perm in feasible:
                     if _obeys(perm, node):
-                        hits = [c for c in children if c is not None and _obeys(perm, c)]
-                        assert len(hits) == 1, (seed, perm, node)
-                for takes, child in enumerate(children):
+                        hits = [
+                            i for i, c in enumerate(children) if c is not None and _obeys(perm, c)
+                        ]
+                        assert hits == [_child_of(perm, edges, n)], (seed, perm, node)
+                for i, child in enumerate(children):
                     if child is None:
-                        # a dropped child holds no feasible solution of the
-                        # node on its side: avoiding the edge, or taking it
-                        dropped[takes] += 1
-                        assert not any(
-                            _obeys(p, node) and (p[edge // n] == edge % n) == takes
-                            for p in feasible
-                        ), (seed, node, edge, takes)
+                        dropped["commit" if i else "avoid"] += 1
                         continue
                     res = solve_ap(MaskedCosts(inst.costs, child))
                     if res is None:
@@ -482,14 +575,16 @@ def test_branch_is_a_dichotomy():
                     assert res[1] >= bound
                     deeper.append((child, res[1], res[0]))
             frontier = deeper
-    assert splits >= 50 and dropped[0] >= 1 and dropped[1] >= 1, dropped
+    assert sum(splits.values()) >= 50 and min(splits.values()) >= 20, splits
+    assert dropped["avoid"] >= 1 and dropped["commit"] >= 1, dropped
 
 
 def test_warm_child_solves_match_cold_solves():
     # Follow solve_exact's split 6 levels deep on tie-heavy costs, each child
-    # re-optimized from its parent's result as the solver does.
+    # re-optimized from its parent's result as the solver does, through
+    # splits on one edge and on every allowed edge of a short line.
     warm_solves = 0
-    dropped = Counter()
+    splits, dropped = Counter(), Counter()
     for seed in range(18):
         n = 4 + seed % 9
         inst = generate_instance(n, max_conflict_pairs(n) // 5, 0, 2, seed=900 + seed)
@@ -497,21 +592,24 @@ def test_warm_child_solves_match_cold_solves():
         for _ in range(6):
             deeper = []
             for node, res in frontier[:24]:
-                edge = find_violated_conflict(res[0], inst)
-                if edge is None:
+                split = find_violated_conflict(res[0], inst, node)
+                if split is None:
                     continue
-                for takes, child in enumerate(branch(node, edge, inst)):
+                edges = sorted(ids(split))
+                splits["line" if len(edges) > 1 else "edge"] += 1
+                for side, child in enumerate(branch(node, split, inst)):
                     if child is None:
                         # a dropped child holds no feasible solution of the
-                        # node on its side: avoiding the edge, or taking it
-                        dropped[takes] += 1
+                        # node on its side: avoiding the split, or taking
+                        # one of its edges
+                        dropped["commit" if side else "avoid"] += 1
                         if n <= 7:
                             assert not any(
                                 _obeys(p, node)
-                                and (p[edge // n] == edge % n) == takes
+                                and _child_of(p, edges, n) == side
                                 and check_feasible(inst, p).feasible
                                 for p in itertools.permutations(range(n))
-                            ), (seed, node, edge, takes)
+                            ), (seed, node, split, side)
                         continue
                     mc = MaskedCosts(inst.costs, child)
                     warm, cold = solve_ap(mc, res), solve_ap(mc)
@@ -529,28 +627,29 @@ def test_warm_child_solves_match_cold_solves():
                         )
                     deeper.append((child, warm))
             frontier = deeper
-    assert warm_solves >= 400 and dropped[0] >= 1 and dropped[1] >= 1, dropped
+    assert warm_solves >= 400 and min(splits.values()) >= 20, splits
+    assert dropped["avoid"] >= 1 and dropped["commit"] >= 1, dropped
 
 
 def test_solve_exact_branches_on_the_scanned_edge(monkeypatch):
     # The rule the scan tests pin is the one the search branches on: every
-    # split takes the edge the preceding scan returned, on the instance
-    # being solved.
+    # split is the one the preceding scan returned, of the same node, on the
+    # instance being solved, and some of them are whole short lines.
     events = []
-    scan, split = apc.exact.find_violated_conflict, apc.exact.branch
+    scan, split_on = apc.exact.find_violated_conflict, apc.exact.branch
 
-    def scan_spy(assignment, inst):
-        edge = scan(assignment, inst)
-        events.append(("scan", edge))
-        return edge
+    def scan_spy(assignment, inst, allowed):
+        split = scan(assignment, inst, allowed)
+        events.append(("scan", split, allowed))
+        return split
 
-    def branch_spy(allowed, edge, inst):
-        events.append(("branch", edge, inst))
-        return split(allowed, edge, inst)
+    def branch_spy(allowed, split, inst):
+        events.append(("branch", split, allowed, inst))
+        return split_on(allowed, split, inst)
 
     monkeypatch.setattr("apc.exact.find_violated_conflict", scan_spy)
     monkeypatch.setattr("apc.exact.branch", branch_spy)
-    splits = 0
+    splits = Counter()
     for n, seed in ((6, 1), (8, 2), (10, 3), (12, 4)):
         inst = generate_instance(n, max_conflict_pairs(n) // 10, 1, 50, seed=seed)
         events.clear()
@@ -558,14 +657,14 @@ def test_solve_exact_branches_on_the_scanned_edge(monkeypatch):
         assert sol.status is SolveStatus.OPTIMAL
         for before, event in zip(events, events[1:]):
             if event[0] == "branch":
-                _, edge, solved = event
-                assert before == ("scan", edge) and edge is not None
+                _, split, allowed, solved = event
+                assert before == ("scan", split, allowed) and split is not None
                 assert solved is inst
-                splits += 1
+                splits["line" if split.bit_count() > 1 else "edge"] += 1
         assert sum(e[0] == "branch" for e in events) == sum(
             e[0] == "scan" and e[1] is not None for e in events
         )
-    assert splits >= 20
+    assert splits["edge"] >= 20 and splits["line"] >= 5, splits
 
 
 def test_search_builds_exclusion_masks_only_for_edges_it_reads():
@@ -711,13 +810,13 @@ def test_search_end_states_are_pinned():
         (DIAG, {}, (opt, 20, 20, 1)),
         (BOTH_BLOCKED, {}, (infeas, None, None, 0)),
         (mid, {"node_limit": 1}, (nosol, None, 198, 1)),
-        (mid, {}, (opt, 375, 375, 12)),
+        (mid, {}, (opt, 375, 375, 6)),
         (generate_instance(3, 4, 1, 100, 1), {"node_limit": 0}, (opt, 109, 109, 0)),
-        (generate_instance(12, 3000, 1, 100, 1), {}, (infeas, None, None, 270)),
+        (generate_instance(12, 3000, 1, 100, 1), {}, (infeas, None, None, 89)),
         (
             generate_instance(15, 5000, 1, 100, 1),
             {"node_limit": 200},
-            (nosol, None, 310, 200),
+            (nosol, None, 313, 200),
         ),
         (
             generate_instance(30, 20000, 1, 100, 1),

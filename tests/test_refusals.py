@@ -68,7 +68,9 @@ REFUSALS = [
         "group 'a' has no 'heuristic' record",
     ),
     # apc.exact
-    (lambda: branch(0b0111, 3, DIAG), "edge 3 is not allowed at this node"),
+    (lambda: branch(0b0111, 1 << 3, DIAG), "edge 3 is not allowed at this node"),
+    (lambda: branch(0b0111, 0, DIAG), "split holds no edge"),
+    (lambda: branch(0b1111, 0b1001, DIAG), "split on edges [0, 3] spans more than one line"),
     (lambda: solve_exact(DIAG, time_limit=-1), "time_limit must be positive, got -1"),
     (lambda: solve_exact(DIAG, node_limit=-5), "node_limit must be >= 0, got -5"),
     # apc.heuristic
